@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Benchmark the numba kernels against the pure-numpy fallback.
 
-Times each hot kernel on large arrays plus an end-to-end subsample fit,
-for both backends in one process.  The package-level selection is the
-env flag LCCSUB_NO_NUMBA; here both backends are exercised directly.
+Times each hot kernel on large arrays, for both backends in one process.
+The package-level selection is the env flag LCCSUB_NO_NUMBA; here both
+backends are exercised directly.  End-to-end runs of the CLI commands,
+with a per-layer split, are in perfbench/ (see perfbench/README.md).
 
 Usage: python benchmarks/bench_kernels.py [--n 2000000] [--repeats 5]
 """

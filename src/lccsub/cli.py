@@ -14,8 +14,10 @@ acceptance caps exceeded.
 from __future__ import annotations
 
 import argparse
+import csv
 import secrets
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -58,7 +60,9 @@ from .sampling import (
     TooFewCases,
     Uniform,
     WeightedCaseControl,
+    _scheme_adjustment,
     acceptance_probabilities,
+    class_balanced_scheme,
 )
 
 EXIT_OK = 0
@@ -86,42 +90,7 @@ def _resolve_seed(args) -> int:
 
 def _emit(rows, args, comments=(), json_extra=None, out=None):
     out = out or getattr(args, "out", None) or "-"
-    extra = dict(json_extra or {})
-    if out == "-":
-        import io
-
-        buf = io.StringIO()
-        _write_to_handle(buf, rows, args.format, comments, extra)
-        sys.stdout.write(buf.getvalue())
-    else:
-        write_report(out, rows, args.format, comments=comments, json_extra=extra)
-
-
-def _write_to_handle(handle, rows, fmt, comments, json_extra):
-    import csv as _csv
-    import json as _json
-
-    rows = list(rows)
-    if fmt == "json":
-        from .fileio import _jsonable
-
-        payload = {"rows": _jsonable(rows)}
-        payload.update(_jsonable(json_extra))
-        _json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-        return
-    for comment in comments:
-        handle.write(f"# {comment}\n")
-    if rows:
-        writer = _csv.DictWriter(handle, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(
-                {
-                    k: format_value(v) if isinstance(v, (float, np.floating)) else v
-                    for k, v in row.items()
-                }
-            )
+    write_report(out, rows, args.format, comments=comments, json_extra=json_extra)
 
 
 def _load_population(path):
@@ -228,27 +197,31 @@ def _count_pass(path):
 
 
 def _reservoir_balanced_pass(path, per_class, rng):
-    """Single-pass per-class reservoir sample; returns a WCC-weighted pilot set."""
-    seen = {0.0: 0, 1.0: 0}
-    kept = {0.0: [], 1.0: []}
+    """One-pass per-class uniform sample; returns a WCC-weighted pilot set.
+
+    Every row draws one uniform key in file order and each class keeps the
+    rows with its per_class smallest keys: a uniform sample without
+    replacement that does not depend on the chunking.
+    """
+    seen, keys, kept = [0, 0], [np.empty(0), np.empty(0)], [None, None]
     for _, _, feats, labels, _, _ in stream_rows(path):
-        for k in range(labels.shape[0]):
-            y = labels[k]
-            seen[y] += 1
-            if len(kept[y]) < per_class:
-                kept[y].append(feats[k])
-            else:
-                j = int(rng.integers(0, seen[y]))
-                if j < per_class:
-                    kept[y][j] = feats[k]
-    if not kept[0.0] or not kept[1.0]:
+        chunk_keys = rng.random(labels.shape[0])
+        for y in (0, 1):
+            rows = labels == y
+            seen[y] += int(rows.sum())
+            keys[y] = np.concatenate([keys[y], chunk_keys[rows]])
+            kept[y] = feats[rows] if kept[y] is None else np.vstack([kept[y], feats[rows]])
+            if keys[y].size > per_class:
+                top = np.argpartition(keys[y], per_class - 1)[:per_class]
+                keys[y], kept[y] = keys[y][top], kept[y][top]
+    if not (seen[0] and seen[1]):
         raise TooFewCases("pilot needs both classes present")
-    feats, labels, weights = [], [], []
-    for y in (0.0, 1.0):
-        feats.extend(kept[y])
-        labels.extend([y] * len(kept[y]))
-        weights.extend([seen[y] / len(kept[y])] * len(kept[y]))
-    return ObservationSet(np.array(feats), labels, weights=weights)
+    sizes = [keys[0].size, keys[1].size]
+    return ObservationSet(
+        np.vstack([kept[y][np.argsort(keys[y])] for y in (0, 1)]),
+        np.repeat([0.0, 1.0], sizes),
+        weights=np.repeat([seen[0] / sizes[0], seen[1] / sizes[1]], sizes),
+    )
 
 
 def _sum_acceptance_pass(path, pilot: ModelParams) -> float:
@@ -272,8 +245,6 @@ def _build_scheme(args, seed):
         if args.target_size is None:
             raise _UsageError(f"--a0/--a1 or --target-size required for {args.scheme}")
         n0, n1, _ = _count_pass(args.data)
-        from .sampling import class_balanced_scheme
-
         labels = np.concatenate([np.zeros(n0), np.ones(n1)])
         return (
             class_balanced_scheme(labels, args.target_size, weighted=args.scheme == "wcc"),
@@ -311,17 +282,15 @@ def cmd_sample(args) -> int:
     realized = 0
     expected = 0.0
     feature_names = None
-    import csv as _csv
-
     with open(args.data, newline="") as src:
-        first = _csv.reader(src)
+        first = csv.reader(src)
         header_cells = next(first)
     if WEIGHT_COLUMN in header_cells or OFFSET_COLUMN in header_cells:
         raise CsvFormatError(
             "input already has weight/offset columns; sample from raw feature CSVs"
         )
     with atomic_write(args.out, newline="") as out:
-        writer = _csv.writer(out)
+        writer = csv.writer(out)
         wrote_header = False
         for header, start, feats, labels, _, _ in stream_rows(args.data, args.chunk_size):
             if not wrote_header:
@@ -357,7 +326,7 @@ def cmd_sample(args) -> int:
                 )
     if realized == 0:
         raise EmptySubsample("no rows accepted")
-    adjustment = _scheme_adjustment_vector(scheme, len(feature_names))
+    adjustment = _scheme_adjustment(scheme, len(feature_names))
     summary_rows = [
         {"key": "seed", "value": seed},
         {"key": "scheme", "value": _scheme_label(scheme)},
@@ -395,12 +364,6 @@ def _scheme_label(scheme) -> str:
     if isinstance(scheme, WeightedCaseControl):
         return f"wcc(a0={scheme.a0:.6g}, a1={scheme.a1:.6g})"
     return f"lcc(c={scheme.c:.6g}, retain_cases={scheme.retain_cases})"
-
-
-def _scheme_adjustment_vector(scheme, p):
-    from .sampling import _scheme_adjustment
-
-    return _scheme_adjustment(scheme, p)
 
 
 # ---------------------------------------------------------------------------
@@ -529,11 +492,10 @@ def cmd_simulate(args) -> int:
     spec = parse_population(raw["population"])
     config = parse_experiment(raw["experiment"], spec)
     if args.seed is not None:
-        from dataclasses import replace
-
         config = replace(config, master_seed=args.seed)
     print(f"seed: {config.master_seed}", file=sys.stderr)
     report = run_experiment(config, threads=args.threads)
+    print(f"runtime: {report.runtime_seconds:.3f} s", file=sys.stderr)
     rows = []
     for method, summary in report.methods.items():
         rows.append(
@@ -556,7 +518,6 @@ def cmd_simulate(args) -> int:
         "config": echo,
         "theta_star": report.theta_star.params.as_array(),
         "theta_star_mc_se": report.theta_star.mc_se,
-        "runtime_seconds": report.runtime_seconds,
         "n_failures": len(report.failures),
     }
     if report.lcc_acceptance_rates is not None:

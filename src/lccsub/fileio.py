@@ -10,8 +10,10 @@ write-temp-then-rename so partial files never appear at the target path.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
+import sys
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -136,7 +138,32 @@ def stream_rows(path: str, chunk_size: int = 8192):
         chunk_start = 1
         raw_rows = []
 
+        def column(table, idx):
+            return None if idx is None else np.ascontiguousarray(table[:, idx])
+
         def emit(rows, start):
+            # One vectorised conversion per chunk; a chunk it rejects takes the
+            # per-cell path, which owns every diagnostic.
+            try:
+                table = np.array(rows, dtype=np.float64)
+            except ValueError:
+                table = None
+            if (
+                table is not None
+                and table.shape[1:] == (len(header.columns),)
+                and np.isfinite(table).all()
+            ):
+                labels = column(table, header.label_idx)
+                weights = column(table, header.weight_idx)
+                if ((labels == 0.0) | (labels == 1.0)).all() and (
+                    weights is None or (weights > 0.0).all()
+                ):
+                    feats = column(table, header.feature_idx)
+                    offsets = column(table, header.offset_idx)
+                    return header, start, feats, labels, weights, offsets
+            return emit_cells(rows, start)
+
+        def emit_cells(rows, start):
             feats = np.empty((len(rows), len(header.feature_idx)))
             labels = np.empty(len(rows))
             weights = np.empty(len(rows)) if header.weight_idx is not None else None
@@ -371,28 +398,31 @@ def _jsonable(value):
 
 
 def write_report(path: str, rows, fmt: str, comments=(), json_extra=None) -> None:
-    """Write tabular report rows as CSV (with # comment header) or JSON."""
-    if fmt == "json":
-        payload = {"rows": _jsonable(list(rows))}
-        payload.update(_jsonable(json_extra or {}))
-        with atomic_write(path) as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        return
-    if fmt != "csv":
+    """Write report rows as CSV (with # comment header) or JSON; '-' is stdout."""
+    if fmt not in ("csv", "json"):
         raise ValueError(f"unknown format {fmt!r}")
     rows = list(rows)
-    with atomic_write(path, newline="") as handle:
+    buf = io.StringIO()
+    if fmt == "json":
+        payload = {"rows": _jsonable(rows)}
+        payload.update(_jsonable(json_extra or {}))
+        json.dump(payload, buf, indent=2, sort_keys=True)
+        buf.write("\n")
+    else:
         for comment in comments:
-            handle.write(f"# {comment}\n")
-        if not rows:
-            return
-        writer = csv.DictWriter(handle, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(
-                {
-                    k: format_value(v) if isinstance(v, (float, np.floating)) else v
-                    for k, v in row.items()
-                }
-            )
+            buf.write(f"# {comment}\n")
+        if rows:
+            writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
+            writer.writeheader()
+            for row in rows:
+                writer.writerow(
+                    {
+                        k: format_value(v) if isinstance(v, (float, np.floating)) else v
+                        for k, v in row.items()
+                    }
+                )
+    if path == "-":
+        sys.stdout.write(buf.getvalue())
+        return
+    with atomic_write(path, newline="") as handle:
+        handle.write(buf.getvalue())

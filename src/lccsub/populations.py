@@ -20,11 +20,9 @@ from functools import cached_property
 from typing import Union
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import qmc
 
 from . import _kernels as K
-from .glm import ModelParams, ObservationSet
+from .glm import ModelParams, ObservationSet, _solve_newton_step
 
 __all__ = [
     "DiscretePopulation",
@@ -423,6 +421,10 @@ def integration_grid(
             pts = _gaussian_features(spec, labels, rng)
             masses = np.full(mc_nodes, 1.0 / mc_nodes)
         else:
+            # scipy takes about a second to import; only this grid needs it
+            from scipy.special import ndtri
+            from scipy.stats import qmc
+
             m = 2**qmc_log2
             parts, wparts = [], []
             L0, L1 = spec._chol
@@ -485,7 +487,7 @@ def _soft_newton(
             break
         Hw = masses * mu * (1.0 - mu)
         H = (design * Hw[:, None]).T @ design
-        delta = np.linalg.solve(H, s)
+        delta = _solve_newton_step(H, s)
         if grad_norm < 1e-7:
             theta = theta + delta
             f = objective(theta)

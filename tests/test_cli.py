@@ -1,19 +1,24 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lccsub import presets
-from lccsub.cli import main
+from lccsub.cli import _reservoir_balanced_pass, main
 from lccsub.fileio import (
     read_coefficients,
     read_observations_csv,
+    stream_rows,
     write_coefficients,
 )
 from lccsub.populations import sample_population
-from lccsub.sampling import LocalCaseControl, estimate
+from lccsub.sampling import LocalCaseControl, TooFewCases, estimate
 
 CONFIGS = "configs"
 
@@ -98,6 +103,24 @@ class TestOracle:
         rc = main(["oracle", "--spec", str(bad), "--seed", "1"])
         assert rc == 1
         assert "cellz" in capsys.readouterr().err
+
+    def test_singular_hessian_is_not_a_usage_error(self, tmp_path):
+        # oatmeal log-odds at 20% exposure and 4% family history: the
+        # case-control Newton solve meets a singular Hessian on its way
+        spec = tmp_path / "singular.cfg"
+        spec.write_text(
+            """
+population:
+  kind: discrete
+  cells:
+    - {x: [0, 0], mass: 0.768, logodds: -5}
+    - {x: [0, 1], mass: 0.032, logodds: -4}
+    - {x: [1, 0], mass: 0.192, logodds: -10}
+    - {x: [1, 1], mass: 0.008, logodds: -1}
+"""
+        )
+        rc = main(["oracle", "--spec", str(spec), "--seed", "1", "--out", str(tmp_path / "o.csv")])
+        assert rc in (0, 2)  # never 1, the usage code
 
 
 class TestSample:
@@ -263,6 +286,92 @@ class TestSample:
         assert {"seed", "realized_size", "expected_size", "acceptance_rate_estimate"} <= keys
 
 
+    def test_on_the_fly_pilot_chunk_size_irrelevant(self, gauss_csv, tmp_path):
+        _, _, raw, _, _ = gauss_csv
+        outs = []
+        for chunk in (512, 50000):
+            out = tmp_path / f"sub{chunk}.csv"
+            rc = main(
+                [
+                    "sample",
+                    "--data",
+                    raw,
+                    "--scheme",
+                    "lcc",
+                    "--pilot-size",
+                    "400",
+                    "--target-size",
+                    "800",
+                    "--seed",
+                    "4",
+                    "--chunk-size",
+                    str(chunk),
+                    "--out",
+                    str(out),
+                ]
+            )
+            assert rc == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
+
+class TestPilotSample:
+    @staticmethod
+    def write(path, labels):
+        # the feature is the row number, so kept rows can be told apart
+        path.write_text("y,x1\n" + "".join(f"{y},{i}\n" for i, y in enumerate(labels)))
+        return str(path)
+
+    def test_keeps_min_k_seen_with_wcc_weights(self, tmp_path):
+        path = self.write(tmp_path / "d.csv", [0] * 30 + [1] * 3 + [0] * 10)
+        obs = _reservoir_balanced_pass(path, 5, np.random.default_rng(0))
+        zeros, ones = obs.labels == 0.0, obs.labels == 1.0
+        assert zeros.sum() == 5 and ones.sum() == 3
+        assert np.all(obs.weights[zeros] == 40 / 5) and np.all(obs.weights[ones] == 1.0)
+        assert sorted(obs.features[ones, 0]) == [30.0, 31.0, 32.0]
+        assert np.unique(obs.features[zeros, 0]).size == 5
+        assert set(obs.features[zeros, 0]) <= set(range(30)) | set(range(33, 43))
+
+    def test_chunking_does_not_change_the_sample(self, tmp_path, monkeypatch):
+        from lccsub import cli
+
+        path = self.write(tmp_path / "d.csv", [int(i % 3 == 0) for i in range(200)])
+        whole = _reservoir_balanced_pass(path, 7, np.random.default_rng(5))
+        monkeypatch.setattr(cli, "stream_rows", lambda p: stream_rows(p, chunk_size=9))
+        chunked = _reservoir_balanced_pass(path, 7, np.random.default_rng(5))
+        assert np.array_equal(whole.features, chunked.features)
+        assert np.array_equal(whole.labels, chunked.labels)
+
+    def test_inclusion_is_uniform(self, tmp_path):
+        path = self.write(tmp_path / "d.csv", [0] * 20 + [1] * 2)
+        rng = np.random.default_rng(11)
+        counts = np.zeros(20)
+        reps = 400
+        for _ in range(reps):
+            obs = _reservoir_balanced_pass(path, 5, rng)
+            counts[obs.features[obs.labels == 0.0, 0].astype(int)] += 1
+        # each row is kept with probability 5/20; 0.1 is over 4.5 sd
+        assert np.all(np.abs(counts / reps - 0.25) < 0.1)
+
+    def test_absent_class_raises(self, tmp_path):
+        path = self.write(tmp_path / "d.csv", [0] * 12)
+        with pytest.raises(TooFewCases):
+            _reservoir_balanced_pass(path, 5, np.random.default_rng(0))
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """`sample` and `fit` never need scipy, so importing the CLI must not load it."""
+    import lccsub
+
+    env = dict(os.environ)
+    src = str(Path(lccsub.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, lccsub.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
 class TestFit:
     def test_intercept_only_file(self, tmp_path, capsys):
         data = tmp_path / "tiny.csv"
@@ -352,6 +461,31 @@ experiment:
             assert rc == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_json_report_byte_identical(self, tmp_path, capsys):
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(
+            """
+population:
+  kind: steplogit
+experiment:
+  n_full: 2000
+  n_pilot: 200
+  n_lcc: 200
+  replications: 3
+  methods: [lcc]
+  bootstrap_B: 100
+"""
+        )
+        outs = []
+        for name in ("a.json", "b.json"):
+            out = tmp_path / name
+            argv = ["simulate", "--config", str(cfg), "--seed", "7", "--format", "json"]
+            assert main([*argv, "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        assert b"runtime_seconds" not in outs[0]
+        assert "runtime: " in capsys.readouterr().err
 
     def test_threads_do_not_change_output(self, tmp_path):
         cfg = tmp_path / "tiny.cfg"
