@@ -1,45 +1,23 @@
-"""Hot numeric kernels: fused log-likelihood terms and accept-reject passes.
+"""Hot numeric kernels: the sigmoid, the logistic loss and the accept-reject pass.
 
-Every kernel has a pure-numpy implementation and, when numba is importable
-and the environment variable ``LCCSUB_NO_NUMBA`` is unset (or falsy), a
-numba ``@njit`` twin compiled at import time.  The selected backend is bound
-to the module-level names; both backends stay reachable through
-``numpy_backend`` / ``numba_backend`` for tests and benchmarks.
-
-Numeric contract: results of the two backends agree to floating-point
-round-off (summation order may differ), and all evaluations are overflow-safe
-for arbitrarily large linear predictors.
+All evaluations are overflow-safe for arbitrarily large linear predictors.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 __all__ = [
-    "log1pexp",
     "sigmoid",
     "nll_sum",
-    "score_residual",
-    "curvature_weights",
     "lcc_accept",
-    "numpy_backend",
-    "numba_backend",
     "active_backend_name",
 ]
 
-
-# ---------------------------------------------------------------------------
-# numpy implementations
+active_backend_name = "numpy"
 
 
-def _log1pexp_np(eta):
-    """log(1 + exp(eta)), stable for |eta| up to the float64 range."""
-    return np.logaddexp(0.0, eta)
-
-
-def _sigmoid_np(eta):
+def sigmoid(eta):
     out = np.empty_like(eta)
     pos = eta >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
@@ -48,27 +26,22 @@ def _sigmoid_np(eta):
     return out
 
 
-def _nll_sum_np(eta, y, w):
-    """Sum of w * (-y*eta + log(1+exp(eta))).
+def nll_sum(eta, y, w):
+    """Sum of w * (log(1+exp(eta)) - y*eta) for targets y in [0, 1].
 
-    For y in {0,1} the row loss equals log1pexp((1-2y)*eta), which avoids
-    the cancellation of log1pexp(eta) - eta for large positive eta.
+    Each row is log1p(exp(-|eta|)) + (max(eta, 0) - y*eta).  For y in
+    {0,1} the bracket is exact (0 or |eta|), so the row loss equals
+    log1pexp((1-2y)*eta) without the cancellation of log1pexp(eta) - eta
+    for large positive eta.
     """
-    return float(np.sum(w * np.logaddexp(0.0, (1.0 - 2.0 * y) * eta)))
+    loss = np.log1p(np.exp(-np.abs(eta)))
+    shift = np.maximum(eta, 0.0)
+    shift -= y * eta
+    loss += shift
+    return float(np.sum(w * loss))
 
 
-def _score_residual_np(eta, y, w):
-    """w * (y - sigmoid(eta)); score is X' times this."""
-    return w * (y - _sigmoid_np(eta))
-
-
-def _curvature_weights_np(eta, w):
-    """w * sigmoid(eta) * (1 - sigmoid(eta)); Hessian is X' diag(.) X."""
-    mu = _sigmoid_np(eta)
-    return w * mu * (1.0 - mu)
-
-
-def _lcc_accept_np(eta_pilot, y, c, u, retain_cases):
+def lcc_accept(eta_pilot, y, c, u, retain_cases):
     """One accept-reject pass given pilot linear predictors.
 
     Returns (keep, weight, prob) where prob = c*|y - ptilde| clipped at 1,
@@ -76,7 +49,7 @@ def _lcc_accept_np(eta_pilot, y, c, u, retain_cases):
     retain_cases, label-1 rows are kept surely with weight c*|y - ptilde| so
     the expected weighted contribution stays c*|y - ptilde| either way.
     """
-    ptilde = _sigmoid_np(eta_pilot)
+    ptilde = sigmoid(eta_pilot)
     a = np.abs(y - ptilde)
     ca = c * a
     prob = np.minimum(ca, 1.0)
@@ -87,131 +60,3 @@ def _lcc_accept_np(eta_pilot, y, c, u, retain_cases):
         weight[case] = ca[case]
     keep = u <= prob
     return keep, weight, prob
-
-
-numpy_backend = {
-    "log1pexp": _log1pexp_np,
-    "sigmoid": _sigmoid_np,
-    "nll_sum": _nll_sum_np,
-    "score_residual": _score_residual_np,
-    "curvature_weights": _curvature_weights_np,
-    "lcc_accept": _lcc_accept_np,
-}
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-
-_DISABLED = os.environ.get("LCCSUB_NO_NUMBA", "").lower() not in ("", "0", "false")
-
-numba_backend = None
-if not _DISABLED:
-    try:
-        from numba import njit
-    except ImportError:
-        njit = None
-    if njit is not None:
-
-        @njit(cache=True)
-        def _log1pexp_nb(eta):
-            out = np.empty_like(eta)
-            for i in range(eta.shape[0]):
-                e = eta[i]
-                if e > 0.0:
-                    out[i] = e + np.log1p(np.exp(-e))
-                else:
-                    out[i] = np.log1p(np.exp(e))
-            return out
-
-        @njit(cache=True)
-        def _sigmoid_nb(eta):
-            out = np.empty_like(eta)
-            for i in range(eta.shape[0]):
-                e = eta[i]
-                if e >= 0.0:
-                    out[i] = 1.0 / (1.0 + np.exp(-e))
-                else:
-                    ex = np.exp(e)
-                    out[i] = ex / (1.0 + ex)
-            return out
-
-        @njit(cache=True)
-        def _nll_sum_nb(eta, y, w):
-            total = 0.0
-            for i in range(eta.shape[0]):
-                e = (1.0 - 2.0 * y[i]) * eta[i]
-                if e > 0.0:
-                    l = e + np.log1p(np.exp(-e))
-                else:
-                    l = np.log1p(np.exp(e))
-                total += w[i] * l
-            return total
-
-        @njit(cache=True)
-        def _score_residual_nb(eta, y, w):
-            out = np.empty_like(eta)
-            for i in range(eta.shape[0]):
-                e = eta[i]
-                if e >= 0.0:
-                    mu = 1.0 / (1.0 + np.exp(-e))
-                else:
-                    ex = np.exp(e)
-                    mu = ex / (1.0 + ex)
-                out[i] = w[i] * (y[i] - mu)
-            return out
-
-        @njit(cache=True)
-        def _curvature_weights_nb(eta, w):
-            out = np.empty_like(eta)
-            for i in range(eta.shape[0]):
-                e = eta[i]
-                if e >= 0.0:
-                    mu = 1.0 / (1.0 + np.exp(-e))
-                else:
-                    ex = np.exp(e)
-                    mu = ex / (1.0 + ex)
-                out[i] = w[i] * mu * (1.0 - mu)
-            return out
-
-        @njit(cache=True)
-        def _lcc_accept_nb(eta_pilot, y, c, u, retain_cases):
-            n = eta_pilot.shape[0]
-            keep = np.empty(n, dtype=np.bool_)
-            weight = np.empty(n, dtype=np.float64)
-            prob = np.empty(n, dtype=np.float64)
-            for i in range(n):
-                e = eta_pilot[i]
-                if e >= 0.0:
-                    ptilde = 1.0 / (1.0 + np.exp(-e))
-                else:
-                    ex = np.exp(e)
-                    ptilde = ex / (1.0 + ex)
-                ca = c * abs(y[i] - ptilde)
-                if retain_cases and y[i] == 1.0:
-                    prob[i] = 1.0
-                    weight[i] = ca
-                else:
-                    prob[i] = min(ca, 1.0)
-                    weight[i] = max(ca, 1.0)
-                keep[i] = u[i] <= prob[i]
-            return keep, weight, prob
-
-        numba_backend = {
-            "log1pexp": _log1pexp_nb,
-            "sigmoid": _sigmoid_nb,
-            "nll_sum": _nll_sum_nb,
-            "score_residual": _score_residual_nb,
-            "curvature_weights": _curvature_weights_nb,
-            "lcc_accept": _lcc_accept_nb,
-        }
-
-
-_active = numba_backend if numba_backend is not None else numpy_backend
-active_backend_name = "numba" if numba_backend is not None else "numpy"
-
-log1pexp = _active["log1pexp"]
-sigmoid = _active["sigmoid"]
-nll_sum = _active["nll_sum"]
-score_residual = _active["score_residual"]
-curvature_weights = _active["curvature_weights"]
-lcc_accept = _active["lcc_accept"]

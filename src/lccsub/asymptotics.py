@@ -27,13 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as K
-from .glm import ModelParams
+from .glm import FitConfig, ModelParams, newton_logistic
 from .populations import (
     Grid,
     OracleFit,
     PopulationSpec,
     TwoClassGaussian,
-    _soft_newton,
+    _sandwich_se,
     integration_grid,
     true_log_odds,
 )
@@ -294,15 +294,13 @@ def eval_bar_theta(
     masses = masses / masses.sum()
     f_x = true_log_odds(spec, grid.points)
     target = K.sigmoid(f_x - design @ lam_vec)
-    gamma, grad_norm = _soft_newton(design, masses, target, tol=tol)
-    theta = gamma + lam_vec
+    fit = newton_logistic(design, masses, target, config=FitConfig(grad_tol=tol))
+    gamma = fit.params.as_array()
     if grid.exact:
-        se = np.zeros(theta.size)
+        se = np.zeros(gamma.size)
     else:
-        from .populations import _sandwich_se
-
         se = _sandwich_se(design, masses, target, gamma)
-    return OracleFit(ModelParams.from_array(theta), se, grad_norm)
+    return OracleFit(ModelParams.from_array(gamma + lam_vec), se, fit.grad_norm)
 
 
 def lcc_variance(report: AsymptoticsReport, pilot_variance=None) -> np.ndarray:

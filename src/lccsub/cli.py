@@ -21,7 +21,6 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import _kernels as K
 from .asymptotics import conditional_bias_slope, eval_matrices, lcc_variance
 from .experiments import TooManyFailures, run_experiment
 from .fileio import (
@@ -57,12 +56,13 @@ from .sampling import (
     CaseControl,
     EmptySubsample,
     LocalCaseControl,
+    RateCalibration,
     TooFewCases,
     Uniform,
     WeightedCaseControl,
-    _scheme_adjustment,
-    acceptance_probabilities,
+    accept_rows,
     class_balanced_scheme,
+    scheme_adjustment,
 )
 
 EXIT_OK = 0
@@ -224,14 +224,6 @@ def _reservoir_balanced_pass(path, per_class, rng):
     )
 
 
-def _sum_acceptance_pass(path, pilot: ModelParams) -> float:
-    total = 0.0
-    for _, _, feats, labels, _, _ in stream_rows(path):
-        eta = pilot.linear_predictor(feats)
-        total += float(np.sum(np.abs(labels - K.sigmoid(eta))))
-    return total
-
-
 def _build_scheme(args, seed):
     """Resolve the scheme, running count/pilot passes if needed."""
     if args.scheme == "uniform":
@@ -262,14 +254,15 @@ def _build_scheme(args, seed):
         )
         pilot = fit_logistic(pilot_obs).params
         pilot_source = f"wcc reservoir (size {args.pilot_size})"
-    c = args.c
-    if c is None:
-        if args.target_size is not None:
-            expected_c1 = _sum_acceptance_pass(args.data, pilot)
-            c = args.target_size / expected_c1
-        else:
-            c = 1.0
-    return LocalCaseControl(pilot, c=c, retain_cases=args.retain_cases), pilot, pilot_source
+    scheme = LocalCaseControl(
+        pilot, c=1.0 if args.c is None else args.c, retain_cases=args.retain_cases
+    )
+    if args.c is None and args.target_size is not None:
+        calibration = RateCalibration(scheme, args.target_size)
+        for _, _, feats, labels, _, _ in stream_rows(args.data):
+            calibration.add(feats, labels)
+        scheme = replace(scheme, c=calibration.solve())
+    return scheme, pilot, pilot_source
 
 
 def cmd_sample(args) -> int:
@@ -301,18 +294,7 @@ def cmd_sample(args) -> int:
                 wrote_header = True
             n = labels.shape[0]
             rows_read += n
-            if isinstance(scheme, LocalCaseControl):
-                eta = scheme.pilot.linear_predictor(feats)
-                keep, weight, prob = K.lcc_accept(
-                    eta, labels, scheme.c, rng.random(n), scheme.retain_cases
-                )
-                offsets = -eta
-            else:
-                prob, weight = acceptance_probabilities(scheme, feats, labels)
-                keep = rng.random(n) <= prob
-                offsets = np.full(
-                    n, scheme.bias if isinstance(scheme, CaseControl) else 0.0
-                )
+            keep, weight, offsets, prob = accept_rows(scheme, feats, labels, rng.random(n))
             expected += float(prob.sum())
             for i in np.flatnonzero(keep):
                 realized += 1
@@ -326,7 +308,7 @@ def cmd_sample(args) -> int:
                 )
     if realized == 0:
         raise EmptySubsample("no rows accepted")
-    adjustment = _scheme_adjustment(scheme, len(feature_names))
+    adjustment = scheme_adjustment(scheme, len(feature_names))
     summary_rows = [
         {"key": "seed", "value": seed},
         {"key": "scheme", "value": _scheme_label(scheme)},
@@ -412,18 +394,16 @@ def cmd_fit(args) -> int:
 # asymptotics
 
 
-def _load_point(value, spec, tol):
-    if value == "star":
-        return population_theta_star(spec, tol=tol).params
-    params, _ = read_coefficients(value)
-    return params
-
-
 def cmd_asymptotics(args) -> int:
     seed = _resolve_seed(args)
     spec = _load_population(args.spec)
-    theta = _load_point(args.theta, spec, args.tol)
-    pilot = _load_point(args.pilot, spec, args.tol)
+    star = None
+    if "star" in (args.theta, args.pilot):
+        star = population_theta_star(spec, tol=args.tol).params
+    theta, pilot = (
+        star if value == "star" else read_coefficients(value)[0]
+        for value in (args.theta, args.pilot)
+    )
     rng = np.random.default_rng(seed)
     report = eval_matrices(
         spec, theta, pilot, c=args.c, mc_nodes=args.mc_nodes, rng=rng
@@ -496,6 +476,9 @@ def cmd_simulate(args) -> int:
     print(f"seed: {config.master_seed}", file=sys.stderr)
     report = run_experiment(config, threads=args.threads)
     print(f"runtime: {report.runtime_seconds:.3f} s", file=sys.stderr)
+    print(f"failed replications: {len(report.failures)}", file=sys.stderr)
+    for rep, kind, message in report.failures:
+        print(f"  replication {rep}: {kind}: {message}", file=sys.stderr)
     rows = []
     for method, summary in report.methods.items():
         rows.append(

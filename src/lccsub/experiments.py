@@ -197,7 +197,7 @@ def _replicate_explicit(config: ExperimentConfig, rep: int) -> dict:
         if method == "lcc":
             c = config.c
             if c is None:
-                c = calibrate_lcc_rate(second, pilot, config.n_lcc)
+                c = calibrate_lcc_rate(second, pilot, config.n_lcc, config.retain_cases)
             scheme = LocalCaseControl(pilot, c=c, retain_cases=config.retain_cases)
             sub = draw_subsample(second, scheme, second_uniforms)
             vec = fit_subsample(sub, config.fit).params.as_array()

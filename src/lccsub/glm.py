@@ -25,6 +25,7 @@ __all__ = [
     "neg_log_likelihood",
     "score",
     "hessian",
+    "newton_logistic",
     "fit_logistic",
 ]
 
@@ -208,15 +209,15 @@ def neg_log_likelihood(theta: ModelParams, data: ObservationSet) -> float:
 
 def score(theta: ModelParams, data: ObservationSet) -> np.ndarray:
     """Gradient of the log-likelihood: sum_i w_i (y_i - p_i) (1, x_i)'."""
-    resid = K.score_residual(_eta(theta, data), data.labels, data.weights)
+    resid = data.weights * (data.labels - K.sigmoid(_eta(theta, data)))
     return _design(data).T @ resid
 
 
 def hessian(theta: ModelParams, data: ObservationSet) -> np.ndarray:
     """Negative-log-likelihood Hessian: sum_i w_i p_i (1-p_i) (1,x_i)(1,x_i)'."""
-    cw = K.curvature_weights(_eta(theta, data), data.weights)
+    mu = K.sigmoid(_eta(theta, data))
     design = _design(data)
-    return (design * cw[:, None]).T @ design
+    return (design * (data.weights * mu * (1.0 - mu))[:, None]).T @ design
 
 
 def _solve_newton_step(H: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -239,51 +240,54 @@ _SEPARATION_NLL = 1e-9
 _BASIN_GRAD = 1e-6
 
 
-def fit_logistic(
-    data: ObservationSet,
+def newton_logistic(
+    design: np.ndarray,
+    weights: np.ndarray,
+    targets: np.ndarray,
+    offsets: np.ndarray | float = 0.0,
     config: FitConfig | None = None,
-    start: ModelParams | None = None,
+    start: np.ndarray | None = None,
 ) -> FitResult:
-    """Damped Newton (IRLS) fit with step-halving.
+    """Damped Newton (IRLS) minimizer of sum_i w_i [log(1+e^eta_i) - t_i eta_i].
+
+    eta = design @ theta + offsets, and the targets t lie in [0, 1]: 0/1
+    labels give the weighted logistic NLL, soft targets a population risk.
+    At the optimum sum_i w_i (t_i - sigmoid(eta_i)) design_i = 0.
 
     Raises Separation when the iterate norm exceeds config.divergence_norm,
     keeps growing at max_iter, or the converged fit classifies every row
     essentially perfectly.  Raises Singular for a non-invertible Hessian
-    after one ridge retry.
+    after one ridge retry, and GlmError when no step of up to
+    config.step_halvings halvings descends while the score is still large.
     """
     config = config or FitConfig()
-    design = _design(data)
-    y, w = data.labels, data.weights
-    total_weight = data.total_weight
-    theta = start.as_array() if start is not None else np.zeros(data.p + 1)
-    if start is not None and start.slopes.size != data.p:
-        raise ValueError("start dimension does not match data")
+    total_weight = float(np.sum(weights))
+    theta = np.zeros(design.shape[1]) if start is None else np.array(start, dtype=np.float64)
 
-    f = K.nll_sum(design @ theta + data.offsets, y, w)
-    grad_norm = np.inf
+    f = K.nll_sum(design @ theta + offsets, targets, weights)
     norms = [float(np.linalg.norm(theta))]
     converged = False
     it = 0
     for it in range(1, config.max_iter + 1):
-        eta = design @ theta + data.offsets
-        s = design.T @ K.score_residual(eta, y, w)
+        mu = K.sigmoid(design @ theta + offsets)
+        s = design.T @ (weights * (targets - mu))
         grad_norm = float(np.max(np.abs(s))) / total_weight
         if grad_norm < config.grad_tol:
             converged = True
             break
-        H = (design * K.curvature_weights(eta, w)[:, None]).T @ design
+        H = (design * (weights * mu * (1.0 - mu))[:, None]).T @ design
         delta = _solve_newton_step(H, s)
         if grad_norm < _BASIN_GRAD:
             # quadratic-convergence basin: a full step descends in exact
             # arithmetic; the summed NLL is too noisy to line-search on
             theta = theta + delta
-            f = K.nll_sum(design @ theta + data.offsets, y, w)
+            f = K.nll_sum(design @ theta + offsets, targets, weights)
         else:
             step = 1.0
             accepted = False
             for _ in range(config.step_halvings + 1):
                 cand = theta + step * delta
-                f_cand = K.nll_sum(design @ cand + data.offsets, y, w)
+                f_cand = K.nll_sum(design @ cand + offsets, targets, weights)
                 if f_cand <= f:
                     accepted = True
                     break
@@ -303,15 +307,12 @@ def fit_logistic(
             raise Separation("max_iter reached with growing coefficient norm")
         raise GlmError(f"no convergence in {config.max_iter} iterations")
 
-    if not converged:
-        eta = design @ theta + data.offsets
-        s = design.T @ K.score_residual(eta, y, w)
-        grad_norm = float(np.max(np.abs(s))) / total_weight
-        if grad_norm >= config.grad_tol * 1e3:
-            raise GlmError(
-                f"stalled with normalized score {grad_norm:.3g} "
-                f"(tolerance {config.grad_tol:.3g})"
-            )
+    # a failed line search leaves theta, and so grad_norm, as they were
+    if not converged and grad_norm >= config.grad_tol * 1e3:
+        raise GlmError(
+            f"stalled with normalized score {grad_norm:.3g} "
+            f"(tolerance {config.grad_tol:.3g})"
+        )
     if f / total_weight < _SEPARATION_NLL:
         raise Separation("fit is numerically perfect: classes are separable")
     return FitResult(
@@ -319,4 +320,25 @@ def fit_logistic(
         grad_norm=grad_norm,
         iterations=it,
         neg_log_lik=f,
+    )
+
+
+def fit_logistic(
+    data: ObservationSet,
+    config: FitConfig | None = None,
+    start: ModelParams | None = None,
+) -> FitResult:
+    """Damped Newton fit of the weighted, offset-aware logistic model.
+
+    Raises as newton_logistic does.
+    """
+    if start is not None and start.slopes.size != data.p:
+        raise ValueError("start dimension does not match data")
+    return newton_logistic(
+        _design(data),
+        data.weights,
+        data.labels,
+        data.offsets,
+        config,
+        None if start is None else start.as_array(),
     )

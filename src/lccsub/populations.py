@@ -22,7 +22,7 @@ from typing import Union
 import numpy as np
 
 from . import _kernels as K
-from .glm import ModelParams, ObservationSet, _solve_newton_step
+from .glm import FitConfig, ModelParams, ObservationSet, newton_logistic
 
 __all__ = [
     "DiscretePopulation",
@@ -456,55 +456,6 @@ class OracleFit:
     grad_norm: float
 
 
-def _soft_newton(
-    design: np.ndarray,
-    masses: np.ndarray,
-    target_p: np.ndarray,
-    offsets: np.ndarray | float = 0.0,
-    tol: float = 1e-12,
-    max_iter: int = 200,
-    start: np.ndarray | None = None,
-):
-    """Damped Newton for sum_i m_i * h(theta'x_i + o_i; target_p_i) -> min.
-
-    This is the population score equation: at the optimum
-    sum_i m_i (target_p_i - sigmoid(eta_i)) x_i = 0.
-    """
-    theta = np.zeros(design.shape[1]) if start is None else start.copy()
-
-    def objective(th):
-        eta = design @ th + offsets
-        return float(np.sum(masses * (np.logaddexp(0.0, eta) - target_p * eta)))
-
-    f = objective(theta)
-    grad_norm = np.inf
-    for _ in range(max_iter):
-        eta = design @ theta + offsets
-        mu = K.sigmoid(eta)
-        s = design.T @ (masses * (target_p - mu))
-        grad_norm = float(np.max(np.abs(s)))
-        if grad_norm < tol:
-            break
-        Hw = masses * mu * (1.0 - mu)
-        H = (design * Hw[:, None]).T @ design
-        delta = _solve_newton_step(H, s)
-        if grad_norm < 1e-7:
-            theta = theta + delta
-            f = objective(theta)
-            continue
-        step = 1.0
-        for _ in range(60):
-            cand = theta + step * delta
-            f2 = objective(cand)
-            if f2 <= f:
-                break
-            step *= 0.5
-        theta, f = cand, f2
-    else:
-        raise RuntimeError(f"population solver stalled at |score|={grad_norm:.3g}")
-    return theta, grad_norm
-
-
 def _sandwich_se(design, masses, target_p, theta, offsets=0.0) -> np.ndarray:
     eta = design @ theta + offsets
     mu = K.sigmoid(eta)
@@ -536,12 +487,12 @@ def population_theta_star(
         return OracleFit(params, np.zeros(spec.p + 1), 0.0)
     grid = grid or integration_grid(spec)
     design = np.column_stack([np.ones(grid.points.shape[0]), grid.points])
-    theta, grad_norm = _soft_newton(design, grid.masses, grid.prob1, tol=tol)
+    fit = newton_logistic(design, grid.masses, grid.prob1, config=FitConfig(grad_tol=tol))
     if grid.exact:
-        se = np.zeros(theta.size)
+        se = np.zeros(design.shape[1])
     else:
-        se = _sandwich_se(design, grid.masses, grid.prob1, theta)
-    return OracleFit(ModelParams.from_array(theta), se, grad_norm)
+        se = _sandwich_se(design, grid.masses, grid.prob1, fit.params.as_array())
+    return OracleFit(fit.params, se, fit.grad_norm)
 
 
 def theta_cc_limit(
@@ -560,12 +511,12 @@ def theta_cc_limit(
     masses = grid.masses * accept_x
     masses = masses / masses.sum()
     target = K.sigmoid(true_log_odds(spec, grid.points) + b)
-    theta, grad_norm = _soft_newton(design, masses, target, offsets=b, tol=tol)
+    fit = newton_logistic(design, masses, target, b, FitConfig(grad_tol=tol))
     if grid.exact:
-        se = np.zeros(theta.size)
+        se = np.zeros(design.shape[1])
     else:
-        se = _sandwich_se(design, masses, target, theta, offsets=b)
-    return OracleFit(ModelParams.from_array(theta), se, grad_norm)
+        se = _sandwich_se(design, masses, target, fit.params.as_array(), offsets=b)
+    return OracleFit(fit.params, se, fit.grad_norm)
 
 
 def marginal_odds_ratio(spec: DiscretePopulation, coordinate: int) -> float:

@@ -30,14 +30,17 @@ __all__ = [
     "EmptySubsample",
     "TooFewCases",
     "PilotFit",
+    "accept_rows",
     "acceptance_probability",
     "acceptance_probabilities",
+    "scheme_adjustment",
     "draw_subsample",
     "fit_subsample",
     "estimate",
     "fit_pilot_wcc",
     "thin_uniform",
     "class_balanced_scheme",
+    "RateCalibration",
     "calibrate_lcc_rate",
 ]
 
@@ -116,27 +119,38 @@ class LocalCaseControl:
 SamplingScheme = Uniform | CaseControl | WeightedCaseControl | LocalCaseControl
 
 
+def accept_rows(scheme: SamplingScheme, features, labels, uniforms):
+    """One accept-reject pass over a chunk of rows: (keep, weight, offset, prob).
+
+    Row i is kept iff uniforms[i] <= prob[i]; weight and offset are the
+    row's fit weight and tilt offset.  Rows are independent, so splitting
+    them into chunks does not change any output.
+    """
+    n = labels.shape[0]
+    if isinstance(scheme, LocalCaseControl):
+        eta = scheme.pilot.linear_predictor(features)
+        keep, weight, prob = K.lcc_accept(
+            eta, labels, scheme.c, uniforms, scheme.retain_cases
+        )
+        return keep, weight, -eta, prob
+    if isinstance(scheme, Uniform):
+        prob = np.full(n, scheme.rate)
+    elif isinstance(scheme, (CaseControl, WeightedCaseControl)):
+        prob = np.where(labels == 1.0, scheme.a1, scheme.a0)
+    else:
+        raise TypeError(f"unknown scheme {type(scheme)!r}")
+    weight = 1.0 / prob if isinstance(scheme, WeightedCaseControl) else np.ones(n)
+    offset = np.full(n, scheme.bias if isinstance(scheme, CaseControl) else 0.0)
+    return uniforms <= prob, weight, offset, prob
+
+
 def acceptance_probabilities(scheme: SamplingScheme, features, labels):
     """Vectorized (prob, weight) for every row."""
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
-    n = labels.shape[0]
-    if isinstance(scheme, Uniform):
-        return np.full(n, scheme.rate), np.ones(n)
-    if isinstance(scheme, CaseControl):
-        prob = np.where(labels == 1.0, scheme.a1, scheme.a0)
-        return prob, np.ones(n)
-    if isinstance(scheme, WeightedCaseControl):
-        prob = np.where(labels == 1.0, scheme.a1, scheme.a0)
-        return prob, 1.0 / prob
-    if isinstance(scheme, LocalCaseControl):
-        eta = scheme.pilot.linear_predictor(features)
-        # uniforms are irrelevant for prob/weight; pass u=2 so keep is unused
-        _, weight, prob = K.lcc_accept(
-            eta, labels, scheme.c, np.full(n, 2.0), scheme.retain_cases
-        )
-        return prob, weight
-    raise TypeError(f"unknown scheme {type(scheme)!r}")
+    # uniforms are irrelevant for prob/weight; pass u=2 so keep is unused
+    _, weight, _, prob = accept_rows(scheme, features, labels, np.full(labels.shape[0], 2.0))
+    return prob, weight
 
 
 def acceptance_probability(scheme: SamplingScheme, x, y) -> tuple[float, float]:
@@ -147,7 +161,7 @@ def acceptance_probability(scheme: SamplingScheme, x, y) -> tuple[float, float]:
     return float(prob[0]), float(weight[0])
 
 
-def _scheme_adjustment(scheme: SamplingScheme, p: int) -> np.ndarray:
+def scheme_adjustment(scheme: SamplingScheme, p: int) -> np.ndarray:
     """Coefficient vector to add to a plain (offset-free) subsample fit."""
     adj = np.zeros(p + 1)
     if isinstance(scheme, CaseControl):
@@ -199,31 +213,17 @@ def draw_subsample(
     uniforms = np.asarray(uniforms, dtype=np.float64)
     if uniforms.shape != (data.n,):
         raise ValueError(f"need {data.n} uniforms, got shape {uniforms.shape}")
-    if isinstance(scheme, LocalCaseControl):
-        eta = scheme.pilot.linear_predictor(data.features)
-        keep, weight, prob = K.lcc_accept(
-            eta, data.labels, scheme.c, uniforms, scheme.retain_cases
-        )
-        rows = np.flatnonzero(keep)
-        weights = weight[rows]
-        offsets = -eta[rows]
-    else:
-        prob, weight = acceptance_probabilities(scheme, data.features, data.labels)
-        rows = np.flatnonzero(uniforms <= prob)
-        weights = weight[rows]
-        if isinstance(scheme, CaseControl):
-            offsets = np.full(rows.size, scheme.bias)
-        else:
-            offsets = np.zeros(rows.size)
+    keep, weight, offset, prob = accept_rows(scheme, data.features, data.labels, uniforms)
+    rows = np.flatnonzero(keep)
     return WeightedSubsample(
         source=data,
         rows=rows,
-        weights=weights,
-        offsets=offsets,
+        weights=weight[rows],
+        offsets=offset[rows],
         expected_size=float(prob.sum()),
         realized_size=int(rows.size),
         scheme=scheme,
-        adjustment=_scheme_adjustment(scheme, data.p),
+        adjustment=scheme_adjustment(scheme, data.p),
     )
 
 
@@ -316,14 +316,61 @@ def thin_uniform(sub: WeightedSubsample, n_s: int, rng) -> WeightedSubsample:
     )
 
 
-def calibrate_lcc_rate(data: ObservationSet, pilot: ModelParams, target_size: int) -> float:
-    """c such that the expected subsample size is about target_size.
+class RateCalibration:
+    """Streaming solve of sum_i prob_i(c) = target for a local case-control c.
 
-    One pass over the acceptance probabilities at c=1; the clipping at
-    probability 1 makes the result approximate for c > 1.
+    prob_i(c) = min(c*a_i, 1), where a_i is row i's acceptance probability
+    at c = 1; retained cases have probability 1 at every c.  The sum is
+    continuous, increasing and piecewise linear in c, and at the solution
+    fewer than `target` rows are capped, all among the `target` largest
+    a_i.  So the state is those values, the sum of all a_i and two
+    counts: memory O(target) whatever the number of rows.
     """
-    eta = pilot.linear_predictor(data.features)
-    expected_c1 = float(np.sum(np.abs(data.labels - K.sigmoid(eta))))
-    if expected_c1 <= 0:
-        raise ValueError("degenerate pilot: zero expected acceptance")
-    return target_size / expected_c1
+
+    def __init__(self, scheme: LocalCaseControl, target: int):
+        self.scheme = replace(scheme, c=1.0)
+        self.target = int(target)
+        self.top = np.empty(0)
+        self.total = 0.0
+        self.free = 0  # rows with a_i > 0 whose probability scales with c
+        self.sure = 0  # retained cases
+
+    def add(self, features, labels) -> None:
+        a, _ = acceptance_probabilities(self.scheme, features, labels)
+        if self.scheme.retain_cases:
+            case = labels == 1.0
+            self.sure += int(case.sum())
+            a = a[~case]
+        self.total += float(a.sum())
+        self.free += int(np.count_nonzero(a))
+        top = np.concatenate([self.top, a])
+        if top.size > self.target:
+            top = np.partition(top, top.size - self.target)[-self.target:]
+        self.top = top
+
+    def solve(self) -> float:
+        """The c whose expected subsample size is exactly target."""
+        need = self.target - self.sure
+        if not 0 < need < self.free:
+            raise ValueError(
+                f"target size {self.target} is not reachable: the expected size "
+                f"lies strictly between {self.sure} and {self.sure + self.free}"
+            )
+        # the rows capped at the solution are among the `need` largest
+        a = np.sort(self.top)[::-1][:need]
+        head = np.concatenate([[0.0], np.cumsum(a)])
+        # expected size at c = 1/a[k], where the rows 0..k are capped
+        size_at = np.arange(1, a.size + 1) + (self.total - head[1:]) / a
+        k = int(np.argmax(size_at >= need))
+        # between 1/a[k-1] and 1/a[k] exactly the k largest rows are capped
+        return (need - k) / (self.total - head[k])
+
+
+def calibrate_lcc_rate(
+    data: ObservationSet, pilot: ModelParams, target_size: int, retain_cases: bool = False
+) -> float:
+    """c whose expected subsample size is exactly target_size."""
+    scheme = LocalCaseControl(pilot, retain_cases=retain_cases)
+    calibration = RateCalibration(scheme, target_size)
+    calibration.add(data.features, data.labels)
+    return calibration.solve()

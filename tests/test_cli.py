@@ -17,7 +17,7 @@ from lccsub.fileio import (
     stream_rows,
     write_coefficients,
 )
-from lccsub.populations import sample_population
+from lccsub.populations import population_theta_star, sample_population
 from lccsub.sampling import LocalCaseControl, TooFewCases, estimate
 
 CONFIGS = "configs"
@@ -314,6 +314,27 @@ class TestSample:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("retain", [False, True])
+    def test_target_size_is_expected_size_at_c_above_one(self, gauss_csv, tmp_path, retain):
+        _, _, raw, pilot, _ = gauss_csv
+        summary = tmp_path / "summary.json"
+        argv = ["sample", "--data", raw, "--scheme", "lcc", "--pilot", pilot,
+                "--target-size", "8000", "--seed", "2", "--out", str(tmp_path / "sub.csv"),
+                "--summary", str(summary), "--format", "json"]
+        assert main(argv + ["--retain-cases"] * retain) == 0
+        values = {r["key"]: r["value"] for r in json.loads(summary.read_text())["rows"]}
+        c = float(values["scheme"].split("c=")[1].split(",")[0])
+        assert c > 1
+        assert values["expected_size"] == pytest.approx(8000, rel=1e-9)
+
+    def test_unreachable_target_size_exits_one(self, gauss_csv, tmp_path, capsys):
+        _, _, raw, pilot, _ = gauss_csv
+        rc = main(["sample", "--data", raw, "--scheme", "lcc", "--pilot", pilot,
+                   "--target-size", "20000", "--seed", "2", "--out", str(tmp_path / "sub.csv")])
+        assert rc == 1
+        assert "target size 20000 is not reachable" in capsys.readouterr().err
+        assert not (tmp_path / "sub.csv").exists()
+
 
 class TestPilotSample:
     @staticmethod
@@ -526,6 +547,38 @@ experiment:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_failed_replications_on_stderr(self, tmp_path, capsys):
+        # pilots of 12 rows separate in replications 0, 5 and 6
+        cfg = tmp_path / "fragile.cfg"
+        cfg.write_text(
+            """
+population:
+  kind: gaussian2
+  prior1: 0.5
+  mu0: [0, 0]
+  mu1: [1, 1]
+  sigma0: [[1, 0], [0, 1]]
+  sigma1: [[1, 0], [0, 1]]
+experiment:
+  n_full: 200
+  n_pilot: 12
+  n_lcc: 12
+  replications: 8
+  methods: [cc]
+  bootstrap_B: 150
+  master_seed: 1
+  max_failure_fraction: 0.5
+"""
+        )
+        out = tmp_path / "study.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert "failed replications: 3\n" in err
+        for rep in (0, 5, 6):
+            assert f"  replication {rep}: Separation: " in err
+        report = out.read_text()
+        assert "failures 3" in report and "Separation" not in report
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(
@@ -574,6 +627,22 @@ class TestAsymptotics:
         assert np.allclose(H, H.T)
         assert np.min(np.linalg.eigvalsh(H)) > 0
         assert payload["c_fd_relerr"] < 1e-6
+
+    def test_theta_star_solved_once(self, tmp_path, monkeypatch):
+        import lccsub.cli as cli
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return population_theta_star(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "population_theta_star", counted)
+        out = tmp_path / "asym.csv"
+        rc = main(["asymptotics", "--spec", f"{CONFIGS}/oatmeal.cfg", "--seed", "1",
+                   "--out", str(out)])
+        assert rc == 0
+        assert len(calls) == 1
 
 
 class TestUsage:

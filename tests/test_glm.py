@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 
 from lccsub.glm import (
     FitConfig,
+    GlmError,
     ModelParams,
     ObservationSet,
     Separation,
     fit_logistic,
     hessian,
     neg_log_likelihood,
+    newton_logistic,
     score,
 )
 
@@ -152,6 +154,15 @@ class TestFit:
         res = fit_logistic(ObservationSet(X, y))
         assert res.grad_norm < 1e-10
 
+    def test_stall_raises_glm_error(self):
+        # from a saturated start the full Newton step overshoots by ~1e4;
+        # with no halvings allowed, no step descends
+        data = random_problem(np.random.default_rng(3), n=40, weighted=False, offsets=False)
+        with pytest.raises(GlmError, match="stalled"):
+            fit_logistic(
+                data, FitConfig(step_halvings=0), start=ModelParams(10.0, np.zeros(3))
+            )
+
     def test_descent_across_iterations(self):
         rng = np.random.default_rng(3)
         data = random_problem(rng, n=200)
@@ -191,6 +202,21 @@ class TestInvariants:
         )
         t1 = fit_logistic(data).params.as_array()
         t2 = fit_logistic(scaled).params.as_array()
+        assert np.allclose(t1, t2, atol=1e-9)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        k=st.floats(min_value=1e-3, max_value=1e4),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    def test_soft_target_weight_scaling_invariance(self, k, seed):
+        rng = np.random.default_rng(seed)
+        design = np.column_stack([np.ones(80), rng.standard_normal((80, 2))])
+        targets = rng.random(80)
+        weights = rng.uniform(0.2, 3.0, 80)
+        offsets = rng.uniform(-1, 1, 80)
+        t1 = newton_logistic(design, weights, targets, offsets).params.as_array()
+        t2 = newton_logistic(design, k * weights, targets, offsets).params.as_array()
         assert np.allclose(t1, t2, atol=1e-9)
 
     def test_root_n_consistency_rate(self):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lccsub import presets
-from lccsub.glm import ModelParams, ObservationSet, fit_logistic
+from lccsub.glm import FitConfig, ModelParams, ObservationSet, fit_logistic, newton_logistic
 from lccsub.populations import (
     AcceptanceTooLow,
     DiscretePopulation,
@@ -138,13 +138,15 @@ class TestThetaStar:
         noise = rng.standard_normal(3)
         noise /= np.linalg.norm(noise)
         grid = integration_grid(oatmeal)
-        from lccsub.populations import _soft_newton
-
         design = np.column_stack([np.ones(4), grid.points])
-        theta2, _ = _soft_newton(
-            design, grid.masses, grid.prob1, start=fit.params.as_array() + noise
+        refit = newton_logistic(
+            design,
+            grid.masses,
+            grid.prob1,
+            config=FitConfig(grad_tol=1e-12),
+            start=fit.params.as_array() + noise,
         )
-        assert np.allclose(theta2, fit.params.as_array(), atol=1e-9)
+        assert np.allclose(refit.params.as_array(), fit.params.as_array(), atol=1e-9)
 
     def test_steplogit_limit_shape(self):
         spec = presets.steplogit()

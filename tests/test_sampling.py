@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import logit
 
 from lccsub import presets
@@ -17,6 +19,7 @@ from lccsub.sampling import (
     TooFewCases,
     Uniform,
     WeightedCaseControl,
+    accept_rows,
     acceptance_probabilities,
     acceptance_probability,
     calibrate_lcc_rate,
@@ -330,6 +333,27 @@ class TestCalibration:
         )
         assert sub.expected_size == pytest.approx(1500, rel=0.05)
 
+    @pytest.mark.parametrize("target,retain", [(1500, False), (12000, False), (12000, True)])
+    def test_rate_hits_target_exactly(self, gauss_data, target, retain):
+        spec, data = gauss_data
+        pilot = spec.linear_params()
+        c = calibrate_lcc_rate(data, pilot, target, retain_cases=retain)
+        scheme = LocalCaseControl(pilot, c=c, retain_cases=retain)
+        prob, _ = acceptance_probabilities(scheme, data.features, data.labels)
+        if target > 1500:
+            # c > 1 caps some rows at probability 1, so the expected
+            # size is no longer linear in c
+            assert c > 1 and np.any(prob[data.labels == 0.0] == 1.0)
+        assert prob.sum() == pytest.approx(target, rel=1e-9)
+
+    def test_unreachable_target(self, gauss_data):
+        spec, data = gauss_data
+        with pytest.raises(ValueError, match="not reachable"):
+            calibrate_lcc_rate(data, spec.linear_params(), data.n)
+        cases = int(data.labels.sum())
+        with pytest.raises(ValueError, match="not reachable"):
+            calibrate_lcc_rate(data, spec.linear_params(), cases, retain_cases=True)
+
     def test_wcc_consistent_under_misspecification(self):
         oat = presets.oatmeal()
         star = population_theta_star(oat).params.as_array()
@@ -342,3 +366,56 @@ class TestCalibration:
         draws = np.array(draws)
         se = draws.std(axis=0, ddof=1) / np.sqrt(len(draws))
         assert np.all(np.abs(draws.mean(axis=0) - star) < 4 * se + 1e-3)
+
+
+SCHEMES = st.one_of(
+    st.floats(0.01, 1.0).map(Uniform),
+    st.tuples(st.floats(0.01, 1.0), st.floats(0.01, 1.0)).map(lambda a: CaseControl(*a)),
+    st.tuples(st.floats(0.01, 1.0), st.floats(0.01, 1.0)).map(
+        lambda a: WeightedCaseControl(*a)
+    ),
+    st.builds(
+        LocalCaseControl,
+        st.tuples(st.floats(-4.0, 1.0), st.floats(-3.0, 3.0)).map(
+            lambda t: ModelParams(t[0], [t[1]])
+        ),
+        c=st.floats(0.2, 20.0),
+        retain_cases=st.booleans(),
+    ),
+)
+
+
+class TestAcceptRowsProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(scheme=SCHEMES, seed=st.integers(0, 2**31), split=st.integers(0, 200))
+    def test_bounds_and_chunking(self, scheme, seed, split):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((200, 1)) * 3
+        y = (rng.random(200) < 0.3).astype(float)
+        u = rng.random(200)
+        keep, weight, offset, prob = accept_rows(scheme, x, y, u)
+        assert np.all((prob >= 0.0) & (prob <= 1.0))
+        retained = (y == 1.0) if getattr(scheme, "retain_cases", False) else np.zeros(200, bool)
+        assert np.all(weight[~retained] >= 1.0)
+        assert np.array_equal(keep, u <= prob)
+        parts = [
+            accept_rows(scheme, x[rows], y[rows], u[rows])
+            for rows in (slice(0, split), slice(split, None))
+        ]
+        for whole, first, second in zip((keep, weight, offset, prob), *parts):
+            assert np.array_equal(whole, np.concatenate([first, second]))
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**31), lcc=st.booleans())
+    def test_offset_fit_is_plain_fit_plus_adjustment(self, seed, lcc):
+        rng = np.random.default_rng(seed)
+        data = sample_population(presets.correct_gaussian(p=2, mu_scale=0.8), 6000, rng)
+        if lcc:
+            scheme = LocalCaseControl(ModelParams(-2.5, rng.normal(0.5, 0.3, 2)), c=2.0)
+        else:
+            scheme = CaseControl(a0=0.1, a1=0.9)
+        sub = draw_subsample(data, scheme, rng.random(data.n))
+        obs = sub.to_observation_set()
+        with_offsets = fit_subsample(sub).params.as_array()
+        plain = fit_logistic(ObservationSet(obs.features, obs.labels, weights=obs.weights))
+        assert np.allclose(with_offsets, plain.params.as_array() + sub.adjustment, atol=1e-8)
