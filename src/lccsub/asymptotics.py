@@ -13,7 +13,7 @@ of label y, z the acceptance indicator, w the fit weight c*a or 1):
   G          E[z w s],  s = (y - m) xt expected weighted subsample score
   H          abar^-1 E[z w m (1-m) xt xt']
   J          abar^-1 E[z w^2 s s'] - (G/abar)(G/abar)'
-  C          abar^-1 d/dlam G         (central differences, step-halved)
+  C          abar^-1 d/dlam G         (closed form: E[zw | x, y] = c*a)
 
 With those scalings, sqrt(n)(est - limit) has covariance
 H^-1 (C V C' + abar^-1 J) H^-1 for a pilot with sqrt(n)-covariance V,
@@ -22,18 +22,18 @@ and the conditional-bias slope d(limit)/d(lam) is H^-1 C.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import _kernels as K
-from .glm import FitConfig, ModelParams, newton_logistic
+from .glm import ModelParams
 from .populations import (
     Grid,
     OracleFit,
     PopulationSpec,
     TwoClassGaussian,
-    _sandwich_se,
+    _solve_on_grid,
     integration_grid,
     true_log_odds,
 )
@@ -49,7 +49,6 @@ __all__ = [
 ]
 
 _MC_NODES_DEFAULT = 4 * 10**6
-_C_FD_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -58,8 +57,6 @@ class AsymptoticsReport:
 
     mc_se holds per-entry Monte-Carlo standard errors for abar, G, H, J and
     SigmaFull (zero for exact discrete/quadrature evaluation).
-    c_fd_relerr reports the relative change of C under step-halving of the
-    finite-difference stencil.
     """
 
     spec: PopulationSpec
@@ -74,7 +71,6 @@ class AsymptoticsReport:
     Sigma: np.ndarray
     SigmaFull: np.ndarray
     mc_se: dict
-    c_fd_relerr: float
 
 
 def _grid_for(spec, grid, mc_nodes, rng):
@@ -85,29 +81,42 @@ def _grid_for(spec, grid, mc_nodes, rng):
     return integration_grid(spec)
 
 
+def _acceptance(grid: Grid, lam_vec, c):
+    """The design, ptilde, E[zw | x, y] for y = 1 and 0, and E[z | x].
+
+    The weight max(c*a, 1) undoes the clipping of the acceptance
+    min(c*a, 1), so E[zw | x, y] = c*a exactly, with a = |y - ptilde|.
+    """
+    design = grid.design
+    ptilde = K.sigmoid(design @ lam_vec)
+    zw1 = c * (1.0 - ptilde)
+    zw0 = c * ptilde
+    p = grid.prob1
+    accept = p * np.minimum(zw1, 1.0) + (1 - p) * np.minimum(zw0, 1.0)
+    return design, ptilde, zw1, zw0, accept
+
+
 def _node_moments(grid: Grid, theta_vec, lam_vec, c):
     """Per-node integrands, labels integrated out.
 
     Returns dict of arrays keyed by quantity; each integrates against
-    grid.masses.
+    grid.masses.  "c" is the pilot derivative of "g": ptilde moves the
+    weights c*a and m = sigmoid((theta - lam)'xt) moves the residuals.
     """
-    design = np.column_stack([np.ones(grid.points.shape[0]), grid.points])
+    design, ptilde, zw1, zw0, accept = _acceptance(grid, lam_vec, c)
     p = grid.prob1
-    ptilde = K.sigmoid(design @ lam_vec)
     m = K.sigmoid(design @ (theta_vec - lam_vec))
-    a1 = 1.0 - ptilde
-    a0 = ptilde
-    # E[zw | x, y] = c*a exactly; E[z w^2 | x, y] = c*a * max(c*a, 1)
-    zw1 = c * a1
-    zw0 = c * a0
+    # E[z w^2 | x, y] = c*a * max(c*a, 1)
     zww1 = zw1 * np.maximum(zw1, 1.0)
     zww0 = zw0 * np.maximum(zw0, 1.0)
+    h = (p * zw1 + (1 - p) * zw0) * m * (1.0 - m)
     return {
         "design": design,
-        "abar": p * np.minimum(c * a1, 1.0) + (1 - p) * np.minimum(c * a0, 1.0),
+        "abar": accept,
         "g": (p * zw1 * (1.0 - m) - (1 - p) * zw0 * m),
-        "h": (p * zw1 + (1 - p) * zw0) * m * (1.0 - m),
+        "h": h,
         "j": p * zww1 * (1.0 - m) ** 2 + (1 - p) * zww0 * m**2,
+        "c": h - c * ptilde * (1.0 - ptilde) * (p * (1.0 - m) + (1 - p) * m),
     }
 
 
@@ -150,20 +159,12 @@ def eval_abar(
 ) -> tuple[float, float]:
     """Marginal acceptance probability E[min(c*a(X,Y), 1)] with its MC-SE."""
     grid = _grid_for(spec, grid, mc_nodes, rng)
-    design = np.column_stack([np.ones(grid.points.shape[0]), grid.points])
-    ptilde = K.sigmoid(design @ pilot.as_array())
-    p = grid.prob1
-    per_x = p * np.minimum(c * (1 - ptilde), 1.0) + (1 - p) * np.minimum(c * ptilde, 1.0)
+    per_x = _acceptance(grid, pilot.as_array(), c)[-1]
     value = float(np.sum(grid.masses * per_x))
     if grid.exact:
         return value, 0.0
     se = float(per_x.std(ddof=1) / np.sqrt(per_x.size))
     return value, se
-
-
-def _eval_G(grid, theta_vec, lam_vec, c):
-    mom = _node_moments(grid, theta_vec, lam_vec, c)
-    return _weighted_vec(mom["design"], grid.masses, mom["g"])
 
 
 def eval_matrices(
@@ -179,9 +180,8 @@ def eval_matrices(
     """Evaluate abar, G, H, J, C, Sigma and SigmaFull at (theta, pilot, c).
 
     SigmaFull is the no-subsampling sandwich at theta_star (defaults to
-    theta).  C comes from central differences of G in the pilot, validated
-    by a half-step re-evaluation; the same grid is reused across the
-    perturbed pilots so differences stay smooth on Monte-Carlo grids.
+    theta).  C integrates the pilot derivative of G's integrand in closed
+    form on the same grid.
     """
     if c < 1.0:
         raise ValueError("c must be at least 1 for the weighted moments")
@@ -203,27 +203,11 @@ def eval_matrices(
         raise ValueError("H/J not symmetric: numerical failure")
     np.linalg.cholesky(H + 1e-300 * np.eye(k))  # SPD check
 
-    # C by central differences of G in the pilot, with step-halving check
-    def c_matrix(step):
-        cols = np.empty((k, k))
-        for j in range(k):
-            e = np.zeros(k)
-            e[j] = step
-            g_plus = _eval_G(grid, theta_vec, lam_vec + e, c)
-            g_minus = _eval_G(grid, theta_vec, lam_vec - e, c)
-            cols[:, j] = (g_plus - g_minus) / (2 * step)
-        return cols / abar
-
-    C_full = c_matrix(_C_FD_STEP)
-    C_half = c_matrix(_C_FD_STEP / 2)
-    denom = max(np.linalg.norm(C_half), 1e-12)
-    c_fd_relerr = float(np.linalg.norm(C_full - C_half) / denom)
-    C = C_half
+    C = _weighted_mat(design, masses, mom["c"]) / abar
 
     Sigma = np.linalg.solve(H, np.linalg.solve(H, J).T)
 
-    star_vec = (theta_star or theta).as_array()
-    SigmaFull, se_full = sigma_full(spec, ModelParams.from_array(star_vec), grid=grid)
+    SigmaFull, se_full = sigma_full(spec, theta_star or theta, grid=grid)
 
     mc_se = {
         "abar": 0.0 if grid.exact else float(mom["abar"].std(ddof=1) / np.sqrt(len(masses))),
@@ -245,7 +229,6 @@ def eval_matrices(
         Sigma=Sigma,
         SigmaFull=SigmaFull,
         mc_se=mc_se,
-        c_fd_relerr=c_fd_relerr,
     )
 
 
@@ -256,16 +239,15 @@ def sigma_full(spec: PopulationSpec, theta_star: ModelParams, grid: Grid | None 
     the inverse Fisher information under correct specification.
     """
     grid = grid or integration_grid(spec)
-    design = np.column_stack([np.ones(grid.points.shape[0]), grid.points])
+    design = grid.design
     p = grid.prob1
     mstar = K.sigmoid(design @ theta_star.as_array())
+    j_x = p * (1 - mstar) ** 2 + (1 - p) * mstar**2
     h_full = _weighted_mat(design, grid.masses, mstar * (1 - mstar))
-    j_full = _weighted_mat(
-        design, grid.masses, p * (1 - mstar) ** 2 + (1 - p) * mstar**2
-    )
+    j_full = _weighted_mat(design, grid.masses, j_x)
     h_inv = np.linalg.inv(h_full)
     value = h_inv @ j_full @ h_inv
-    se = _se_mat(design, grid.masses, p * (1 - mstar) ** 2 + (1 - p) * mstar**2, grid.exact)
+    se = _se_mat(design, grid.masses, j_x, grid.exact)
     return value, se
 
 
@@ -285,22 +267,15 @@ def eval_bar_theta(
     pilot.  pilot=0 gives the plain population minimizer.
     """
     grid = _grid_for(spec, grid, mc_nodes, rng)
-    design = np.column_stack([np.ones(grid.points.shape[0]), grid.points])
     lam_vec = pilot.as_array()
-    p = grid.prob1
-    ptilde = K.sigmoid(design @ lam_vec)
-    ahat = p * (1 - ptilde) + (1 - p) * ptilde
-    masses = grid.masses * ahat
+    design, _, _, _, accept = _acceptance(grid, lam_vec, 1.0)
+    masses = grid.masses * accept
     masses = masses / masses.sum()
     f_x = true_log_odds(spec, grid.points)
     target = K.sigmoid(f_x - design @ lam_vec)
-    fit = newton_logistic(design, masses, target, config=FitConfig(grad_tol=tol))
-    gamma = fit.params.as_array()
-    if grid.exact:
-        se = np.zeros(gamma.size)
-    else:
-        se = _sandwich_se(design, masses, target, gamma)
-    return OracleFit(ModelParams.from_array(gamma + lam_vec), se, fit.grad_norm)
+    fit = _solve_on_grid(grid, design, masses, target, tol)
+    shifted = ModelParams.from_array(fit.params.as_array() + lam_vec)
+    return replace(fit, params=shifted)
 
 
 def lcc_variance(report: AsymptoticsReport, pilot_variance=None) -> np.ndarray:

@@ -38,6 +38,7 @@ from .fileio import (
     read_observations_csv,
     stream_rows,
     write_coefficients,
+    write_observation_rows,
     write_report,
 )
 from .glm import FitConfig, GlmError, ModelParams, ObservationSet, fit_logistic
@@ -284,28 +285,20 @@ def cmd_sample(args) -> int:
         )
     with atomic_write(args.out, newline="") as out:
         writer = csv.writer(out)
-        wrote_header = False
         for header, start, feats, labels, _, _ in stream_rows(args.data, args.chunk_size):
-            if not wrote_header:
+            if feature_names is None:
                 feature_names = header.feature_names
                 writer.writerow(
                     [LABEL_COLUMN, *feature_names, WEIGHT_COLUMN, OFFSET_COLUMN]
                 )
-                wrote_header = True
             n = labels.shape[0]
             rows_read += n
             keep, weight, offsets, prob = accept_rows(scheme, feats, labels, rng.random(n))
             expected += float(prob.sum())
-            for i in np.flatnonzero(keep):
-                realized += 1
-                writer.writerow(
-                    [
-                        format_value(labels[i]),
-                        *(format_value(v) for v in feats[i]),
-                        format_value(weight[i]),
-                        format_value(offsets[i]),
-                    ]
-                )
+            realized += int(keep.sum())
+            write_observation_rows(
+                writer, labels[keep], feats[keep], weight[keep], offsets[keep]
+            )
     if realized == 0:
         raise EmptySubsample("no rows accepted")
     adjustment = scheme_adjustment(scheme, len(feature_names))
@@ -450,7 +443,6 @@ def cmd_asymptotics(args) -> int:
         "c": report.c,
         "theta": report.theta.as_array(),
         "pilot": report.pilot.as_array(),
-        "c_fd_relerr": report.c_fd_relerr,
     }
     _emit(rows, args, comments=[f"seed {seed}", f"spec {args.spec}"], json_extra=extra)
     return EXIT_OK
@@ -458,6 +450,12 @@ def cmd_asymptotics(args) -> int:
 
 # ---------------------------------------------------------------------------
 # simulate
+
+
+def _print_failures(failures):
+    print(f"failed replications: {len(failures)}", file=sys.stderr)
+    for rep, kind, message in failures:
+        print(f"  replication {rep}: {kind}: {message}", file=sys.stderr)
 
 
 def cmd_simulate(args) -> int:
@@ -474,11 +472,13 @@ def cmd_simulate(args) -> int:
     if args.seed is not None:
         config = replace(config, master_seed=args.seed)
     print(f"seed: {config.master_seed}", file=sys.stderr)
-    report = run_experiment(config, threads=args.threads)
+    try:
+        report = run_experiment(config, threads=args.threads)
+    except TooManyFailures as exc:
+        _print_failures(exc.failures)
+        raise
     print(f"runtime: {report.runtime_seconds:.3f} s", file=sys.stderr)
-    print(f"failed replications: {len(report.failures)}", file=sys.stderr)
-    for rep, kind, message in report.failures:
-        print(f"  replication {rep}: {kind}: {message}", file=sys.stderr)
+    _print_failures(report.failures)
     rows = []
     for method, summary in report.methods.items():
         rows.append(
@@ -492,10 +492,7 @@ def cmd_simulate(args) -> int:
                 "n_failures": summary.n_failures,
             }
         )
-    echo = {
-        k: v
-        for k, v in raw["experiment"].items()
-    }
+    echo = dict(raw["experiment"])
     extra = {
         "seed": config.master_seed,
         "config": echo,

@@ -68,7 +68,14 @@ _FAILURE_KINDS = (GlmError, EmptySubsample, TooFewCases)
 
 
 class TooManyFailures(Exception):
-    """More than the tolerated fraction of replications failed."""
+    """Over the tolerated fraction of replications failed, or under 2 succeeded.
+
+    failures holds every failed replication as (rep, kind, message).
+    """
+
+    def __init__(self, message: str, failures: tuple):
+        super().__init__(message)
+        self.failures = failures
 
 
 def derived_rng(master_seed: int, replication: int, stage: str) -> np.random.Generator:
@@ -268,7 +275,8 @@ def run_experiment(
     """Run the replication study and summarize bias/variance per method.
 
     Failed replications (separation, empty subsamples) are recorded and
-    excluded; more than max_failure_fraction of them aborts the study.
+    excluded; more than max_failure_fraction of them, or fewer than two
+    successes, abort the study.
     """
     t0 = time.monotonic()
     truth = theta_star or population_theta_star(config.spec)
@@ -289,10 +297,12 @@ def run_experiment(
 
     failures = tuple(r for r in results if isinstance(r, tuple))
     successes = [r for r in results if isinstance(r, dict)]
-    if len(failures) > config.max_failure_fraction * config.replications:
+    tolerated = config.max_failure_fraction * config.replications
+    if len(successes) < 2 or len(failures) > tolerated:
         raise TooManyFailures(
-            f"{len(failures)}/{config.replications} replications failed; "
-            f"first: {failures[0]}"
+            f"{len(failures)}/{config.replications} replications failed (tolerated "
+            f"fraction {config.max_failure_fraction:g}; at least 2 must succeed)",
+            failures,
         )
 
     boot_rng = derived_rng(config.master_seed, 0, "bootstrap")

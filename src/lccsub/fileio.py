@@ -37,6 +37,7 @@ __all__ = [
     "atomic_write",
     "read_observations_csv",
     "write_observations_csv",
+    "write_observation_rows",
     "read_coefficients",
     "write_coefficients",
     "load_config_file",
@@ -223,15 +224,22 @@ def write_observations_csv(path: str, obs: ObservationSet, feature_names) -> Non
     with atomic_write(path, newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow([LABEL_COLUMN, *feature_names, WEIGHT_COLUMN, OFFSET_COLUMN])
-        for i in range(obs.n):
-            writer.writerow(
-                [
-                    format_value(obs.labels[i]),
-                    *(format_value(v) for v in obs.features[i]),
-                    format_value(obs.weights[i]),
-                    format_value(obs.offsets[i]),
-                ]
-            )
+        write_observation_rows(
+            writer, obs.labels, obs.features, obs.weights, obs.offsets
+        )
+
+
+def write_observation_rows(writer, labels, features, weights, offsets) -> None:
+    """One `y, features..., weight, offset` record per row, 17 digits each."""
+    for i in range(labels.shape[0]):
+        writer.writerow(
+            [
+                format_value(labels[i]),
+                *(format_value(v) for v in features[i]),
+                format_value(weights[i]),
+                format_value(offsets[i]),
+            ]
+        )
 
 
 # ---------------------------------------------------------------------------

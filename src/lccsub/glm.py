@@ -108,10 +108,6 @@ class ObservationSet:
     def p(self) -> int:
         return self.features.shape[1]
 
-    @property
-    def total_weight(self) -> float:
-        return float(np.sum(self.weights))
-
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -142,10 +138,6 @@ class ModelParams:
     def as_array(self) -> np.ndarray:
         return np.concatenate([[self.intercept], self.slopes])
 
-    @property
-    def dim(self) -> int:
-        return self.slopes.size + 1
-
     def linear_predictor(self, features, offsets=None) -> np.ndarray:
         features = np.asarray(features, dtype=np.float64)
         if features.shape[1] != self.slopes.size:
@@ -157,12 +149,6 @@ class ModelParams:
         if offsets is not None:
             eta = eta + offsets
         return eta
-
-    def predicted_probability(self, features, offsets=None) -> np.ndarray:
-        return K.sigmoid(self.linear_predictor(features, offsets))
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.as_array()))
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import _kernels as K
 from .glm import FitConfig, ModelParams, ObservationSet, newton_logistic
+from .sampling import LocalCaseControl, accept_rows
 
 __all__ = [
     "DiscretePopulation",
@@ -336,7 +337,7 @@ def sample_tilted(
     accepted = 0
     proposals = 0
     batch = max(4096, 2 * n_accept)
-    rate_num, rate_den = 0.0, 0
+    scheme = LocalCaseControl(pilot)
     while accepted < n_accept:
         if proposals >= proposal_cap:
             raise AcceptanceTooLow(
@@ -344,9 +345,7 @@ def sample_tilted(
             )
         batch = int(min(batch, proposal_cap - proposals, 2**20))
         obs = sample_population(spec, batch, rng)
-        eta = pilot.linear_predictor(obs.features)
-        a = np.abs(obs.labels - K.sigmoid(eta))
-        keep = rng.random(batch) <= a
+        keep = accept_rows(scheme, obs.features, obs.labels, rng.random(batch))[0]
         hits = np.flatnonzero(keep)
         if accepted + hits.size >= n_accept:
             last = hits[n_accept - accepted - 1]
@@ -357,9 +356,8 @@ def sample_tilted(
         feats_parts.append(obs.features[hits])
         label_parts.append(obs.labels[hits])
         accepted += hits.size
-        rate_num += hits.size
-        rate_den += batch
-        rate = max(rate_num / rate_den, 1e-6)
+        # every batch before the last counts in full toward proposals
+        rate = max(accepted / proposals, 1e-6)
         batch = int(min(max(4096, 1.2 * (n_accept - accepted) / rate), 2**20))
     return TiltedSample(
         ObservationSet(np.vstack(feats_parts), np.concatenate(label_parts)),
@@ -379,6 +377,11 @@ class Grid:
     masses: np.ndarray
     prob1: np.ndarray
     exact: bool
+
+    @property
+    def design(self) -> np.ndarray:
+        """The nodes with a leading intercept column."""
+        return np.column_stack([np.ones(self.points.shape[0]), self.points])
 
 
 _STEP_NODES_PER_PANEL = 256
@@ -456,20 +459,27 @@ class OracleFit:
     grad_norm: float
 
 
-def _sandwich_se(design, masses, target_p, theta, offsets=0.0) -> np.ndarray:
-    eta = design @ theta + offsets
-    mu = K.sigmoid(eta)
-    g = design * (masses * (target_p - mu))[:, None]
-    B = g.T @ g
+def _solve_on_grid(grid: Grid, design, masses, target, tol, offsets=0.0) -> OracleFit:
+    """Newton minimizer of a population risk on grid nodes, with its MC-SE.
+
+    The risk is sum masses*[log(1+e^eta) - target*eta], eta = design @
+    theta + offsets; the SE is the sandwich treating the nodes as i.i.d.
+    """
+    fit = newton_logistic(design, masses, target, offsets, FitConfig(grad_tol=tol))
+    if grid.exact:
+        return OracleFit(fit.params, np.zeros(design.shape[1]), fit.grad_norm)
+    mu = K.sigmoid(design @ fit.params.as_array() + offsets)
+    g = design * (masses * (target - mu))[:, None]
     A = (design * (masses * mu * (1.0 - mu))[:, None]).T @ design
     Ainv = np.linalg.inv(A)
-    return np.sqrt(np.diag(Ainv @ B @ Ainv))
+    se = np.sqrt(np.diag(Ainv @ (g.T @ g) @ Ainv))
+    return OracleFit(fit.params, se, fit.grad_norm)
 
 
 def population_score(spec: PopulationSpec, theta: ModelParams, grid: Grid | None = None):
     """Population score E[(p(X) - p_theta(X)) (1,X)'] on the spec's grid."""
     grid = grid or integration_grid(spec)
-    design = np.column_stack([np.ones(grid.points.shape[0]), grid.points])
+    design = grid.design
     mu = K.sigmoid(design @ theta.as_array())
     return design.T @ (grid.masses * (grid.prob1 - mu))
 
@@ -486,13 +496,7 @@ def population_theta_star(
         params = spec.linear_params()
         return OracleFit(params, np.zeros(spec.p + 1), 0.0)
     grid = grid or integration_grid(spec)
-    design = np.column_stack([np.ones(grid.points.shape[0]), grid.points])
-    fit = newton_logistic(design, grid.masses, grid.prob1, config=FitConfig(grad_tol=tol))
-    if grid.exact:
-        se = np.zeros(design.shape[1])
-    else:
-        se = _sandwich_se(design, grid.masses, grid.prob1, fit.params.as_array())
-    return OracleFit(fit.params, se, fit.grad_norm)
+    return _solve_on_grid(grid, grid.design, grid.masses, grid.prob1, tol)
 
 
 def theta_cc_limit(
@@ -506,17 +510,11 @@ def theta_cc_limit(
     adjusted.  b=0 recovers the plain population minimizer.
     """
     grid = grid or integration_grid(spec)
-    design = np.column_stack([np.ones(grid.points.shape[0]), grid.points])
     accept_x = np.exp(b) * grid.prob1 + (1.0 - grid.prob1)
     masses = grid.masses * accept_x
     masses = masses / masses.sum()
     target = K.sigmoid(true_log_odds(spec, grid.points) + b)
-    fit = newton_logistic(design, masses, target, b, FitConfig(grad_tol=tol))
-    if grid.exact:
-        se = np.zeros(design.shape[1])
-    else:
-        se = _sandwich_se(design, masses, target, fit.params.as_array(), offsets=b)
-    return OracleFit(fit.params, se, fit.grad_norm)
+    return _solve_on_grid(grid, grid.design, masses, target, tol, offsets=b)
 
 
 def marginal_odds_ratio(spec: DiscretePopulation, coordinate: int) -> float:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from lccsub import presets
 from lccsub.asymptotics import (
@@ -129,8 +130,54 @@ class TestMatrixIdentities:
         rep = eval_matrices(spec, theta0, lam)
         assert np.allclose(rep.J, rep.H, rtol=1e-10)
 
-    def test_c_step_halving_validated(self, oatmeal_report):
-        assert oatmeal_report.c_fd_relerr < 1e-6
+
+def _fd_c_matrix(grid, theta, pilot, c, abar, step=5e-5):
+    """abar^-1 dG/dlam by central differences of G, written out from its
+    definition G = E[z w (y - m) xt] with E[z w | x, y] = c*|y - ptilde|."""
+    design = np.column_stack([np.ones(grid.masses.size), grid.points])
+    p = grid.prob1
+    theta = theta.as_array()
+
+    def G(lam):
+        ptilde = expit(design @ lam)
+        m = expit(design @ (theta - lam))
+        resid = p * c * (1 - ptilde) * (1 - m) - (1 - p) * c * ptilde * m
+        return design.T @ (grid.masses * resid)
+
+    lam = pilot.as_array()
+    cols = [(G(lam + step * e) - G(lam - step * e)) / (2 * step) for e in np.eye(lam.size)]
+    return np.column_stack(cols) / abar
+
+
+def _c_case(name):
+    """(spec, grid, theta, pilot) of one closed-form C check."""
+    if name == "example2":
+        spec = presets.example2()
+        theta = ModelParams.from_array([-6.45663, 1.59292, 1.01273])
+        grid = integration_grid(spec, mc_nodes=5 * 10**5, rng=np.random.default_rng(1))
+        return spec, grid, theta, theta
+    spec = presets.steplogit() if name == "steplogit" else presets.oatmeal()
+    star = population_theta_star(spec).params
+    pilot = star
+    if name == "oatmeal_perturbed":
+        pilot = ModelParams.from_array(star.as_array() + [0.3, -0.2, 0.1])
+    return spec, integration_grid(spec), star, pilot
+
+
+class TestClosedFormC:
+    @pytest.mark.parametrize(
+        "name, c",
+        [("oatmeal", 1.0), ("oatmeal_perturbed", 3.0), ("steplogit", 2.0), ("example2", 2.0)],
+    )
+    def test_matches_finite_differences_of_G(self, name, c):
+        spec, grid, theta, pilot = _c_case(name)
+        rep = eval_matrices(spec, theta, pilot, c=c, grid=grid)
+        fd = _fd_c_matrix(grid, theta, pilot, c, rep.abar)
+        assert np.max(np.abs(fd - rep.C)) <= 1e-7 * np.max(np.abs(rep.C))
+
+    def test_vanishes_under_correct_spec(self, correct_report):
+        _, _, rep = correct_report
+        assert np.linalg.norm(rep.C) < 1e-10
 
 
 @pytest.fixture(scope="module")

@@ -11,7 +11,10 @@ import pytest
 
 from lccsub import presets
 from lccsub.cli import _reservoir_balanced_pass, main
+from lccsub.asymptotics import eval_matrices
 from lccsub.fileio import (
+    load_config_file,
+    parse_population,
     read_coefficients,
     read_observations_csv,
     stream_rows,
@@ -451,6 +454,26 @@ class TestFit:
         assert p2.slopes[0] == pytest.approx(p1.slopes[0] - 2)
 
 
+# pilots of 12 rows separate in replications 0, 5 and 6
+_FRAGILE_STUDY = """
+population:
+  kind: gaussian2
+  prior1: 0.5
+  mu0: [0, 0]
+  mu1: [1, 1]
+  sigma0: [[1, 0], [0, 1]]
+  sigma1: [[1, 0], [0, 1]]
+experiment:
+  n_full: 200
+  n_pilot: 12
+  n_lcc: 12
+  replications: 8
+  methods: [cc]
+  bootstrap_B: 150
+  master_seed: 1
+"""
+
+
 class TestSimulate:
     def test_seeded_runs_byte_identical(self, tmp_path):
         cfg = tmp_path / "tiny.cfg"
@@ -548,28 +571,8 @@ experiment:
         assert outs[0] == outs[1]
 
     def test_failed_replications_on_stderr(self, tmp_path, capsys):
-        # pilots of 12 rows separate in replications 0, 5 and 6
         cfg = tmp_path / "fragile.cfg"
-        cfg.write_text(
-            """
-population:
-  kind: gaussian2
-  prior1: 0.5
-  mu0: [0, 0]
-  mu1: [1, 1]
-  sigma0: [[1, 0], [0, 1]]
-  sigma1: [[1, 0], [0, 1]]
-experiment:
-  n_full: 200
-  n_pilot: 12
-  n_lcc: 12
-  replications: 8
-  methods: [cc]
-  bootstrap_B: 150
-  master_seed: 1
-  max_failure_fraction: 0.5
-"""
-        )
+        cfg.write_text(_FRAGILE_STUDY + "  max_failure_fraction: 0.5\n")
         out = tmp_path / "study.csv"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
         err = capsys.readouterr().err
@@ -578,6 +581,47 @@ experiment:
             assert f"  replication {rep}: Separation: " in err
         report = out.read_text()
         assert "failures 3" in report and "Separation" not in report
+
+    def test_aborted_study_lists_every_failure(self, tmp_path, capsys):
+        # 3 of 8 failures exceed the default tolerated fraction of 0.2
+        cfg = tmp_path / "fragile.cfg"
+        cfg.write_text(_FRAGILE_STUDY)
+        out = tmp_path / "study.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "failed replications: 3\n" in err
+        for rep in (0, 5, 6):
+            assert f"  replication {rep}: Separation: " in err
+        assert "budget exceeded: 3/8 replications failed" in err
+        assert not out.exists()
+
+    def test_fewer_than_two_successes_is_a_budget_failure(self, tmp_path, capsys):
+        # every 6-row pilot of these well-separated classes separates, so a
+        # tolerated failure fraction of 1 still leaves nothing to summarize
+        cfg = tmp_path / "separable.cfg"
+        cfg.write_text(
+            """
+population:
+  kind: gaussian2
+  prior1: 0.5
+  mu0: [0, 0]
+  mu1: [3, 3]
+  sigma0: [[1, 0], [0, 1]]
+  sigma1: [[1, 0], [0, 1]]
+experiment:
+  n_full: 200
+  n_pilot: 6
+  n_lcc: 6
+  replications: 8
+  methods: [cc]
+  max_failure_fraction: 1.0
+"""
+        )
+        out = tmp_path / "study.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "budget exceeded: " in err and "at least 2 must succeed" in err
+        assert not out.exists()
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -626,7 +670,12 @@ class TestAsymptotics:
         H = np.array([[values[("H", i, j)] for j in range(3)] for i in range(3)])
         assert np.allclose(H, H.T)
         assert np.min(np.linalg.eigvalsh(H)) > 0
-        assert payload["c_fd_relerr"] < 1e-6
+        # C is the library's closed form, carried through JSON exactly
+        spec = parse_population(load_config_file(f"{CONFIGS}/oatmeal.cfg")["population"])
+        star = population_theta_star(spec, tol=1e-10).params
+        C = np.array([[values[("C", i, j)] for j in range(3)] for i in range(3)])
+        assert np.array_equal(C, eval_matrices(spec, star, star).C)
+        assert "c_fd_relerr" not in payload
 
     def test_theta_star_solved_once(self, tmp_path, monkeypatch):
         import lccsub.cli as cli
