@@ -32,7 +32,6 @@ from .populations import (
     Grid,
     OracleFit,
     PopulationSpec,
-    TwoClassGaussian,
     _solve_on_grid,
     integration_grid,
     true_log_odds,
@@ -71,14 +70,6 @@ class AsymptoticsReport:
     Sigma: np.ndarray
     SigmaFull: np.ndarray
     mc_se: dict
-
-
-def _grid_for(spec, grid, mc_nodes, rng):
-    if grid is not None:
-        return grid
-    if isinstance(spec, TwoClassGaussian):
-        return integration_grid(spec, mc_nodes=mc_nodes, rng=rng)
-    return integration_grid(spec)
 
 
 def _acceptance(grid: Grid, lam_vec, c):
@@ -158,7 +149,7 @@ def eval_abar(
     rng=None,
 ) -> tuple[float, float]:
     """Marginal acceptance probability E[min(c*a(X,Y), 1)] with its MC-SE."""
-    grid = _grid_for(spec, grid, mc_nodes, rng)
+    grid = grid or integration_grid(spec, mc_nodes=mc_nodes, rng=rng)
     per_x = _acceptance(grid, pilot.as_array(), c)[-1]
     value = float(np.sum(grid.masses * per_x))
     if grid.exact:
@@ -185,7 +176,7 @@ def eval_matrices(
     """
     if c < 1.0:
         raise ValueError("c must be at least 1 for the weighted moments")
-    grid = _grid_for(spec, grid, mc_nodes, rng)
+    grid = grid or integration_grid(spec, mc_nodes=mc_nodes, rng=rng)
     theta_vec = theta.as_array()
     lam_vec = pilot.as_array()
     k = theta_vec.size
@@ -266,7 +257,7 @@ def eval_bar_theta(
     proportional to the marginal acceptance), then shifts back by the
     pilot.  pilot=0 gives the plain population minimizer.
     """
-    grid = _grid_for(spec, grid, mc_nodes, rng)
+    grid = grid or integration_grid(spec, mc_nodes=mc_nodes, rng=rng)
     lam_vec = pilot.as_array()
     design, _, _, _, accept = _acceptance(grid, lam_vec, 1.0)
     masses = grid.masses * accept

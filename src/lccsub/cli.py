@@ -397,27 +397,18 @@ def cmd_asymptotics(args) -> int:
         star if value == "star" else read_coefficients(value)[0]
         for value in (args.theta, args.pilot)
     )
-    rng = np.random.default_rng(seed)
-    report = eval_matrices(
-        spec, theta, pilot, c=args.c, mc_nodes=args.mc_nodes, rng=rng
-    )
+    grid = integration_grid(spec, mc_nodes=args.mc_nodes, rng=np.random.default_rng(seed))
+    report = eval_matrices(spec, theta, pilot, c=args.c, grid=grid)
     variance = lcc_variance(report)
     slope = conditional_bias_slope(report)
     rows = [
         {"quantity": "abar", "row": 0, "col": 0, "value": report.abar, "mc_se": report.mc_se["abar"]}
     ]
-    k = report.G.size
-    for i in range(k):
-        rows.append(
-            {
-                "quantity": "G",
-                "row": i,
-                "col": 0,
-                "value": float(report.G[i]),
-                "mc_se": float(report.mc_se["G"][i]),
-            }
-        )
+    # a quantity without an SE is exact only on an exact grid
+    no_se = 0.0 if grid.exact else None
+    ses = dict(report.mc_se, G=report.mc_se["G"][:, None])
     for name, mat in (
+        ("G", report.G[:, None]),
         ("H", report.H),
         ("J", report.J),
         ("C", report.C),
@@ -426,18 +417,17 @@ def cmd_asymptotics(args) -> int:
         ("variance", variance),
         ("bias_slope", slope),
     ):
-        se = report.mc_se.get(name)
-        for i in range(k):
-            for j in range(k):
-                rows.append(
-                    {
-                        "quantity": name,
-                        "row": i,
-                        "col": j,
-                        "value": float(mat[i, j]),
-                        "mc_se": float(se[i, j]) if se is not None else 0.0,
-                    }
-                )
+        se = ses.get(name)
+        for (i, j), value in np.ndenumerate(mat):
+            rows.append(
+                {
+                    "quantity": name,
+                    "row": i,
+                    "col": j,
+                    "value": float(value),
+                    "mc_se": no_se if se is None else float(se[i, j]),
+                }
+            )
     extra = {
         "seed": seed,
         "c": report.c,

@@ -16,7 +16,7 @@ import os
 import sys
 import tempfile
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import yaml
@@ -337,22 +337,9 @@ def parse_population(mapping) -> PopulationSpec:
     )
 
 
-_EXPERIMENT_KEYS = {
-    "n_full",
-    "n_pilot",
-    "n_lcc",
-    "replications",
-    "methods",
-    "c",
-    "retain_cases",
-    "bootstrap_B",
-    "master_seed",
-    "recycle_pilot",
-    "implicit_full",
-    "max_failure_fraction",
-    "grad_tol",
-    "max_iter",
-}
+_FIT_KEYS = ("grad_tol", "max_iter")
+# ExperimentConfig's own fields, with the FitConfig keys in place of `fit`
+_EXPERIMENT_KEYS = ({f.name for f in fields(ExperimentConfig)} - {"spec", "fit"}) | set(_FIT_KEYS)
 
 
 def parse_experiment(mapping, spec: PopulationSpec) -> ExperimentConfig:
@@ -366,7 +353,7 @@ def parse_experiment(mapping, spec: PopulationSpec) -> ExperimentConfig:
     )
     kwargs = dict(mapping)
     fit_kwargs = {}
-    for key in ("grad_tol", "max_iter"):
+    for key in _FIT_KEYS:
         if key in kwargs:
             fit_kwargs[key] = kwargs.pop(key)
     if "methods" in kwargs:

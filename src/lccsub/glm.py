@@ -25,6 +25,7 @@ __all__ = [
     "neg_log_likelihood",
     "score",
     "hessian",
+    "minimize_risk",
     "newton_logistic",
     "fit_logistic",
 ]
@@ -226,54 +227,49 @@ _SEPARATION_NLL = 1e-9
 _BASIN_GRAD = 1e-6
 
 
-def newton_logistic(
-    design: np.ndarray,
-    weights: np.ndarray,
-    targets: np.ndarray,
-    offsets: np.ndarray | float = 0.0,
+def minimize_risk(
+    risk,
+    k: int,
+    total_weight: float,
     config: FitConfig | None = None,
     start: np.ndarray | None = None,
 ) -> FitResult:
-    """Damped Newton (IRLS) minimizer of sum_i w_i [log(1+e^eta_i) - t_i eta_i].
+    """Damped Newton minimizer of a smooth convex risk over R^k, from start or 0.
 
-    eta = design @ theta + offsets, and the targets t lie in [0, 1]: 0/1
-    labels give the weighted logistic NLL, soft targets a population risk.
-    At the optimum sum_i w_i (t_i - sigmoid(eta_i)) design_i = 0.
+    risk(theta) returns (value, score, Hessian), the score being minus the
+    gradient; total_weight normalizes the score for config.grad_tol and the
+    value for the separation check.
 
     Raises Separation when the iterate norm exceeds config.divergence_norm,
-    keeps growing at max_iter, or the converged fit classifies every row
-    essentially perfectly.  Raises Singular for a non-invertible Hessian
-    after one ridge retry, and GlmError when no step of up to
-    config.step_halvings halvings descends while the score is still large.
+    keeps growing at max_iter, or the converged risk is essentially zero.
+    Raises Singular for a non-invertible Hessian after one ridge retry, and
+    GlmError when no step of up to config.step_halvings halvings descends
+    while the score is still large.
     """
     config = config or FitConfig()
-    total_weight = float(np.sum(weights))
-    theta = np.zeros(design.shape[1]) if start is None else np.array(start, dtype=np.float64)
+    theta = np.zeros(k) if start is None else np.array(start, dtype=np.float64)
 
-    f = K.nll_sum(design @ theta + offsets, targets, weights)
+    f, s, H = risk(theta)
     norms = [float(np.linalg.norm(theta))]
     converged = False
     it = 0
     for it in range(1, config.max_iter + 1):
-        mu = K.sigmoid(design @ theta + offsets)
-        s = design.T @ (weights * (targets - mu))
         grad_norm = float(np.max(np.abs(s))) / total_weight
         if grad_norm < config.grad_tol:
             converged = True
             break
-        H = (design * (weights * mu * (1.0 - mu))[:, None]).T @ design
         delta = _solve_newton_step(H, s)
         if grad_norm < _BASIN_GRAD:
             # quadratic-convergence basin: a full step descends in exact
-            # arithmetic; the summed NLL is too noisy to line-search on
+            # arithmetic; the summed risk is too noisy to line-search on
             theta = theta + delta
-            f = K.nll_sum(design @ theta + offsets, targets, weights)
+            f, s, H = risk(theta)
         else:
             step = 1.0
             accepted = False
             for _ in range(config.step_halvings + 1):
                 cand = theta + step * delta
-                f_cand = K.nll_sum(design @ cand + offsets, targets, weights)
+                f_cand, s_cand, H_cand = risk(cand)
                 if f_cand <= f:
                     accepted = True
                     break
@@ -282,7 +278,7 @@ def newton_logistic(
                 # No descent at 2^-30 of a Newton step: numerical optimum;
                 # fall through to the stall check below.
                 break
-            theta, f = cand, f_cand
+            theta, f, s, H = cand, f_cand, s_cand, H_cand
         norms.append(float(np.linalg.norm(theta)))
         if norms[-1] > config.divergence_norm:
             raise Separation(
@@ -307,6 +303,33 @@ def newton_logistic(
         iterations=it,
         neg_log_lik=f,
     )
+
+
+def newton_logistic(
+    design: np.ndarray,
+    weights: np.ndarray,
+    targets: np.ndarray,
+    offsets: np.ndarray | float = 0.0,
+    config: FitConfig | None = None,
+    start: np.ndarray | None = None,
+) -> FitResult:
+    """Damped Newton (IRLS) minimizer of sum_i w_i [log(1+e^eta_i) - t_i eta_i].
+
+    eta = design @ theta + offsets, and the targets t lie in [0, 1]: 0/1
+    labels give the weighted logistic NLL, soft targets a population risk.
+    Raises as minimize_risk does.
+    """
+
+    def risk(theta):
+        eta = design @ theta + offsets
+        mu = K.sigmoid(eta)
+        return (
+            K.nll_sum(eta, targets, weights),
+            design.T @ (weights * (targets - mu)),
+            (design * (weights * mu * (1.0 - mu))[:, None]).T @ design,
+        )
+
+    return minimize_risk(risk, design.shape[1], float(np.sum(weights)), config, start)
 
 
 def fit_logistic(

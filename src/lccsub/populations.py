@@ -6,23 +6,23 @@ Three population kinds:
   StepLogit           scalar X ~ U(0,1) with a jump in the log-odds
 
 Population risk minimizers (the large-sample limits of the estimators) are
-solved by damped Newton on a deterministic integration grid: exact cell sums
-for discrete populations, two-panel Gauss-Legendre quadrature for the step
-population (the integrand is smooth on each side of the jump), and a
-deterministic scrambled-Sobol sample per class for Gaussian populations,
-with conservative Monte-Carlo standard errors reported.
+solved by damped Newton: on exact cell sums for discrete populations, on
+two-panel Gauss-Legendre quadrature for the step population (the integrand
+is smooth on each side of the jump), and on a closed-form risk for Gaussian
+populations (one-dimensional Gauss-Hermite sums by Stein's lemma).  Other
+Gaussian integrals use Monte-Carlo grids with reported standard errors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Union
 
 import numpy as np
 
 from . import _kernels as K
-from .glm import FitConfig, ModelParams, ObservationSet, newton_logistic
+from .glm import FitConfig, ModelParams, ObservationSet, Separation, minimize_risk, newton_logistic
 from .sampling import LocalCaseControl, accept_rows
 
 __all__ = [
@@ -385,8 +385,8 @@ class Grid:
 
 
 _STEP_NODES_PER_PANEL = 256
-_QMC_LOG2_PER_CLASS = 21
-_QMC_SEED = 20140523
+_HERMITE_NODES = 160
+_MC_SEED = 20140523
 
 
 def _gauss_legendre(a: float, b: float, n: int):
@@ -398,15 +398,13 @@ def integration_grid(
     spec: PopulationSpec,
     mc_nodes: int | None = None,
     rng=None,
-    qmc_log2: int = _QMC_LOG2_PER_CLASS,
 ) -> Grid:
     """Integration rule over the feature distribution.
 
     Discrete populations integrate exactly over cells; the step population
-    uses Gauss-Legendre panels split at the jump.  Gaussian populations use
-    a scrambled-Sobol sample per class (deterministic, seeded) unless
-    mc_nodes is given, in which case plain Monte-Carlo nodes are drawn from
-    rng and masses are 1/mc_nodes.
+    uses Gauss-Legendre panels split at the jump.  Both ignore mc_nodes.
+    Gaussian populations need mc_nodes: that many plain Monte-Carlo nodes
+    are drawn from rng (seeded by default), each with mass 1/mc_nodes.
     """
     if isinstance(spec, DiscretePopulation):
         return Grid(spec.points, spec.masses, K.sigmoid(spec.logodds), True)
@@ -417,41 +415,65 @@ def integration_grid(
         masses = np.concatenate([w1, w2])
         return Grid(pts, masses, conditional_probability(spec, pts), True)
     if isinstance(spec, TwoClassGaussian):
-        if mc_nodes is not None:
-            if rng is None:
-                rng = np.random.default_rng(_QMC_SEED)
-            labels = (rng.random(mc_nodes) < spec.prior1).astype(np.float64)
-            pts = _gaussian_features(spec, labels, rng)
-            masses = np.full(mc_nodes, 1.0 / mc_nodes)
-        else:
-            # scipy takes about a second to import; only this grid needs it
-            from scipy.special import ndtri
-            from scipy.stats import qmc
-
-            m = 2**qmc_log2
-            parts, wparts = [], []
-            L0, L1 = spec._chol
-            for cls, (mu, L, prior) in enumerate(
-                [(spec.mu0, L0, 1.0 - spec.prior1), (spec.mu1, L1, spec.prior1)]
-            ):
-                sob = qmc.Sobol(d=spec.p, scramble=True, seed=_QMC_SEED + cls)
-                u = sob.random(m)
-                u = np.clip(u, 1e-15, 1.0 - 1e-15)
-                parts.append(mu + ndtri(u) @ L.T)
-                wparts.append(np.full(m, prior / m))
-            pts = np.vstack(parts)
-            masses = np.concatenate(wparts)
+        if mc_nodes is None:
+            raise ValueError("a Gaussian population's grid needs mc_nodes")
+        if rng is None:
+            rng = np.random.default_rng(_MC_SEED)
+        labels = (rng.random(mc_nodes) < spec.prior1).astype(np.float64)
+        pts = _gaussian_features(spec, labels, rng)
+        masses = np.full(mc_nodes, 1.0 / mc_nodes)
         return Grid(pts, masses, conditional_probability(spec, pts), False)
     raise TypeError(f"unknown population spec {type(spec)!r}")
+
+
+def _gaussian_risk(spec: TwoClassGaussian):
+    """The population logit risk of a Gaussian spec, as minimize_risk takes it.
+
+    The risk is sum_y P(Y=y) E_y[log(1+e^u) - y*u], u = theta'xt, xt = (1, x).
+    Under class y, u ~ N(theta'mt, theta'S theta) with mt and S the mean and
+    covariance of xt.  With v = S theta, Stein's lemma gives E[g(u) xt] =
+    mt E[g] + v E[g'] and E[g(u) xt xt'] = E[g] (mt mt' + S) + E[g'] (mt v' +
+    v mt') + E[g''] v v': Gauss-Hermite sums of the sigmoid and its first
+    three derivatives.  Nothing divides by the spread of u, so theta = 0 is
+    a safe start.
+    """
+    nodes, weights = np.polynomial.hermite_e.hermegauss(_HERMITE_NODES)
+    weights = weights / np.sqrt(2.0 * np.pi)
+    k = spec.p + 1
+
+    def risk(theta):
+        value, score, hess = 0.0, np.zeros(k), np.zeros((k, k))
+        for y, prior, mu, sigma in (
+            (0.0, 1.0 - spec.prior1, spec.mu0, spec.sigma0),
+            (1.0, spec.prior1, spec.mu1, spec.sigma1),
+        ):
+            mean = np.concatenate([[1.0], mu])
+            v = np.concatenate([[0.0], sigma @ theta[1:]])
+            u = mean @ theta + np.sqrt(theta @ v) * nodes
+            sig = K.sigmoid(u)
+            d1 = sig * (1.0 - sig)
+            e0, e1, e2, e3 = (
+                weights @ g for g in (sig, d1, d1 * (1.0 - 2.0 * sig), d1 * (1.0 - 6.0 * d1))
+            )
+            value += prior * (weights @ np.logaddexp(0.0, u) - y * (mean @ theta))
+            score += prior * ((y - e0) * mean - e1 * v)
+            cross = np.outer(mean, v)
+            hess += prior * (
+                e1 * np.outer(mean, mean) + e2 * (cross + cross.T) + e3 * np.outer(v, v)
+            )
+            hess[1:, 1:] += prior * e1 * sigma
+        return value, score, hess
+
+    return risk
 
 
 @dataclass(frozen=True)
 class OracleFit:
     """Population solver output: coefficients plus Monte-Carlo SEs.
 
-    mc_se is zero for exact (discrete / quadrature) evaluation; for
-    Gaussian grids it is a conservative sandwich standard error treating
-    the quasi-random nodes as i.i.d.
+    mc_se is zero for exact evaluation (cell sums, quadrature, or the
+    Gaussian closed form); on Monte-Carlo grids it is the sandwich standard
+    error treating the nodes as i.i.d.
     """
 
     params: ModelParams
@@ -484,32 +506,42 @@ def population_score(spec: PopulationSpec, theta: ModelParams, grid: Grid | None
     return design.T @ (grid.masses * (grid.prob1 - mu))
 
 
-def population_theta_star(
-    spec: PopulationSpec, tol: float = 1e-12, grid: Grid | None = None
-) -> OracleFit:
+def population_theta_star(spec: PopulationSpec, tol: float = 1e-12) -> OracleFit:
     """Best linear log-odds approximation under the population logit risk.
 
-    Correctly specified Gaussian populations (equal covariances) return the
-    exact closed-form coefficients.
+    Gaussian populations are solved in closed form: correctly specified ones
+    (equal covariances) return the exact coefficients, and the others
+    minimize the Gauss-Hermite risk of _gaussian_risk.
     """
-    if isinstance(spec, TwoClassGaussian) and spec.correctly_specified and grid is None:
-        params = spec.linear_params()
-        return OracleFit(params, np.zeros(spec.p + 1), 0.0)
-    grid = grid or integration_grid(spec)
+    if isinstance(spec, TwoClassGaussian):
+        zeros = np.zeros(spec.p + 1)
+        if spec.correctly_specified:
+            return OracleFit(spec.linear_params(), zeros, 0.0)
+        fit = minimize_risk(_gaussian_risk(spec), spec.p + 1, 1.0, FitConfig(grad_tol=tol))
+        return OracleFit(fit.params, zeros, fit.grad_norm)
+    grid = integration_grid(spec)
     return _solve_on_grid(grid, grid.design, grid.masses, grid.prob1, tol)
 
 
-def theta_cc_limit(
-    spec: PopulationSpec, b: float, tol: float = 1e-12, grid: Grid | None = None
-) -> OracleFit:
+def theta_cc_limit(spec: PopulationSpec, b: float, tol: float = 1e-12) -> OracleFit:
     """Large-sample limit of the adjusted case-control estimate with bias b.
 
     The subsampled feature measure reweights x by the marginal acceptance
     e^b p(x) + (1-p(x)) (up to scale), labels follow sigmoid(f(x)+b), and
     the fit carries offset b; the resulting coefficients are already
-    adjusted.  b=0 recovers the plain population minimizer.
+    adjusted.  b=0 recovers the plain population minimizer.  For a Gaussian
+    population that measure is the same Gaussian with its prior odds times
+    e^b, whose theta* less b in the intercept is the limit.
     """
-    grid = grid or integration_grid(spec)
+    if isinstance(spec, TwoClassGaussian):
+        odds = spec.prior1 * np.exp(b)
+        prior1 = odds / (odds + 1.0 - spec.prior1)
+        if not 0.0 < prior1 < 1.0:
+            raise Separation(f"bias {b:.6g} leaves one class without mass")
+        star = population_theta_star(replace(spec, prior1=prior1), tol)
+        params = ModelParams(star.params.intercept - b, star.params.slopes)
+        return replace(star, params=params)
+    grid = integration_grid(spec)
     accept_x = np.exp(b) * grid.prob1 + (1.0 - grid.prob1)
     masses = grid.masses * accept_x
     masses = masses / masses.sum()

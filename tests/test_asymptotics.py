@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy.special import expit
 
 from lccsub import presets
 from lccsub.asymptotics import (
@@ -139,8 +138,8 @@ def _fd_c_matrix(grid, theta, pilot, c, abar, step=5e-5):
     theta = theta.as_array()
 
     def G(lam):
-        ptilde = expit(design @ lam)
-        m = expit(design @ (theta - lam))
+        ptilde = 1.0 / (1.0 + np.exp(-(design @ lam)))
+        m = 1.0 / (1.0 + np.exp(-(design @ (theta - lam))))
         resid = p * c * (1 - ptilde) * (1 - m) - (1 - p) * c * ptilde * m
         return design.T @ (grid.masses * resid)
 

@@ -384,13 +384,20 @@ class TestPilotSample:
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    """`sample` and `fit` never need scipy, so importing the CLI must not load it."""
+    """lccsub does not depend on scipy: neither importing the CLI nor the
+    Gaussian population solvers may load it."""
     import lccsub
 
     env = dict(os.environ)
     src = str(Path(lccsub.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, lccsub.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    code = (
+        "import sys, lccsub.cli\n"
+        "from lccsub import presets, populations as P\n"
+        "spec = presets.simulation1()\n"
+        "P.population_theta_star(spec); P.theta_cc_limit(spec, P.equal_class_bias(spec))\n"
+        "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
@@ -676,6 +683,22 @@ class TestAsymptotics:
         C = np.array([[values[("C", i, j)] for j in range(3)] for i in range(3)])
         assert np.array_equal(C, eval_matrices(spec, star, star).C)
         assert "c_fd_relerr" not in payload
+
+    def test_rows_without_se_are_null_only_on_monte_carlo_grids(self, tmp_path):
+        se = {}
+        for name, extra in (("example2", ["--mc-nodes", "20000"]), ("oatmeal", [])):
+            out = tmp_path / f"{name}.json"
+            rc = main(["asymptotics", "--spec", f"{CONFIGS}/{name}.cfg", "--seed", "1",
+                       "--c", "2", "--format", "json", "--out", str(out), *extra])
+            assert rc == 0
+            for r in json.loads(out.read_text())["rows"]:
+                se.setdefault((name, r["quantity"]), []).append(r["mc_se"])
+        for quantity in ("C", "Sigma", "variance", "bias_slope"):
+            assert se[("example2", quantity)] == [None] * 9
+        for quantity in ("abar", "G", "H", "J", "SigmaFull"):
+            values = se[("example2", quantity)]
+            assert all(isinstance(v, float) for v in values) and max(values) > 0
+        assert all(v == 0.0 for key, vs in se.items() if key[0] == "oatmeal" for v in vs)
 
     def test_theta_star_solved_once(self, tmp_path, monkeypatch):
         import lccsub.cli as cli

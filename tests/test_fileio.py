@@ -1,5 +1,6 @@
 """CSV scan: the vectorised chunk parse against per-cell float(), and the
-row/column diagnostics of bad cells past the first chunk."""
+row/column diagnostics of bad cells past the first chunk; the experiment
+config schema."""
 
 import os
 import tempfile
@@ -9,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lccsub.fileio import CsvFormatError, stream_rows
+from lccsub import presets
+from lccsub.fileio import CsvFormatError, parse_experiment, stream_rows
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 cells = st.one_of(
@@ -68,3 +70,28 @@ def test_second_chunk_diagnostics(tmp_path, bad_line, message):
             chunks.append(chunk)
     assert str(info.value) == message
     assert [c[1] for c in chunks] == [1]
+
+
+def test_experiment_config_accepts_every_key():
+    mapping = {
+        "n_full": 5000,
+        "n_pilot": 300,
+        "n_lcc": 400,
+        "replications": 3,
+        "methods": ["lcc", "cc"],
+        "c": 2.5,
+        "retain_cases": True,
+        "bootstrap_B": 50,
+        "master_seed": 11,
+        "recycle_pilot": False,
+        "implicit_full": False,
+        "max_failure_fraction": 0.5,
+        "grad_tol": 1e-9,
+        "max_iter": 40,
+    }
+    config = parse_experiment(mapping, presets.steplogit())
+    fit_keys = {"grad_tol", "max_iter"}
+    for key, value in mapping.items():
+        owner = config.fit if key in fit_keys else config
+        expected = tuple(value) if key == "methods" else value
+        assert getattr(owner, key) == expected, key

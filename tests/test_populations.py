@@ -2,11 +2,23 @@ import numpy as np
 import pytest
 
 from lccsub import presets
-from lccsub.glm import FitConfig, ModelParams, ObservationSet, fit_logistic, newton_logistic
+from lccsub import populations
+from lccsub.glm import (
+    FitConfig,
+    ModelParams,
+    ObservationSet,
+    Separation,
+    fit_logistic,
+    minimize_risk,
+    newton_logistic,
+)
 from lccsub.populations import (
     AcceptanceTooLow,
     DiscretePopulation,
     StepLogit,
+    TwoClassGaussian,
+    _gaussian_risk,
+    _solve_on_grid,
     conditional_probability,
     equal_class_bias,
     integration_grid,
@@ -186,6 +198,81 @@ class TestThetaCCLimit:
         s0 = theta_cc_limit(oatmeal, 0.0).params.slopes[0]
         s38 = theta_cc_limit(oatmeal, 3.8).params.slopes[0]
         assert abs(s0 - s38) > 1.0
+
+
+def _unequal_covariance_spec(p=12):
+    """A misspecified Gaussian population of dimension p >= 10."""
+    rng = np.random.default_rng(12)
+    a = rng.standard_normal((p, p))
+    return TwoClassGaussian(
+        prior1=0.05,
+        mu0=np.zeros(p),
+        mu1=rng.normal(0.0, 0.5, p),
+        sigma0=np.eye(p),
+        sigma1=a @ a.T / p + 0.5 * np.eye(p),
+    )
+
+
+_GAUSSIAN_SPECS = {
+    "simulation1": presets.simulation1,
+    "example2": presets.example2,
+    "unequal12": _unequal_covariance_spec,
+}
+
+
+@pytest.fixture(scope="module", params=sorted(_GAUSSIAN_SPECS))
+def gaussian_mc(request):
+    """(spec, 1M-node Monte-Carlo grid) for each misspecified Gaussian."""
+    spec = _GAUSSIAN_SPECS[request.param]()
+    return spec, integration_grid(spec, mc_nodes=10**6, rng=np.random.default_rng(101))
+
+
+class TestGaussianClosedForm:
+    """The Gauss-Hermite risk against a Monte-Carlo oracle and exact forms."""
+
+    def test_theta_star_within_mc_error(self, gaussian_mc):
+        spec, grid = gaussian_mc
+        oracle = _solve_on_grid(grid, grid.design, grid.masses, grid.prob1, 1e-12)
+        star = population_theta_star(spec)
+        z = (star.params.as_array() - oracle.params.as_array()) / oracle.mc_se
+        assert np.all(np.abs(z) < 4.0), z
+        assert np.all(star.mc_se == 0.0)
+
+    def test_cc_limit_within_mc_error(self, gaussian_mc):
+        spec, grid = gaussian_mc
+        b = equal_class_bias(spec)
+        # the case-control measure on the grid: x-masses times the marginal
+        # acceptance e^b p + (1 - p), labels sigmoid(f + b), offset b
+        masses = grid.masses * (np.exp(b) * grid.prob1 + 1.0 - grid.prob1)
+        target = 1.0 / (1.0 + np.exp(-(true_log_odds(spec, grid.points) + b)))
+        oracle = _solve_on_grid(
+            grid, grid.design, masses / masses.sum(), target, 1e-12, offsets=b
+        )
+        cc = theta_cc_limit(spec, b)
+        z = (cc.params.as_array() - oracle.params.as_array()) / oracle.mc_se
+        assert np.all(np.abs(z) < 4.0), z
+
+    @pytest.mark.parametrize("name", sorted(_GAUSSIAN_SPECS))
+    def test_doubling_hermite_nodes_moves_nothing(self, name, monkeypatch):
+        spec = _GAUSSIAN_SPECS[name]()
+        base = population_theta_star(spec).params.as_array()
+        monkeypatch.setattr(populations, "_HERMITE_NODES", 320)
+        finer = population_theta_star(spec).params.as_array()
+        assert np.max(np.abs(finer - base)) < 1e-10
+
+    def test_simulation1_exchangeable_slopes_equal(self):
+        slopes = population_theta_star(presets.simulation1()).params.slopes
+        assert np.ptp(slopes[:4]) < 1e-12
+
+    def test_cc_limit_at_a_bias_leaving_one_class_is_separation(self):
+        with pytest.raises(Separation):
+            theta_cc_limit(presets.example2(), 50.0)
+
+    def test_correct_spec_risk_recovers_linear_params(self):
+        spec = presets.correct_gaussian()
+        fit = minimize_risk(_gaussian_risk(spec), spec.p + 1, 1.0)
+        exact = spec.linear_params().as_array()
+        assert np.allclose(fit.params.as_array(), exact, rtol=0.0, atol=1e-9)
 
 
 class TestMarginalOddsRatio:

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import logit
 
 from lccsub import presets
 from lccsub.glm import ModelParams, ObservationSet, fit_logistic
@@ -33,7 +32,7 @@ from lccsub.sampling import (
 
 
 def intercept_pilot(prob):
-    return ModelParams(logit(prob), [0.0])
+    return ModelParams(np.log(prob / (1.0 - prob)), [0.0])
 
 
 class TestAcceptanceProbability:
