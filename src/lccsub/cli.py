@@ -26,10 +26,8 @@ from .experiments import TooManyFailures, run_experiment
 from .fileio import (
     ConfigError,
     CsvFormatError,
-    LABEL_COLUMN,
     OFFSET_COLUMN,
     WEIGHT_COLUMN,
-    atomic_write,
     format_value,
     load_config_file,
     parse_experiment,
@@ -38,7 +36,7 @@ from .fileio import (
     read_observations_csv,
     stream_rows,
     write_coefficients,
-    write_observation_rows,
+    write_observations_csv,
     write_report,
 )
 from .glm import FitConfig, GlmError, ModelParams, ObservationSet, fit_logistic
@@ -226,7 +224,11 @@ def _reservoir_balanced_pass(path, per_class, rng):
 
 
 def _build_scheme(args, seed):
-    """Resolve the scheme, running count/pilot passes if needed."""
+    """Resolve the scheme, running count/pilot passes if needed.
+
+    Returns (scheme, pilot_source, calibration); a calibration, for lcc
+    with --target-size, fixes c during the acceptance pass.
+    """
     if args.scheme == "uniform":
         if args.rate is None:
             raise _UsageError("--rate is required for uniform sampling")
@@ -239,11 +241,8 @@ def _build_scheme(args, seed):
             raise _UsageError(f"--a0/--a1 or --target-size required for {args.scheme}")
         n0, n1, _ = _count_pass(args.data)
         labels = np.concatenate([np.zeros(n0), np.ones(n1)])
-        return (
-            class_balanced_scheme(labels, args.target_size, weighted=args.scheme == "wcc"),
-            None,
-            None,
-        )
+        scheme = class_balanced_scheme(labels, args.target_size, weighted=args.scheme == "wcc")
+        return scheme, None, None
     # lcc
     if args.pilot is not None:
         pilot, _ = read_coefficients(args.pilot)
@@ -258,63 +257,85 @@ def _build_scheme(args, seed):
     scheme = LocalCaseControl(
         pilot, c=1.0 if args.c is None else args.c, retain_cases=args.retain_cases
     )
-    if args.c is None and args.target_size is not None:
-        calibration = RateCalibration(scheme, args.target_size)
-        for _, _, feats, labels, _, _ in stream_rows(args.data):
-            calibration.add(feats, labels)
+    if args.target_size is None:
+        return scheme, pilot_source, None
+    return scheme, pilot_source, RateCalibration(scheme, args.target_size)
+
+
+def _accept_again(scheme, labels, feats, weight, offsets, u):
+    keep, weight, offsets, _ = accept_rows(scheme, feats, labels, u, eta=-offsets)
+    return labels[keep], feats[keep], weight[keep], offsets[keep], u[keep]
+
+
+def _acceptance_pass(args, scheme, calibration, rng):
+    """Stream the rows once: (header, scheme, rows read, expected size, kept).
+
+    kept holds the accepted rows' labels, features, weights and offsets,
+    in file order.  With a calibration, c is known only after the last
+    row, so each chunk is accepted at calibration.bound(), which no later
+    row can raise; the rows it keeps, with their pilot predictors and
+    uniforms, are accepted again at the final c.  They are pruned each
+    time they double, so memory stays O(target + chunk).
+    """
+    rows_read, expected, held, pruned, parts = 0, 0.0, 0, 0, []
+    if calibration is not None:
+        scheme = replace(scheme, c=calibration.bound())
+    for header, _, feats, labels, _, _ in stream_rows(args.data, args.chunk_size):
+        n = labels.shape[0]
+        rows_read += n
+        u = rng.random(n)
+        keep, weight, offsets, prob = accept_rows(scheme, feats, labels, u)
+        expected += float(prob.sum())
+        held += int(keep.sum())
+        parts.append((labels[keep], feats[keep], weight[keep], offsets[keep], u[keep]))
+        if calibration is not None:
+            calibration.add(feats, labels, eta=-offsets)
+            if held > 2 * pruned:
+                scheme = replace(scheme, c=calibration.bound())
+                parts = [_accept_again(scheme, *map(np.concatenate, zip(*parts)))]
+                held = pruned = parts[0][0].size
+    kept = tuple(map(np.concatenate, zip(*parts)))
+    if calibration is not None:
         scheme = replace(scheme, c=calibration.solve())
-    return scheme, pilot, pilot_source
+        kept = _accept_again(scheme, *kept)
+        expected = calibration.expected_size(scheme.c)
+    return header, scheme, rows_read, expected, kept[:4]
 
 
 def cmd_sample(args) -> int:
     if not args.out or args.out == "-":
         raise _UsageError("sample needs --out PATH for the subsample CSV")
-    seed = _resolve_seed(args)
-    scheme, pilot, pilot_source = _build_scheme(args, seed)
-    rng = np.random.default_rng(seed)
-    rows_read = 0
-    realized = 0
-    expected = 0.0
-    feature_names = None
+    if args.chunk_size < 1:
+        raise _UsageError(f"--chunk-size must be at least 1, got {args.chunk_size}")
     with open(args.data, newline="") as src:
-        first = csv.reader(src)
-        header_cells = next(first)
-    if WEIGHT_COLUMN in header_cells or OFFSET_COLUMN in header_cells:
+        columns = next(csv.reader(src), [])
+    if WEIGHT_COLUMN in columns or OFFSET_COLUMN in columns:
         raise CsvFormatError(
             "input already has weight/offset columns; sample from raw feature CSVs"
         )
-    with atomic_write(args.out, newline="") as out:
-        writer = csv.writer(out)
-        for header, start, feats, labels, _, _ in stream_rows(args.data, args.chunk_size):
-            if feature_names is None:
-                feature_names = header.feature_names
-                writer.writerow(
-                    [LABEL_COLUMN, *feature_names, WEIGHT_COLUMN, OFFSET_COLUMN]
-                )
-            n = labels.shape[0]
-            rows_read += n
-            keep, weight, offsets, prob = accept_rows(scheme, feats, labels, rng.random(n))
-            expected += float(prob.sum())
-            realized += int(keep.sum())
-            write_observation_rows(
-                writer, labels[keep], feats[keep], weight[keep], offsets[keep]
-            )
+    seed = _resolve_seed(args)
+    scheme, pilot_source, calibration = _build_scheme(args, seed)
+    header, scheme, rows_read, expected, kept = _acceptance_pass(
+        args, scheme, calibration, np.random.default_rng(seed)
+    )
+    realized = kept[0].size
     if realized == 0:
         raise EmptySubsample("no rows accepted")
-    adjustment = scheme_adjustment(scheme, len(feature_names))
-    summary_rows = [
-        {"key": "seed", "value": seed},
-        {"key": "scheme", "value": _scheme_label(scheme)},
-        {"key": "rows_read", "value": rows_read},
-        {"key": "realized_size", "value": realized},
-        {"key": "expected_size", "value": expected},
-        {"key": "acceptance_rate_estimate", "value": expected / rows_read},
-        {"key": "pilot_source", "value": pilot_source or ""},
-        {
-            "key": "adjustment",
-            "value": " ".join(format_value(v) for v in adjustment),
-        },
-    ]
+    labels, feats, weights, offsets = kept
+    subsample = ObservationSet(feats, labels, weights=weights, offsets=offsets)
+    write_observations_csv(args.out, subsample, header.feature_names)
+    adjustment = scheme_adjustment(scheme, len(header.feature_names))
+    summary = {
+        "seed": seed,
+        "scheme": _scheme_label(scheme),
+        "rows_read": rows_read,
+        "realized_size": realized,
+        "expected_size": expected,
+        "acceptance_rate_estimate": expected / rows_read,
+        "pilot_source": pilot_source or "",
+        "adjustment": " ".join(format_value(v) for v in adjustment),
+    }
+    summary_rows = [{"key": key, "value": value} for key, value in summary.items()]
     if args.summary:
         write_report(
             args.summary,
@@ -529,8 +550,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", required=True, choices=("lcc", "cc", "wcc", "uniform"))
     p.add_argument("--pilot", help="coefficient file for the lcc pilot")
     p.add_argument("--pilot-size", type=int, default=1000)
-    p.add_argument("--c", type=float)
-    p.add_argument("--target-size", type=int)
+    rate = p.add_mutually_exclusive_group()
+    rate.add_argument("--c", type=float)
+    rate.add_argument("--target-size", type=int)
     p.add_argument("--retain-cases", action="store_true")
     p.add_argument("--rate", type=float)
     p.add_argument("--a0", type=float)

@@ -17,6 +17,7 @@ import sys
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
+from itertools import chain, islice
 
 import numpy as np
 import yaml
@@ -37,7 +38,6 @@ __all__ = [
     "atomic_write",
     "read_observations_csv",
     "write_observations_csv",
-    "write_observation_rows",
     "read_coefficients",
     "write_coefficients",
     "load_config_file",
@@ -123,46 +123,44 @@ def _parse_cell(raw: str, row: int, column: str) -> float:
     return value
 
 
+# numpy's C reader strips these as whitespace; float() rejects them
+_C_READER_UNSAFE = ("\x1c", "\x1d", "\x1e", "\x1f")
+
+
 def stream_rows(path: str, chunk_size: int = 8192):
     """Yield (header, row_offset, features, labels, weights, offsets) chunks.
 
     weights/offsets are None when the columns are absent.  Row numbers in
-    error messages are 1-based over data rows.
+    error messages are 1-based over data rows.  Each chunk of `chunk_size`
+    lines is converted by numpy's C reader in one call; a chunk holding a
+    quote is split by csv.reader instead, since a quoted field may hold a
+    newline.  A chunk the whole-array checks reject is parsed cell by
+    cell, which owns every diagnostic.
     """
+    if chunk_size < 1:
+        raise ValueError(f"chunk size must be at least 1, got {chunk_size}")
     with open(path, newline="") as handle:
-        reader = csv.reader(handle)
         try:
-            header = _parse_header(next(reader))
+            header = _parse_header(next(csv.reader(handle)))
         except StopIteration:
             raise CsvFormatError("empty file: no header row") from None
-        row_number = 0
-        chunk_start = 1
-        raw_rows = []
+        width = len(header.columns)
 
         def column(table, idx):
             return None if idx is None else np.ascontiguousarray(table[:, idx])
 
-        def emit(rows, start):
-            # One vectorised conversion per chunk; a chunk it rejects takes the
-            # per-cell path, which owns every diagnostic.
-            try:
-                table = np.array(rows, dtype=np.float64)
-            except ValueError:
-                table = None
-            if (
-                table is not None
-                and table.shape[1:] == (len(header.columns),)
-                and np.isfinite(table).all()
+        def emit(table, n, start):
+            """The chunk if the whole-array checks pass, else None."""
+            if table is None or table.shape != (n, width) or not np.isfinite(table).all():
+                return None
+            labels = column(table, header.label_idx)
+            weights = column(table, header.weight_idx)
+            if ((labels == 0.0) | (labels == 1.0)).all() and (
+                weights is None or (weights > 0.0).all()
             ):
-                labels = column(table, header.label_idx)
-                weights = column(table, header.weight_idx)
-                if ((labels == 0.0) | (labels == 1.0)).all() and (
-                    weights is None or (weights > 0.0).all()
-                ):
-                    feats = column(table, header.feature_idx)
-                    offsets = column(table, header.offset_idx)
-                    return header, start, feats, labels, weights, offsets
-            return emit_cells(rows, start)
+                feats = column(table, header.feature_idx)
+                return header, start, feats, labels, weights, column(table, header.offset_idx)
+            return None
 
         def emit_cells(rows, start):
             feats = np.empty((len(rows), len(header.feature_idx)))
@@ -189,16 +187,27 @@ def stream_rows(path: str, chunk_size: int = 8192):
                     offsets[k] = _parse_cell(row[header.offset_idx], r, OFFSET_COLUMN)
             return header, start, feats, labels, weights, offsets
 
-        for row in reader:
-            raw_rows.append(row)
-            row_number += 1
-            if len(raw_rows) == chunk_size:
-                yield emit(raw_rows, chunk_start)
-                chunk_start = row_number + 1
-                raw_rows = []
-        if raw_rows:
-            yield emit(raw_rows, chunk_start)
-        elif row_number == 0:
+        start = 1
+        while lines := list(islice(handle, chunk_size)):
+            text = "".join(lines)
+            rows = None  # csv records, where the C reader cannot take the lines
+            if '"' in text:
+                # read on past the chunk's lines until its records are whole
+                rows = list(islice(csv.reader(chain(lines, handle)), chunk_size))
+            elif text.isspace() or any(c in text for c in _C_READER_UNSAFE):
+                rows = list(csv.reader(lines))
+            try:
+                table = (
+                    np.array(rows, dtype=np.float64)
+                    if rows
+                    else np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+                )
+            except ValueError:
+                table = None
+            n = len(rows or lines)
+            yield emit(table, n, start) or emit_cells(rows or list(csv.reader(lines)), start)
+            start += n
+        if start == 1:
             raise CsvFormatError("no data rows")
 
 
@@ -221,25 +230,19 @@ def read_observations_csv(path: str):
 
 
 def write_observations_csv(path: str, obs: ObservationSet, feature_names) -> None:
+    """A header, then one `y, features..., weight, offset` record per row, 17 digits each."""
     with atomic_write(path, newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow([LABEL_COLUMN, *feature_names, WEIGHT_COLUMN, OFFSET_COLUMN])
-        write_observation_rows(
-            writer, obs.labels, obs.features, obs.weights, obs.offsets
-        )
-
-
-def write_observation_rows(writer, labels, features, weights, offsets) -> None:
-    """One `y, features..., weight, offset` record per row, 17 digits each."""
-    for i in range(labels.shape[0]):
-        writer.writerow(
-            [
-                format_value(labels[i]),
-                *(format_value(v) for v in features[i]),
-                format_value(weights[i]),
-                format_value(offsets[i]),
-            ]
-        )
+        for i in range(obs.n):
+            writer.writerow(
+                [
+                    format_value(obs.labels[i]),
+                    *(format_value(v) for v in obs.features[i]),
+                    format_value(obs.weights[i]),
+                    format_value(obs.offsets[i]),
+                ]
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -119,16 +119,18 @@ class LocalCaseControl:
 SamplingScheme = Uniform | CaseControl | WeightedCaseControl | LocalCaseControl
 
 
-def accept_rows(scheme: SamplingScheme, features, labels, uniforms):
+def accept_rows(scheme: SamplingScheme, features, labels, uniforms, eta=None):
     """One accept-reject pass over a chunk of rows: (keep, weight, offset, prob).
 
     Row i is kept iff uniforms[i] <= prob[i]; weight and offset are the
     row's fit weight and tilt offset.  Rows are independent, so splitting
-    them into chunks does not change any output.
+    them into chunks does not change any output.  A local case-control
+    scheme takes the pilot's linear predictors from `eta` when given.
     """
     n = labels.shape[0]
     if isinstance(scheme, LocalCaseControl):
-        eta = scheme.pilot.linear_predictor(features)
+        if eta is None:
+            eta = scheme.pilot.linear_predictor(features)
         keep, weight, prob = K.lcc_accept(
             eta, labels, scheme.c, uniforms, scheme.retain_cases
         )
@@ -144,12 +146,12 @@ def accept_rows(scheme: SamplingScheme, features, labels, uniforms):
     return uniforms <= prob, weight, offset, prob
 
 
-def acceptance_probabilities(scheme: SamplingScheme, features, labels):
+def acceptance_probabilities(scheme: SamplingScheme, features, labels, eta=None):
     """Vectorized (prob, weight) for every row."""
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
     # uniforms are irrelevant for prob/weight; pass u=2 so keep is unused
-    _, weight, _, prob = accept_rows(scheme, features, labels, np.full(labels.shape[0], 2.0))
+    _, weight, _, prob = accept_rows(scheme, features, labels, np.full(labels.shape[0], 2.0), eta)
     return prob, weight
 
 
@@ -316,6 +318,10 @@ def thin_uniform(sub: WeightedSubsample, n_s: int, rng) -> WeightedSubsample:
     )
 
 
+_SUM_BLOCK = 8192  # rows per term of RateCalibration's running sum
+_BOUND_SLACK = 1e-6  # relative headroom of RateCalibration.bound() over rounding
+
+
 class RateCalibration:
     """Streaming solve of sum_i prob_i(c) = target for a local case-control c.
 
@@ -324,29 +330,46 @@ class RateCalibration:
     continuous, increasing and piecewise linear in c, and at the solution
     fewer than `target` rows are capped, all among the `target` largest
     a_i.  So the state is those values, the sum of all a_i and two
-    counts: memory O(target) whatever the number of rows.
+    counts: memory O(target) whatever the number of rows.  The sum adds
+    one pairwise sum per block of _SUM_BLOCK input rows, so no result
+    depends on how the rows are split between `add` calls.
     """
 
     def __init__(self, scheme: LocalCaseControl, target: int):
         self.scheme = replace(scheme, c=1.0)
         self.target = int(target)
         self.top = np.empty(0)
-        self.total = 0.0
+        self.total = 0.0  # over the closed blocks
+        self.block = np.empty(0)  # a_i of the open block's rows so far
+        self.rows = 0
         self.free = 0  # rows with a_i > 0 whose probability scales with c
         self.sure = 0  # retained cases
 
-    def add(self, features, labels) -> None:
-        a, _ = acceptance_probabilities(self.scheme, features, labels)
+    def add(self, features, labels, eta=None) -> None:
+        """Take a chunk of rows; `eta` as in accept_rows."""
+        a, _ = acceptance_probabilities(self.scheme, features, labels, eta)
+        start = self.rows % _SUM_BLOCK  # rows already in the open block
+        row = start + np.arange(a.size)
+        # the blocks whose last row is in this chunk close
+        ends = np.arange(_SUM_BLOCK, start + a.size + 1, _SUM_BLOCK)
+        self.rows += a.size
         if self.scheme.retain_cases:
             case = labels == 1.0
             self.sure += int(case.sum())
-            a = a[~case]
-        self.total += float(a.sum())
+            a, row = a[~case], row[~case]
         self.free += int(np.count_nonzero(a))
+        *closed, self.block = np.split(
+            np.concatenate([self.block, a]), self.block.size + np.searchsorted(row, ends)
+        )
+        for block in closed:
+            self.total += float(block.sum())
         top = np.concatenate([self.top, a])
         if top.size > self.target:
             top = np.partition(top, top.size - self.target)[-self.target:]
         self.top = top
+
+    def _sum(self) -> float:
+        return self.total + float(self.block.sum())
 
     def solve(self) -> float:
         """The c whose expected subsample size is exactly target."""
@@ -355,15 +378,34 @@ class RateCalibration:
             raise ValueError(
                 f"target size {self.target} is not reachable: the expected size "
                 f"lies strictly between {self.sure} and {self.sure + self.free}"
+                + (" over the rows so far" if need <= 0 else "")
             )
+        total = self._sum()
         # the rows capped at the solution are among the `need` largest
         a = np.sort(self.top)[::-1][:need]
         head = np.concatenate([[0.0], np.cumsum(a)])
         # expected size at c = 1/a[k], where the rows 0..k are capped
-        size_at = np.arange(1, a.size + 1) + (self.total - head[1:]) / a
+        size_at = np.arange(1, a.size + 1) + (total - head[1:]) / a
         k = int(np.argmax(size_at >= need))
         # between 1/a[k-1] and 1/a[k] exactly the k largest rows are capped
-        return (need - k) / (self.total - head[k])
+        return (need - k) / (total - head[k])
+
+    def bound(self) -> float:
+        """An upper bound on solve() after any further rows.
+
+        Each row adds a term that is nonnegative and nondecreasing in c,
+        so the root over the rows so far can only fall as rows arrive.
+        Retained cases only add to `sure`, so once they reach the target
+        this raises as solve() would at the end.
+        """
+        if 0 < self.target - self.sure >= self.free:
+            return np.finfo(np.float64).max  # not reachable yet
+        return self.solve() * (1.0 + _BOUND_SLACK)
+
+    def expected_size(self, c: float) -> float:
+        """sum_i prob_i(c) over the rows so far, for c no larger than solve()."""
+        capped = np.minimum(c * self.top, 1.0)
+        return self.sure + float(capped.sum()) + c * (self._sum() - float(self.top.sum()))
 
 
 def calibrate_lcc_rate(

@@ -21,7 +21,13 @@ from lccsub.fileio import (
     write_coefficients,
 )
 from lccsub.populations import population_theta_star, sample_population
-from lccsub.sampling import LocalCaseControl, TooFewCases, estimate
+from lccsub.sampling import (
+    LocalCaseControl,
+    TooFewCases,
+    calibrate_lcc_rate,
+    draw_subsample,
+    estimate,
+)
 
 CONFIGS = "configs"
 
@@ -337,6 +343,97 @@ class TestSample:
         assert rc == 1
         assert "target size 20000 is not reachable" in capsys.readouterr().err
         assert not (tmp_path / "sub.csv").exists()
+
+    def test_retained_cases_over_target_exit_one(self, gauss_csv, tmp_path, capsys):
+        _, _, raw, pilot, _ = gauss_csv
+        rc = main(["sample", "--data", raw, "--scheme", "lcc", "--pilot", pilot, "--retain-cases",
+                   "--target-size", "10", "--seed", "2", "--out", str(tmp_path / "sub.csv")])
+        assert rc == 1
+        assert "target size 10 is not reachable" in capsys.readouterr().err
+        assert not (tmp_path / "sub.csv").exists()
+
+    def test_target_size_chunk_size_irrelevant(self, gauss_csv, tmp_path):
+        # c > 1 here, so the weights carry every bit of the calibrated c
+        _, _, raw, pilot, _ = gauss_csv
+        argv = ["sample", "--data", raw, "--scheme", "lcc", "--pilot", pilot,
+                "--target-size", "8000", "--seed", "4"]
+        outs = []
+        for chunk in (["--chunk-size", "7"], ["--chunk-size", "512"],
+                      ["--chunk-size", "50000"], []):
+            out = tmp_path / "sub.csv"
+            assert main(argv + chunk + ["--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[1:] == outs[:1] * 3
+
+    @pytest.mark.parametrize("retain", [False, True])
+    def test_target_size_matches_library_bitwise(self, gauss_csv, tmp_path, retain):
+        spec, obs, raw, pilot, _ = gauss_csv
+        out = tmp_path / "sub.csv"
+        argv = ["sample", "--data", raw, "--scheme", "lcc", "--pilot", pilot,
+                "--target-size", "8000", "--seed", "6", "--out", str(out)]
+        assert main(argv + ["--retain-cases"] * retain) == 0
+        c = calibrate_lcc_rate(obs, spec.linear_params(), 8000, retain_cases=retain)
+        scheme = LocalCaseControl(spec.linear_params(), c=c, retain_cases=retain)
+        uniforms = np.random.default_rng(6).random(obs.n)
+        want = draw_subsample(obs, scheme, uniforms).to_observation_set()
+        got, _ = read_observations_csv(out)
+        for field in ("features", "labels", "weights", "offsets"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field
+
+    def test_bad_last_row_leaves_no_output(self, gauss_csv, tmp_path, capsys):
+        _, _, raw, pilot, _ = gauss_csv
+        bad = tmp_path / "bad.csv"
+        bad.write_text(Path(raw).read_text() + "0,1,2,oops\n")
+        out = tmp_path / "sub.csv"
+        rc = main(["sample", "--data", str(bad), "--scheme", "lcc", "--pilot", pilot,
+                   "--target-size", "800", "--seed", "2", "--out", str(out)])
+        assert rc == 1
+        assert "row 20001, column 'x3': not a number: 'oops'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [bad]
+
+    @staticmethod
+    def count_passes(monkeypatch):
+        from lccsub import cli
+
+        passes = []
+
+        def counting(*args, **kwargs):
+            passes.append(args)
+            return stream_rows(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "stream_rows", counting)
+        return passes
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--chunk-size", "0"], "--chunk-size must be at least 1, got 0"),
+            (["--chunk-size", "-3"], "--chunk-size must be at least 1, got -3"),
+            (["--c", "2", "--target-size", "50"], "not allowed with argument --c"),
+        ],
+    )
+    def test_usage_errors_before_any_pass(self, gauss_csv, tmp_path, capsys, monkeypatch,
+                                          argv, message):
+        _, _, raw, _, _ = gauss_csv
+        passes = self.count_passes(monkeypatch)
+        out = tmp_path / "sub.csv"
+        rc = main(["sample", "--data", raw, "--scheme", "lcc", "--pilot-size", "400",
+                   "--seed", "1", "--out", str(out)] + argv)
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert passes == [] and not out.exists()
+
+    def test_weight_column_refused_before_any_pass(self, tmp_path, capsys, monkeypatch):
+        data = tmp_path / "weighted.csv"
+        data.write_text("y,x1,weight\n" + "".join(
+            f"{i % 2},{i / 7:.17g},1.5\n" for i in range(1000)))
+        passes = self.count_passes(monkeypatch)
+        out = tmp_path / "sub.csv"
+        rc = main(["sample", "--data", str(data), "--scheme", "lcc", "--pilot-size", "400",
+                   "--target-size", "300", "--seed", "1", "--out", str(out)])
+        assert rc == 1
+        assert "already has weight/offset columns" in capsys.readouterr().err
+        assert passes == [] and not out.exists()
 
 
 class TestPilotSample:
@@ -743,6 +840,7 @@ class TestUsage:
             ]
         )
         assert rc == 3
+        assert not (tmp_path / "o.csv").exists()
 
 
 class TestCsvRoundTrip:

@@ -1,9 +1,11 @@
-"""CSV scan: the vectorised chunk parse against per-cell float(), and the
-row/column diagnostics of bad cells past the first chunk; the experiment
-config schema."""
+"""CSV scan: the C chunk parse against per-cell float(), quoted records,
+line endings, and the row/column diagnostics of bad cells past the first
+chunk; the experiment config schema."""
 
+import csv
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -17,15 +19,15 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 cells = st.one_of(
     finite.map(lambda v: f"{v:.17g}"),
     finite.map(repr),
-    st.sampled_from([" 1.5", "+1", ".5", "5.", "1_0", "-0", "1e-320"]),
+    st.sampled_from([" 1.5", "+1", ".5", "5.", "1_0", "-0", "1e-320", "\t2 ", "\xa03", "4\x0c"]),
 )
 labels = st.sampled_from(["0", "1", "1.0", "0.0", "+1", " 0", "-0"])
 rows = st.lists(st.tuples(labels, cells, cells, cells), min_size=1, max_size=40)
 
 
-def stream_all(path, chunk_size=8192):
+def stream_all(path, chunk_size=8192, fields=(2, 3, 5)):
     chunks = list(stream_rows(path, chunk_size))
-    return tuple(np.concatenate([c[i] for c in chunks]) for i in (2, 3, 5))
+    return tuple(np.concatenate([c[i] for c in chunks]) for i in fields)
 
 
 @settings(max_examples=150, deadline=None)
@@ -56,6 +58,9 @@ BAD_ROW = 9000  # in the second chunk of the default 8192
         ("2,0.25,0.5,2", "row 9000: label 2.0 is not 0 or 1"),
         ("1,0.25,0.5,0", "row 9000: weight must be positive"),
         ("1,0.25,0.5", "row 9000: expected 4 fields, got 3"),
+        ("", "row 9000: expected 4 fields, got 0"),
+        # numpy's reader would strip \x1f as whitespace; float() does not
+        ("1,0.25\x1f,0.5,2", "row 9000, column 'x1': not a number: '0.25\\x1f'"),
     ],
 )
 def test_second_chunk_diagnostics(tmp_path, bad_line, message):
@@ -70,6 +75,57 @@ def test_second_chunk_diagnostics(tmp_path, bad_line, message):
             chunks.append(chunk)
     assert str(info.value) == message
     assert [c[1] for c in chunks] == [1]
+
+
+def reference_parse(path):
+    """csv.reader records, each cell through float(): the per-cell path."""
+    with open(path, newline="") as handle:
+        rows = list(csv.reader(handle))[1:]
+    return np.array([[float(c) for c in row] for row in rows])
+
+
+@pytest.mark.parametrize("chunk_size", [1, 2, 3, 8192])
+def test_quoted_newline_across_chunk_boundary(tmp_path, chunk_size):
+    path = tmp_path / "quoted.csv"
+    # the second record spans lines 2-3, so with chunk_size 2 its quote
+    # opens in the first chunk and closes in the next
+    path.write_text('y,x1\n0,1\n1,"2\n"\n0,3\n"1","\n4"\n0,5\n')
+    chunks = list(stream_rows(str(path), chunk_size))
+    feats, labels = stream_all(path, chunk_size, fields=(2, 3))
+    want = reference_parse(path)
+    assert want.tolist() == [[0, 1], [1, 2], [0, 3], [1, 4], [0, 5]]
+    assert labels.tobytes() == want[:, 0].tobytes()
+    assert feats.tobytes() == want[:, [1]].tobytes()
+    starts = [c[1] for c in chunks]
+    sizes = [c[3].size for c in chunks]
+    assert starts == list(np.cumsum([1] + sizes[:-1]))
+
+
+def test_row_numbers_count_records_not_lines(tmp_path):
+    path = tmp_path / "quoted.csv"
+    path.write_text('y,x1\n0,"1\n"\n1,2\n0,x\n')
+    with pytest.raises(CsvFormatError, match="row 3, column 'x1': not a number: 'x'"):
+        list(stream_rows(str(path), 2))
+
+
+def test_blank_chunk_diagnostic_without_numpy_warning(tmp_path):
+    path = tmp_path / "trailing.csv"
+    path.write_text("y,x1\n0,1\n1,2\n\n\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CsvFormatError, match="row 3: expected 2 fields, got 0"):
+            list(stream_rows(str(path), 2))
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_line_endings_parse_bit_identically(tmp_path, newline):
+    lines = ["y,x1,x2"] + [f"{r % 2},{r / 7:.17g},-{r / 3:.17g}" for r in range(1, 20001)]
+    unix, other = tmp_path / "unix.csv", tmp_path / "other.csv"
+    unix.write_text("\n".join(lines) + "\n")
+    other.write_bytes((newline.join(lines) + newline).encode())
+    got = stream_all(other, fields=(2, 3))
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in stream_all(unix, fields=(2, 3))]
+    assert got[0].tobytes() == reference_parse(unix)[:, 1:].tobytes()
 
 
 def test_experiment_config_accepts_every_key():

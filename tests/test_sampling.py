@@ -15,6 +15,7 @@ from lccsub.sampling import (
     CaseControl,
     EmptySubsample,
     LocalCaseControl,
+    RateCalibration,
     TooFewCases,
     Uniform,
     WeightedCaseControl,
@@ -352,6 +353,41 @@ class TestCalibration:
         cases = int(data.labels.sum())
         with pytest.raises(ValueError, match="not reachable"):
             calibrate_lcc_rate(data, spec.linear_params(), cases, retain_cases=True)
+
+    @pytest.mark.parametrize("retain", [False, True])
+    def test_solve_does_not_depend_on_the_split(self, retain):
+        spec = presets.correct_gaussian(p=3, mu_scale=0.8)
+        data = sample_population(spec, 60000, np.random.default_rng(43))
+        scheme = LocalCaseControl(spec.linear_params(), retain_cases=retain)
+
+        def calibrate(split):
+            calibration = RateCalibration(scheme, 20000)
+            for i in range(0, data.n, split):
+                calibration.add(data.features[i : i + split], data.labels[i : i + split])
+            return calibration.solve()
+
+        whole = calibrate(data.n)
+        assert whole > 1  # some rows capped
+        for split in (1, 7, 8192, 50000):
+            assert calibrate(split) == whole, split
+
+    @pytest.mark.parametrize("retain", [False, True])
+    def test_bound_falls_to_the_solution(self, gauss_data, retain):
+        spec, data = gauss_data
+        scheme = LocalCaseControl(spec.linear_params(), retain_cases=retain)
+        calibration = RateCalibration(scheme, 12000)
+        bounds = []
+        for i in range(0, data.n, 1000):
+            calibration.add(data.features[i : i + 1000], data.labels[i : i + 1000])
+            bounds.append(calibration.bound())
+        c = calibration.solve()
+        assert np.all(np.diff(bounds) <= 0) and bounds[-1] >= c
+        assert bounds[0] == np.finfo(np.float64).max  # 12000 not reachable on 1000 rows
+        prob, _ = acceptance_probabilities(
+            LocalCaseControl(scheme.pilot, c=c, retain_cases=retain), data.features, data.labels
+        )
+        assert calibration.expected_size(c) == pytest.approx(prob.sum(), rel=1e-12)
+        assert calibration.expected_size(c) == pytest.approx(12000, rel=1e-12)
 
     def test_wcc_consistent_under_misspecification(self):
         oat = presets.oatmeal()
