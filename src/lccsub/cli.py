@@ -488,7 +488,13 @@ def cmd_simulate(args) -> int:
     except TooManyFailures as exc:
         _print_failures(exc.failures)
         raise
-    print(f"runtime: {report.runtime_seconds:.3f} s", file=sys.stderr)
+    blas = report.blas_threads
+    per_worker = "not pinned" if blas is None else f"{blas[0]} (was {blas[1]})"
+    print(
+        f"runtime: {report.runtime_seconds:.3f} s, workers: {max(args.threads, 1)}, "
+        f"BLAS threads per worker: {per_worker}",
+        file=sys.stderr,
+    )
     _print_failures(report.failures)
     rows = []
     for method, summary in report.methods.items():

@@ -15,9 +15,11 @@ so reports are bit-identical for a given config regardless of worker count.
 
 from __future__ import annotations
 
+import ctypes
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -143,6 +145,7 @@ class ExperimentReport:
     failures: tuple
     lcc_acceptance_rates: np.ndarray | None
     runtime_seconds: float
+    blas_threads: tuple[int, int] | None = None  # (while replicating, before)
 
 
 def summarize(draws: np.ndarray, truth: ModelParams) -> tuple[float, float]:
@@ -169,11 +172,27 @@ def bootstrap_se(
     draws = np.asarray(draws, dtype=np.float64)
     rng = rng or np.random.default_rng(0)
     n = draws.shape[0]
-    stats = np.empty((B, 2))
-    for b in range(B):
-        idx = rng.integers(0, n, size=n)
-        stats[b] = summarize(draws[idx], truth)
-    return float(stats[:, 0].std(ddof=1)), float(stats[:, 1].std(ddof=1))
+    idx = np.array([rng.integers(0, n, size=n) for _ in range(B)])
+    # summarize() on every resample at once: (B, n, p) slopes
+    slopes = draws[idx][:, :, 1:]
+    bias_sq = np.sum((slopes.mean(axis=1) - truth.slopes) ** 2, axis=1)
+    var = np.sum(slopes.var(axis=1, ddof=1), axis=1)
+    return float(bias_sq.std(ddof=1)), float(var.std(ddof=1))
+
+
+def _openblas():
+    """(get, set) of numpy's bundled OpenBLAS thread count, or None."""
+    for path in sorted(Path(np.__file__).parents[1].glob("numpy.libs/libscipy_openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))  # the copy numpy loaded, not a second one
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
 
 
 def _wcc_weights(labels: np.ndarray, prior1: float) -> np.ndarray:
@@ -289,11 +308,22 @@ def run_experiment(
             return (rep, type(exc).__name__, str(exc))
 
     reps = range(config.replications)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, reps))
-    else:
-        results = [one(rep) for rep in reps]
+    # One BLAS thread per worker at every worker count: OpenBLAS's own
+    # threads would oversubscribe the cores the workers use, and its threaded
+    # products round differently at different thread counts.
+    blas = _openblas()
+    was = blas[0]() if blas else None
+    if blas:
+        blas[1](1)
+    try:
+        if threads > 1:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                results = list(pool.map(one, reps))
+        else:
+            results = [one(rep) for rep in reps]
+    finally:
+        if blas:
+            blas[1](was)
 
     failures = tuple(r for r in results if isinstance(r, tuple))
     successes = [r for r in results if isinstance(r, dict)]
@@ -331,6 +361,7 @@ def run_experiment(
         failures=failures,
         lcc_acceptance_rates=accept_rates,
         runtime_seconds=time.monotonic() - t0,
+        blas_threads=None if blas is None else (1, was),
     )
 
 

@@ -146,7 +146,11 @@ class ModelParams:
                 f"feature count {features.shape[1]} does not match slopes "
                 f"({self.slopes.size})"
             )
-        eta = self.intercept + features @ self.slopes
+        # numpy takes a one-row product off the gemv path, where it may round
+        # differently; doubling the row keeps eta independent of how rows
+        # are split into chunks
+        rows = features if features.shape[0] != 1 else np.repeat(features, 2, axis=0)
+        eta = (self.intercept + rows @ self.slopes)[: features.shape[0]]
         if offsets is not None:
             eta = eta + offsets
         return eta

@@ -256,10 +256,12 @@ def _gaussian_features(spec: TwoClassGaussian, labels, rng) -> np.ndarray:
     n = labels.shape[0]
     z = rng.standard_normal((n, spec.p))
     L0, L1 = spec._chol
-    feats = np.empty_like(z)
+    # every row takes the class-0 factor, then the (rare) class-1 rows are
+    # redone, which copies only those rows through a mask
+    feats = z @ L0.T
+    feats += spec.mu0
     ones = labels == 1.0
     feats[ones] = spec.mu1 + z[ones] @ L1.T
-    feats[~ones] = spec.mu0 + z[~ones] @ L0.T
     return feats
 
 

@@ -332,7 +332,9 @@ class RateCalibration:
     a_i.  So the state is those values, the sum of all a_i and two
     counts: memory O(target) whatever the number of rows.  The sum adds
     one pairwise sum per block of _SUM_BLOCK input rows, so no result
-    depends on how the rows are split between `add` calls.
+    depends on how the rows are split between `add` calls.  Rows are
+    buffered until their block closes, so small chunks cost no more than
+    large ones; reading a result takes the buffer in first.
     """
 
     def __init__(self, scheme: LocalCaseControl, target: int):
@@ -341,13 +343,28 @@ class RateCalibration:
         self.top = np.empty(0)
         self.total = 0.0  # over the closed blocks
         self.block = np.empty(0)  # a_i of the open block's rows so far
-        self.rows = 0
+        self.rows = 0  # not counting the buffer
         self.free = 0  # rows with a_i > 0 whose probability scales with c
         self.sure = 0  # retained cases
+        self.pending = []  # buffered (eta, labels) chunks
+        self.buffered = 0
 
     def add(self, features, labels, eta=None) -> None:
         """Take a chunk of rows; `eta` as in accept_rows."""
-        a, _ = acceptance_probabilities(self.scheme, features, labels, eta)
+        if eta is None:
+            eta = self.scheme.pilot.linear_predictor(features)
+        self.pending.append((eta, labels))
+        self.buffered += labels.shape[0]
+        if self.rows % _SUM_BLOCK + self.buffered >= _SUM_BLOCK:
+            self._flush()
+
+    def _flush(self) -> None:
+        """Take the buffered rows into the sums and the top values."""
+        if not self.pending:
+            return
+        eta, labels = (np.concatenate(part) for part in zip(*self.pending))
+        self.pending, self.buffered = [], 0
+        a, _ = acceptance_probabilities(self.scheme, None, labels, eta)
         start = self.rows % _SUM_BLOCK  # rows already in the open block
         row = start + np.arange(a.size)
         # the blocks whose last row is in this chunk close
@@ -373,6 +390,7 @@ class RateCalibration:
 
     def solve(self) -> float:
         """The c whose expected subsample size is exactly target."""
+        self._flush()
         need = self.target - self.sure
         if not 0 < need < self.free:
             raise ValueError(
@@ -398,14 +416,17 @@ class RateCalibration:
         Retained cases only add to `sure`, so once they reach the target
         this raises as solve() would at the end.
         """
+        self._flush()
         if 0 < self.target - self.sure >= self.free:
             return np.finfo(np.float64).max  # not reachable yet
         return self.solve() * (1.0 + _BOUND_SLACK)
 
     def expected_size(self, c: float) -> float:
         """sum_i prob_i(c) over the rows so far, for c no larger than solve()."""
-        capped = np.minimum(c * self.top, 1.0)
-        return self.sure + float(capped.sum()) + c * (self._sum() - float(self.top.sum()))
+        self._flush()
+        top = np.sort(self.top)  # summed in one order however rows arrived
+        capped = np.minimum(c * top, 1.0)
+        return self.sure + float(capped.sum()) + c * (self._sum() - float(top.sum()))
 
 
 def calibrate_lcc_rate(

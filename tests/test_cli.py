@@ -358,12 +358,13 @@ class TestSample:
         argv = ["sample", "--data", raw, "--scheme", "lcc", "--pilot", pilot,
                 "--target-size", "8000", "--seed", "4"]
         outs = []
-        for chunk in (["--chunk-size", "7"], ["--chunk-size", "512"],
-                      ["--chunk-size", "50000"], []):
+        # 19999 leaves a one-row last chunk on the 20,000-row input
+        for chunk in (["--chunk-size", "1"], ["--chunk-size", "7"], ["--chunk-size", "512"],
+                      ["--chunk-size", "19999"], ["--chunk-size", "50000"], []):
             out = tmp_path / "sub.csv"
             assert main(argv + chunk + ["--out", str(out)]) == 0
             outs.append(out.read_bytes())
-        assert outs[1:] == outs[:1] * 3
+        assert outs[1:] == outs[:1] * 5
 
     @pytest.mark.parametrize("retain", [False, True])
     def test_target_size_matches_library_bitwise(self, gauss_csv, tmp_path, retain):
@@ -636,9 +637,7 @@ experiment:
         assert "runtime: " in capsys.readouterr().err
 
     def test_threads_do_not_change_output(self, tmp_path):
-        cfg = tmp_path / "tiny.cfg"
-        cfg.write_text(
-            """
+        tiny = """
 population:
   kind: gaussian2
   prior1: 0.05
@@ -655,24 +654,58 @@ experiment:
   bootstrap_B: 150
   master_seed: 3
 """
+        # unequal covariances: a row given the other class's factor shows
+        misspecified = tiny.replace("sigma1: [[1, 0], [0, 1]]", "sigma1: [[0.3, 0], [0, 5]]")
+        # 20-d fits on 5,000 rows, large enough for OpenBLAS to use its threads
+        wide = (
+            Path(CONFIGS, "sim2_desk.cfg").read_text()
+            .replace("n_pilot: 10000", "n_pilot: 5000")
+            .replace("n_lcc: 10000", "n_lcc: 5000")
+            .replace("replications: 200", "replications: 3")
+            .replace("bootstrap_B: 400", "bootstrap_B: 100")
         )
+        for study in (tiny, misspecified, wide):
+            cfg = tmp_path / "study.cfg"
+            cfg.write_text(study)
+            outs = []
+            for threads, name in ((1, "a.csv"), (3, "b.csv")):
+                out = tmp_path / name
+                rc = main(
+                    [
+                        "simulate",
+                        "--config",
+                        str(cfg),
+                        "--threads",
+                        str(threads),
+                        "--out",
+                        str(out),
+                    ]
+                )
+                assert rc == 0
+                outs.append(out.read_bytes())
+            assert outs[0] == outs[1]
+
+    def test_worker_pool_on_stderr(self, tmp_path, capsys, monkeypatch):
+        from lccsub import experiments
+
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text(_FRAGILE_STUDY + "  max_failure_fraction: 0.5\n")
         outs = []
-        for threads, name in ((1, "a.csv"), (3, "b.csv")):
-            out = tmp_path / name
-            rc = main(
-                [
-                    "simulate",
-                    "--config",
-                    str(cfg),
-                    "--threads",
-                    str(threads),
-                    "--out",
-                    str(out),
-                ]
-            )
-            assert rc == 0
+        for threads in ("1", "2"):
+            out = tmp_path / f"study{threads}.csv"
+            assert main(["simulate", "--config", str(cfg), "--threads", threads,
+                         "--out", str(out)]) == 0
             outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
+            err = capsys.readouterr().err
+            assert f", workers: {threads}, BLAS threads per worker: " in err
+            if experiments._openblas() is not None:
+                was = experiments._openblas()[0]()
+                assert f"BLAS threads per worker: 1 (was {was})\n" in err
+        monkeypatch.setattr(experiments, "_openblas", lambda: None)
+        out = tmp_path / "unpinned.csv"
+        assert main(["simulate", "--config", str(cfg), "--threads", "2", "--out", str(out)]) == 0
+        assert ", workers: 2, BLAS threads per worker: not pinned\n" in capsys.readouterr().err
+        assert out.read_bytes() == outs[0] == outs[1]
 
     def test_failed_replications_on_stderr(self, tmp_path, capsys):
         cfg = tmp_path / "fragile.cfg"

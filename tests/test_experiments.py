@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lccsub import presets
+from lccsub import experiments, presets
 from lccsub.experiments import (
     ExperimentConfig,
     TooManyFailures,
@@ -89,6 +89,18 @@ class TestBootstrapSE:
         assert b1 == pytest.approx(stats[:, 0].std(ddof=1), rel=0.05)
         assert v1 == pytest.approx(stats[:, 1].std(ddof=1), rel=0.05)
 
+    @pytest.mark.parametrize("n", [29, 30, 400])
+    def test_equals_the_loop_form(self, n):
+        # one summarize() per resample, on the same resample stream
+        truth = ModelParams(0.1, [0.3, -0.2, 0.5, 1.0])
+        draws = np.random.default_rng(n).standard_normal((n, 5)) + truth.as_array()
+        rng = np.random.default_rng(8)
+        stats = np.array(
+            [summarize(draws[rng.integers(0, n, size=n)], truth) for _ in range(400)]
+        )
+        want = (float(stats[:, 0].std(ddof=1)), float(stats[:, 1].std(ddof=1)))
+        assert bootstrap_se(draws, truth, 400, np.random.default_rng(8)) == want
+
     def test_requires_hundred_resamples(self):
         with pytest.raises(ValueError):
             bootstrap_se(np.zeros((10, 2)), ModelParams(0.0, [0.0]), 50)
@@ -120,6 +132,43 @@ class TestRunExperiment:
         for m in small_config.methods:
             assert np.array_equal(r1.methods[m].draws, r2.methods[m].draws)
             assert r1.methods[m].bias_sq_se == r2.methods[m].bias_sq_se
+
+    def test_replications_run_on_one_blas_thread(self, small_config, small_truth, monkeypatch):
+        blas = experiments._openblas()
+        if blas is None:
+            pytest.skip("numpy's bundled OpenBLAS not found")
+        get, set_ = blas
+        seen = []
+        replicate = experiments._replicate_explicit
+        monkeypatch.setattr(
+            experiments,
+            "_replicate_explicit",
+            lambda config, rep: seen.append(get()) or replicate(config, rep),
+        )
+        before = get()
+        set_(2)
+        try:
+            for threads in (1, 2):
+                report = run_experiment(small_config, threads=threads, theta_star=small_truth)
+                assert get() == 2, threads
+                assert report.blas_threads == (1, 2)
+        finally:
+            set_(before)
+        assert seen == [1] * (2 * small_config.replications)
+
+    def test_missing_blas_library_changes_nothing(self, small_config, small_truth, monkeypatch):
+        pinned = run_experiment(small_config, threads=2, theta_star=small_truth)
+
+        def no_library(path):
+            raise OSError(f"{path}: cannot open shared object file")
+
+        monkeypatch.setattr(experiments.ctypes, "CDLL", no_library)
+        assert experiments._openblas() is None
+        report = run_experiment(small_config, threads=2, theta_star=small_truth)
+        assert report.blas_threads is None
+        for m in small_config.methods:
+            assert np.array_equal(report.methods[m].draws, pinned.methods[m].draws)
+            assert report.methods[m].var_se == pinned.methods[m].var_se
 
     def test_budget_accounting(self, small_config, small_truth):
         rep = run_experiment(small_config, theta_star=small_truth)

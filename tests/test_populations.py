@@ -17,6 +17,7 @@ from lccsub.populations import (
     DiscretePopulation,
     StepLogit,
     TwoClassGaussian,
+    _gaussian_features,
     _gaussian_risk,
     _solve_on_grid,
     conditional_probability,
@@ -93,6 +94,19 @@ class TestSampling:
             resid = obs.labels - conditional_probability(spec, obs.features)
             se = np.std(resid) / np.sqrt(obs.n)
             assert abs(resid.mean()) < 4 * se
+
+    def test_gaussian_features_take_their_class_factor(self):
+        # unequal covariances, so a row given the other class's factor shows
+        spec = presets.simulation1()
+        labels = (np.random.default_rng(4).random(50001) < 0.3).astype(np.float64)
+        feats = _gaussian_features(spec, labels, np.random.default_rng(5))
+        z = np.random.default_rng(5).standard_normal((labels.size, spec.p))
+        L0, L1 = spec._chol
+        ones = labels == 1.0
+        want = np.empty_like(z)
+        want[ones] = spec.mu1 + z[ones] @ L1.T
+        want[~ones] = spec.mu0 + z[~ones] @ L0.T
+        assert np.array_equal(feats, want)
 
     def test_n_zero_rejected(self, oatmeal):
         with pytest.raises(ValueError):
