@@ -21,8 +21,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from .asymptotics import conditional_bias_slope, eval_matrices, lcc_variance
-from .experiments import TooManyFailures, run_experiment
+from .asymptotics import _MC_NODES_DEFAULT, conditional_bias_slope, eval_matrices, lcc_variance
+from .experiments import TooManyFailures, one_blas_thread, run_experiment
 from .fileio import (
     ConfigError,
     CsvFormatError,
@@ -163,21 +163,19 @@ def cmd_oracle(args) -> int:
 
 
 def _write_steplogit_plot(path, spec: StepLogit, params: ModelParams):
-    grid = integration_grid(spec)
-    x = grid.points
-    rows = []
-    for xi in x[:, 0]:
-        f_true = float(true_log_odds(spec, [[xi]])[0])
-        f_fit = params.intercept + params.slopes[0] * xi
-        rows.append(
-            {
-                "x": float(xi),
-                "true_log_odds": f_true,
-                "fit_log_odds": f_fit,
-                "true_prob": float(1 / (1 + np.exp(-f_true))),
-                "fit_prob": float(1 / (1 + np.exp(-f_fit))),
-            }
-        )
+    x = integration_grid(spec).points
+    f_true = true_log_odds(spec, x)
+    f_fit = params.intercept + params.slopes[0] * x[:, 0]
+    rows = [
+        {
+            "x": float(xi),
+            "true_log_odds": float(t),
+            "fit_log_odds": float(f),
+            "true_prob": float(1 / (1 + np.exp(-t))),
+            "fit_prob": float(1 / (1 + np.exp(-f))),
+        }
+        for xi, t, f in zip(x[:, 0], f_true, f_fit)
+    ]
     write_report(path, rows, "csv")
 
 
@@ -187,12 +185,10 @@ def _write_steplogit_plot(path, spec: StepLogit, params: ModelParams):
 
 def _count_pass(path):
     n0 = n1 = 0
-    names = None
-    for header, _, _, labels, _, _ in stream_rows(path):
-        names = header.feature_names
+    for _, _, _, labels, _, _ in stream_rows(path):
         n1 += int(np.sum(labels == 1.0))
         n0 += int(np.sum(labels == 0.0))
-    return n0, n1, names
+    return n0, n1
 
 
 def _reservoir_balanced_pass(path, per_class, rng):
@@ -239,7 +235,7 @@ def _build_scheme(args, seed):
             return cls(a0=args.a0, a1=args.a1), None, None
         if args.target_size is None:
             raise _UsageError(f"--a0/--a1 or --target-size required for {args.scheme}")
-        n0, n1, _ = _count_pass(args.data)
+        n0, n1 = _count_pass(args.data)
         labels = np.concatenate([np.zeros(n0), np.ones(n1)])
         scheme = class_balanced_scheme(labels, args.target_size, weighted=args.scheme == "wcc")
         return scheme, None, None
@@ -275,12 +271,12 @@ def _acceptance_pass(args, scheme, calibration, rng):
     row, so each chunk is accepted at calibration.bound(), which no later
     row can raise; the rows it keeps, with their pilot predictors and
     uniforms, are accepted again at the final c.  They are pruned each
-    time they double, so memory stays O(target + chunk).
+    time they double, so memory stays O(target + CHUNK_ROWS).
     """
     rows_read, expected, held, pruned, parts = 0, 0.0, 0, 0, []
     if calibration is not None:
         scheme = replace(scheme, c=calibration.bound())
-    for header, _, feats, labels, _, _ in stream_rows(args.data, args.chunk_size):
+    for header, _, feats, labels, _, _ in stream_rows(args.data):
         n = labels.shape[0]
         rows_read += n
         u = rng.random(n)
@@ -305,8 +301,6 @@ def _acceptance_pass(args, scheme, calibration, rng):
 def cmd_sample(args) -> int:
     if not args.out or args.out == "-":
         raise _UsageError("sample needs --out PATH for the subsample CSV")
-    if args.chunk_size < 1:
-        raise _UsageError(f"--chunk-size must be at least 1, got {args.chunk_size}")
     with open(args.data, newline="") as src:
         columns = next(csv.reader(src), [])
     if WEIGHT_COLUMN in columns or OFFSET_COLUMN in columns:
@@ -564,7 +558,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a0", type=float)
     p.add_argument("--a1", type=float)
     p.add_argument("--summary")
-    p.add_argument("--chunk-size", type=int, default=8192)
     common(p)
     p.set_defaults(func=cmd_sample)
 
@@ -581,7 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", default="star")
     p.add_argument("--pilot", default="star")
     p.add_argument("--c", type=float, default=1.0)
-    p.add_argument("--mc-nodes", type=int, default=4 * 10**6)
+    p.add_argument("--mc-nodes", type=int, default=_MC_NODES_DEFAULT)
     p.add_argument("--tol", type=float, default=1e-10)
     common(p)
     p.set_defaults(func=cmd_asymptotics)
@@ -599,7 +592,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        with one_blas_thread():
+            return args.func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -18,6 +18,7 @@ from __future__ import annotations
 import ctypes
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -195,6 +196,28 @@ def _openblas():
     return None
 
 
+_PINNED = []  # OpenBLAS thread counts before each open one_blas_thread()
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the block on one OpenBLAS thread: its threaded products round
+    differently at different thread counts.  Yields (1, the count before
+    the outermost open pin), or None where numpy has no OpenBLAS of its own.
+    """
+    blas = _openblas()
+    if blas is None:
+        yield None
+        return
+    get, set_ = blas
+    _PINNED.append(get())
+    set_(1)
+    try:
+        yield 1, _PINNED[0]
+    finally:
+        set_(_PINNED.pop())
+
+
 def _wcc_weights(labels: np.ndarray, prior1: float) -> np.ndarray:
     # Horvitz-Thompson weights for equal-expected-class draws: 1/a(y)
     # with a1/a0 = (1-prior1)/prior1, up to an irrelevant common scale.
@@ -220,29 +243,24 @@ def _replicate_explicit(config: ExperimentConfig, rep: int) -> dict:
 
     out = {}
     for method in config.methods:
+        if method == "full":
+            out[method] = (fit_logistic(data, config.fit).params.as_array(), data.n)
+            continue
+        source, source_uniforms = data, uniforms
         if method == "lcc":
             c = config.c
             if c is None:
                 c = calibrate_lcc_rate(second, pilot, config.n_lcc, config.retain_cases)
             scheme = LocalCaseControl(pilot, c=c, retain_cases=config.retain_cases)
-            sub = draw_subsample(second, scheme, second_uniforms)
-            vec = fit_subsample(sub, config.fit).params.as_array()
-            out[method] = (vec, sub.realized_size)
-        elif method in ("cc", "wcc"):
+            source, source_uniforms = second, second_uniforms
+        elif method == "uniform":
+            scheme = Uniform(min(1.0, config.comparison_budget / config.n_full))
+        else:
             scheme = class_balanced_scheme(
                 data.labels, config.comparison_budget, weighted=(method == "wcc")
             )
-            sub = draw_subsample(data, scheme, uniforms)
-            vec = fit_subsample(sub, config.fit).params.as_array()
-            out[method] = (vec, sub.realized_size)
-        elif method == "uniform":
-            rate = min(1.0, config.comparison_budget / config.n_full)
-            sub = draw_subsample(data, Uniform(rate), uniforms)
-            vec = fit_subsample(sub, config.fit).params.as_array()
-            out[method] = (vec, sub.realized_size)
-        elif method == "full":
-            vec = fit_logistic(data, config.fit).params.as_array()
-            out[method] = (vec, data.n)
+        sub = draw_subsample(source, scheme, source_uniforms)
+        out[method] = (fit_subsample(sub, config.fit).params.as_array(), sub.realized_size)
     return out
 
 
@@ -309,21 +327,13 @@ def run_experiment(
 
     reps = range(config.replications)
     # One BLAS thread per worker at every worker count: OpenBLAS's own
-    # threads would oversubscribe the cores the workers use, and its threaded
-    # products round differently at different thread counts.
-    blas = _openblas()
-    was = blas[0]() if blas else None
-    if blas:
-        blas[1](1)
-    try:
+    # threads would oversubscribe the cores the workers use.
+    with one_blas_thread() as blas:
         if threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
                 results = list(pool.map(one, reps))
         else:
             results = [one(rep) for rep in reps]
-    finally:
-        if blas:
-            blas[1](was)
 
     failures = tuple(r for r in results if isinstance(r, tuple))
     successes = [r for r in results if isinstance(r, dict)]
@@ -361,7 +371,7 @@ def run_experiment(
         failures=failures,
         lcc_acceptance_rates=accept_rates,
         runtime_seconds=time.monotonic() - t0,
-        blas_threads=None if blas is None else (1, was),
+        blas_threads=blas,
     )
 
 

@@ -30,6 +30,7 @@ from .populations import (
     StepLogit,
     TwoClassGaussian,
 )
+from .sampling import CHUNK_ROWS
 
 __all__ = [
     "ConfigError",
@@ -127,7 +128,7 @@ def _parse_cell(raw: str, row: int, column: str) -> float:
 _C_READER_UNSAFE = ("\x1c", "\x1d", "\x1e", "\x1f")
 
 
-def stream_rows(path: str, chunk_size: int = 8192):
+def stream_rows(path: str, chunk_size: int = CHUNK_ROWS):
     """Yield (header, row_offset, features, labels, weights, offsets) chunks.
 
     weights/offsets are None when the columns are absent.  Row numbers in
@@ -137,8 +138,6 @@ def stream_rows(path: str, chunk_size: int = 8192):
     newline.  A chunk the whole-array checks reject is parsed cell by
     cell, which owns every diagnostic.
     """
-    if chunk_size < 1:
-        raise ValueError(f"chunk size must be at least 1, got {chunk_size}")
     with open(path, newline="") as handle:
         try:
             header = _parse_header(next(csv.reader(handle)))

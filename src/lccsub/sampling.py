@@ -42,6 +42,7 @@ __all__ = [
     "class_balanced_scheme",
     "RateCalibration",
     "calibrate_lcc_rate",
+    "CHUNK_ROWS",
 ]
 
 
@@ -318,7 +319,7 @@ def thin_uniform(sub: WeightedSubsample, n_s: int, rng) -> WeightedSubsample:
     )
 
 
-_SUM_BLOCK = 8192  # rows per term of RateCalibration's running sum
+CHUNK_ROWS = 8192  # rows per chunk of every streamed pass
 _BOUND_SLACK = 1e-6  # relative headroom of RateCalibration.bound() over rounding
 
 
@@ -330,67 +331,35 @@ class RateCalibration:
     continuous, increasing and piecewise linear in c, and at the solution
     fewer than `target` rows are capped, all among the `target` largest
     a_i.  So the state is those values, the sum of all a_i and two
-    counts: memory O(target) whatever the number of rows.  The sum adds
-    one pairwise sum per block of _SUM_BLOCK input rows, so no result
-    depends on how the rows are split between `add` calls.  Rows are
-    buffered until their block closes, so small chunks cost no more than
-    large ones; reading a result takes the buffer in first.
+    counts: memory O(target) whatever the number of rows.  Callers add
+    CHUNK_ROWS rows at a time, so the running sum, and every result, is
+    the same in the library and the CLI.
     """
 
     def __init__(self, scheme: LocalCaseControl, target: int):
         self.scheme = replace(scheme, c=1.0)
         self.target = int(target)
         self.top = np.empty(0)
-        self.total = 0.0  # over the closed blocks
-        self.block = np.empty(0)  # a_i of the open block's rows so far
-        self.rows = 0  # not counting the buffer
+        self.total = 0.0
         self.free = 0  # rows with a_i > 0 whose probability scales with c
         self.sure = 0  # retained cases
-        self.pending = []  # buffered (eta, labels) chunks
-        self.buffered = 0
 
     def add(self, features, labels, eta=None) -> None:
         """Take a chunk of rows; `eta` as in accept_rows."""
-        if eta is None:
-            eta = self.scheme.pilot.linear_predictor(features)
-        self.pending.append((eta, labels))
-        self.buffered += labels.shape[0]
-        if self.rows % _SUM_BLOCK + self.buffered >= _SUM_BLOCK:
-            self._flush()
-
-    def _flush(self) -> None:
-        """Take the buffered rows into the sums and the top values."""
-        if not self.pending:
-            return
-        eta, labels = (np.concatenate(part) for part in zip(*self.pending))
-        self.pending, self.buffered = [], 0
-        a, _ = acceptance_probabilities(self.scheme, None, labels, eta)
-        start = self.rows % _SUM_BLOCK  # rows already in the open block
-        row = start + np.arange(a.size)
-        # the blocks whose last row is in this chunk close
-        ends = np.arange(_SUM_BLOCK, start + a.size + 1, _SUM_BLOCK)
-        self.rows += a.size
+        a, _ = acceptance_probabilities(self.scheme, features, labels, eta)
         if self.scheme.retain_cases:
             case = labels == 1.0
             self.sure += int(case.sum())
-            a, row = a[~case], row[~case]
+            a = a[~case]
         self.free += int(np.count_nonzero(a))
-        *closed, self.block = np.split(
-            np.concatenate([self.block, a]), self.block.size + np.searchsorted(row, ends)
-        )
-        for block in closed:
-            self.total += float(block.sum())
+        self.total += float(a.sum())
         top = np.concatenate([self.top, a])
         if top.size > self.target:
             top = np.partition(top, top.size - self.target)[-self.target:]
         self.top = top
 
-    def _sum(self) -> float:
-        return self.total + float(self.block.sum())
-
     def solve(self) -> float:
         """The c whose expected subsample size is exactly target."""
-        self._flush()
         need = self.target - self.sure
         if not 0 < need < self.free:
             raise ValueError(
@@ -398,15 +367,14 @@ class RateCalibration:
                 f"lies strictly between {self.sure} and {self.sure + self.free}"
                 + (" over the rows so far" if need <= 0 else "")
             )
-        total = self._sum()
         # the rows capped at the solution are among the `need` largest
         a = np.sort(self.top)[::-1][:need]
         head = np.concatenate([[0.0], np.cumsum(a)])
         # expected size at c = 1/a[k], where the rows 0..k are capped
-        size_at = np.arange(1, a.size + 1) + (total - head[1:]) / a
+        size_at = np.arange(1, a.size + 1) + (self.total - head[1:]) / a
         k = int(np.argmax(size_at >= need))
         # between 1/a[k-1] and 1/a[k] exactly the k largest rows are capped
-        return (need - k) / (total - head[k])
+        return (need - k) / (self.total - head[k])
 
     def bound(self) -> float:
         """An upper bound on solve() after any further rows.
@@ -416,17 +384,15 @@ class RateCalibration:
         Retained cases only add to `sure`, so once they reach the target
         this raises as solve() would at the end.
         """
-        self._flush()
         if 0 < self.target - self.sure >= self.free:
             return np.finfo(np.float64).max  # not reachable yet
         return self.solve() * (1.0 + _BOUND_SLACK)
 
     def expected_size(self, c: float) -> float:
         """sum_i prob_i(c) over the rows so far, for c no larger than solve()."""
-        self._flush()
         top = np.sort(self.top)  # summed in one order however rows arrived
         capped = np.minimum(c * top, 1.0)
-        return self.sure + float(capped.sum()) + c * (self._sum() - float(top.sum()))
+        return self.sure + float(capped.sum()) + c * (self.total - float(top.sum()))
 
 
 def calibrate_lcc_rate(
@@ -435,5 +401,6 @@ def calibrate_lcc_rate(
     """c whose expected subsample size is exactly target_size."""
     scheme = LocalCaseControl(pilot, retain_cases=retain_cases)
     calibration = RateCalibration(scheme, target_size)
-    calibration.add(data.features, data.labels)
+    for i in range(0, data.n, CHUNK_ROWS):
+        calibration.add(data.features[i : i + CHUNK_ROWS], data.labels[i : i + CHUNK_ROWS])
     return calibration.solve()

@@ -54,6 +54,55 @@ def gauss_csv(tmp_path_factory):
     return spec, obs, str(path), str(pilot), tmp
 
 
+@pytest.fixture(scope="module")
+def wide_csv(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("wide")
+    spec = presets.correct_gaussian(p=10, mu_scale=0.3)
+    obs = sample_population(spec, 2 * 8192 + 1, np.random.default_rng(56))
+    names = [f"x{i + 1}" for i in range(spec.p)]
+    path = tmp / "raw.csv"
+    write_raw_csv(path, obs, names)
+    pilot = tmp / "pilot.coef"
+    write_coefficients(pilot, spec.linear_params(), names)
+    return spec, obs, str(path), str(pilot), tmp
+
+
+def test_every_command_runs_on_one_blas_thread(tmp_path, monkeypatch):
+    from lccsub import cli, experiments
+
+    blas = experiments._openblas()
+    if blas is None:
+        pytest.skip("numpy's bundled OpenBLAS not found")
+    get, set_ = blas
+    seen = {}
+
+    def record(args):
+        seen[args.command] = get()
+        return 0
+
+    argvs = {
+        "oracle": ["--spec", "spec.cfg"],
+        "sample": ["--data", "raw.csv", "--scheme", "uniform"],
+        "fit": ["--data", "sub.csv"],
+        "asymptotics": ["--spec", "spec.cfg"],
+        "simulate": ["--config", "study.cfg"],
+    }
+    before = get()
+    set_(2)
+    try:
+        for command, argv in argvs.items():
+            monkeypatch.setattr(cli, f"cmd_{command}", record)
+            assert main([command, *argv]) == 0
+            assert get() == 2, command
+        monkeypatch.undo()
+        # a command that fails restores the count too
+        assert main(["fit", "--data", str(tmp_path / "missing.csv")]) == 1
+        assert get() == 2
+    finally:
+        set_(before)
+    assert seen == dict.fromkeys(argvs, 1)
+
+
 class TestOracle:
     def test_oatmeal_report_values(self, tmp_path, capsys):
         out = tmp_path / "oracle.json"
@@ -218,31 +267,6 @@ class TestSample:
         )
         assert np.array_equal(est_cli.as_array(), est_lib.as_array())
 
-    def test_streamed_chunk_size_irrelevant(self, gauss_csv, tmp_path):
-        _, _, raw, pilot, _ = gauss_csv
-        outs = []
-        for chunk in (512, 50000):
-            out = tmp_path / f"sub{chunk}.csv"
-            main(
-                [
-                    "sample",
-                    "--data",
-                    raw,
-                    "--scheme",
-                    "lcc",
-                    "--pilot",
-                    pilot,
-                    "--seed",
-                    "4",
-                    "--chunk-size",
-                    str(chunk),
-                    "--out",
-                    str(out),
-                ]
-            )
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
-
     def test_non_numeric_cell_diagnostics(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("y,x1\n1,0.5\n0,oops\n")
@@ -295,34 +319,6 @@ class TestSample:
         assert {"seed", "realized_size", "expected_size", "acceptance_rate_estimate"} <= keys
 
 
-    def test_on_the_fly_pilot_chunk_size_irrelevant(self, gauss_csv, tmp_path):
-        _, _, raw, _, _ = gauss_csv
-        outs = []
-        for chunk in (512, 50000):
-            out = tmp_path / f"sub{chunk}.csv"
-            rc = main(
-                [
-                    "sample",
-                    "--data",
-                    raw,
-                    "--scheme",
-                    "lcc",
-                    "--pilot-size",
-                    "400",
-                    "--target-size",
-                    "800",
-                    "--seed",
-                    "4",
-                    "--chunk-size",
-                    str(chunk),
-                    "--out",
-                    str(out),
-                ]
-            )
-            assert rc == 0
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
-
     @pytest.mark.parametrize("retain", [False, True])
     def test_target_size_is_expected_size_at_c_above_one(self, gauss_csv, tmp_path, retain):
         _, _, raw, pilot, _ = gauss_csv
@@ -352,34 +348,22 @@ class TestSample:
         assert "target size 10 is not reachable" in capsys.readouterr().err
         assert not (tmp_path / "sub.csv").exists()
 
-    def test_target_size_chunk_size_irrelevant(self, gauss_csv, tmp_path):
-        # c > 1 here, so the weights carry every bit of the calibrated c
-        _, _, raw, pilot, _ = gauss_csv
-        argv = ["sample", "--data", raw, "--scheme", "lcc", "--pilot", pilot,
-                "--target-size", "8000", "--seed", "4"]
-        outs = []
-        # 19999 leaves a one-row last chunk on the 20,000-row input
-        for chunk in (["--chunk-size", "1"], ["--chunk-size", "7"], ["--chunk-size", "512"],
-                      ["--chunk-size", "19999"], ["--chunk-size", "50000"], []):
-            out = tmp_path / "sub.csv"
-            assert main(argv + chunk + ["--out", str(out)]) == 0
-            outs.append(out.read_bytes())
-        assert outs[1:] == outs[:1] * 5
-
     @pytest.mark.parametrize("retain", [False, True])
-    def test_target_size_matches_library_bitwise(self, gauss_csv, tmp_path, retain):
-        spec, obs, raw, pilot, _ = gauss_csv
-        out = tmp_path / "sub.csv"
-        argv = ["sample", "--data", raw, "--scheme", "lcc", "--pilot", pilot,
-                "--target-size", "8000", "--seed", "6", "--out", str(out)]
-        assert main(argv + ["--retain-cases"] * retain) == 0
-        c = calibrate_lcc_rate(obs, spec.linear_params(), 8000, retain_cases=retain)
-        scheme = LocalCaseControl(spec.linear_params(), c=c, retain_cases=retain)
-        uniforms = np.random.default_rng(6).random(obs.n)
-        want = draw_subsample(obs, scheme, uniforms).to_observation_set()
-        got, _ = read_observations_csv(out)
-        for field in ("features", "labels", "weights", "offsets"):
-            assert np.array_equal(getattr(got, field), getattr(want, field)), field
+    def test_target_size_matches_library_bitwise(self, gauss_csv, wide_csv, tmp_path, retain):
+        # wide_csv: 10 features, where OpenBLAS rounds a product's tail rows
+        # apart from the rest, and a one-row last chunk
+        for spec, obs, raw, pilot, _ in (gauss_csv, wide_csv):
+            out = tmp_path / "sub.csv"
+            argv = ["sample", "--data", raw, "--scheme", "lcc", "--pilot", pilot,
+                    "--target-size", "8000", "--seed", "6", "--out", str(out)]
+            assert main(argv + ["--retain-cases"] * retain) == 0
+            c = calibrate_lcc_rate(obs, spec.linear_params(), 8000, retain_cases=retain)
+            scheme = LocalCaseControl(spec.linear_params(), c=c, retain_cases=retain)
+            uniforms = np.random.default_rng(6).random(obs.n)
+            want = draw_subsample(obs, scheme, uniforms).to_observation_set()
+            got, _ = read_observations_csv(out)
+            for field in ("features", "labels", "weights", "offsets"):
+                assert np.array_equal(getattr(got, field), getattr(want, field)), field
 
     def test_bad_last_row_leaves_no_output(self, gauss_csv, tmp_path, capsys):
         _, _, raw, pilot, _ = gauss_csv
@@ -405,24 +389,22 @@ class TestSample:
         monkeypatch.setattr(cli, "stream_rows", counting)
         return passes
 
-    @pytest.mark.parametrize(
-        "argv, message",
-        [
-            (["--chunk-size", "0"], "--chunk-size must be at least 1, got 0"),
-            (["--chunk-size", "-3"], "--chunk-size must be at least 1, got -3"),
-            (["--c", "2", "--target-size", "50"], "not allowed with argument --c"),
-        ],
-    )
-    def test_usage_errors_before_any_pass(self, gauss_csv, tmp_path, capsys, monkeypatch,
-                                          argv, message):
+    def test_usage_errors_before_any_pass(self, gauss_csv, tmp_path, capsys, monkeypatch):
         _, _, raw, _, _ = gauss_csv
         passes = self.count_passes(monkeypatch)
         out = tmp_path / "sub.csv"
         rc = main(["sample", "--data", raw, "--scheme", "lcc", "--pilot-size", "400",
-                   "--seed", "1", "--out", str(out)] + argv)
+                   "--seed", "1", "--out", str(out), "--c", "2", "--target-size", "50"])
         assert rc == 1
-        assert message in capsys.readouterr().err
+        assert "not allowed with argument --c" in capsys.readouterr().err
         assert passes == [] and not out.exists()
+
+    def test_chunk_size_is_not_an_option(self, gauss_csv, tmp_path, capsys):
+        _, _, raw, pilot, _ = gauss_csv
+        rc = main(["sample", "--data", raw, "--scheme", "lcc", "--pilot", pilot,
+                   "--seed", "1", "--chunk-size", "7", "--out", str(tmp_path / "sub.csv")])
+        assert rc == 1
+        assert "unrecognized arguments: --chunk-size 7" in capsys.readouterr().err
 
     def test_weight_column_refused_before_any_pass(self, tmp_path, capsys, monkeypatch):
         data = tmp_path / "weighted.csv"

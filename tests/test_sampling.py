@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lccsub import presets, sampling
+from lccsub import presets
 from lccsub.glm import ModelParams, ObservationSet, fit_logistic
 from lccsub.populations import (
     equal_class_bias,
@@ -353,45 +353,6 @@ class TestCalibration:
         cases = int(data.labels.sum())
         with pytest.raises(ValueError, match="not reachable"):
             calibrate_lcc_rate(data, spec.linear_params(), cases, retain_cases=True)
-
-    @pytest.mark.parametrize("retain", [False, True])
-    def test_solve_does_not_depend_on_the_split(self, retain):
-        spec = presets.correct_gaussian(p=3, mu_scale=0.8)
-        data = sample_population(spec, 60000, np.random.default_rng(43))
-        scheme = LocalCaseControl(spec.linear_params(), retain_cases=retain)
-
-        def calibrate(split):
-            calibration = RateCalibration(scheme, 20000)
-            for i in range(0, data.n, split):
-                calibration.add(data.features[i : i + split], data.labels[i : i + split])
-            c = calibration.solve()
-            return c, calibration.expected_size(c)
-
-        whole = calibrate(data.n)
-        assert whole[0] > 1  # some rows capped
-        for split in (1, 7, 8192, 50000):
-            assert calibrate(split) == whole, split
-
-    def test_small_chunks_are_taken_in_per_block(self, monkeypatch):
-        # one acceptance pass per 8,192-row block, not one per add() call
-        spec = presets.correct_gaussian(p=3, mu_scale=0.8)
-        data = sample_population(spec, 20000, np.random.default_rng(44))
-        scheme = LocalCaseControl(spec.linear_params())
-        whole = RateCalibration(scheme, 1000)
-        whole.add(data.features, data.labels)
-        calls = []
-        real = sampling.acceptance_probabilities
-        monkeypatch.setattr(
-            sampling,
-            "acceptance_probabilities",
-            lambda *args: calls.append(args[2].size) or real(*args),
-        )
-        calibration = RateCalibration(scheme, 1000)
-        for i in range(data.n):
-            calibration.add(data.features[i : i + 1], data.labels[i : i + 1])
-        assert calls == [8192, 8192]
-        assert calibration.solve() == whole.solve()
-        assert calls == [8192, 8192, 20000 - 2 * 8192]
 
     @pytest.mark.parametrize("retain", [False, True])
     def test_bound_falls_to_the_solution(self, gauss_data, retain):
