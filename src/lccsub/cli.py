@@ -17,6 +17,7 @@ import argparse
 import csv
 import secrets
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -28,6 +29,7 @@ from .fileio import (
     CsvFormatError,
     OFFSET_COLUMN,
     WEIGHT_COLUMN,
+    convert_records,
     format_value,
     load_config_file,
     parse_experiment,
@@ -185,7 +187,7 @@ def _write_steplogit_plot(path, spec: StepLogit, params: ModelParams):
 
 def _count_pass(path):
     n0 = n1 = 0
-    for _, _, _, labels, _, _ in stream_rows(path):
+    for _, _, _, labels, _, _ in stream_rows(path, labels_only=True):
         n1 += int(np.sum(labels == 1.0))
         n0 += int(np.sum(labels == 0.0))
     return n0, n1
@@ -196,27 +198,45 @@ def _reservoir_balanced_pass(path, per_class, rng):
 
     Every row draws one uniform key in file order and each class keeps the
     rows with its per_class smallest keys: a uniform sample without
-    replacement that does not depend on the chunking.
+    replacement that does not depend on the chunking.  The keys ignore row
+    content, so only the labels are converted; the pass holds the raw
+    records of rows still among their class's smallest keys and converts
+    the kept ones at the end.
     """
-    seen, keys, kept = [0, 0], [np.empty(0), np.empty(0)], [None, None]
-    for _, _, feats, labels, _, _ in stream_rows(path):
+    seen, keys, kept = [0, 0], [np.empty(0), np.empty(0)], [[], []]
+    for header, _, records, labels, _, _ in stream_rows(path, labels_only=True):
         chunk_keys = rng.random(labels.shape[0])
         for y in (0, 1):
-            rows = labels == y
-            seen[y] += int(rows.sum())
+            rows = np.flatnonzero(labels == y)
+            seen[y] += rows.size
+            if keys[y].size == per_class:
+                rows = rows[chunk_keys[rows] < keys[y].max()]
             keys[y] = np.concatenate([keys[y], chunk_keys[rows]])
-            kept[y] = feats[rows] if kept[y] is None else np.vstack([kept[y], feats[rows]])
+            kept[y] += [records[i] for i in rows]
             if keys[y].size > per_class:
                 top = np.argpartition(keys[y], per_class - 1)[:per_class]
-                keys[y], kept[y] = keys[y][top], kept[y][top]
+                keys[y], kept[y] = keys[y][top], [kept[y][i] for i in top]
     if not (seen[0] and seen[1]):
         raise TooFewCases("pilot needs both classes present")
+    records = [kept[y][i] for y in (0, 1) for i in np.argsort(keys[y])]
     sizes = [keys[0].size, keys[1].size]
     return ObservationSet(
-        np.vstack([kept[y][np.argsort(keys[y])] for y in (0, 1)]),
+        convert_records(header, records)[2],
         np.repeat([0.0, 1.0], sizes),
         weights=np.repeat([seen[0] / sizes[0], seen[1] / sizes[1]], sizes),
     )
+
+
+@contextmanager
+def _file_errors_first(path):
+    """On any exception from a label-only step, one full check pass runs
+    first, so a bad file raises its first CsvFormatError as a full pass would."""
+    try:
+        yield
+    except Exception:
+        for _ in stream_rows(path):
+            pass
+        raise
 
 
 def _build_scheme(args, seed):
@@ -235,9 +255,10 @@ def _build_scheme(args, seed):
             return cls(a0=args.a0, a1=args.a1), None, None
         if args.target_size is None:
             raise _UsageError(f"--a0/--a1 or --target-size required for {args.scheme}")
-        n0, n1 = _count_pass(args.data)
-        labels = np.concatenate([np.zeros(n0), np.ones(n1)])
-        scheme = class_balanced_scheme(labels, args.target_size, weighted=args.scheme == "wcc")
+        with _file_errors_first(args.data):
+            n0, n1 = _count_pass(args.data)
+            labels = np.concatenate([np.zeros(n0), np.ones(n1)])
+            scheme = class_balanced_scheme(labels, args.target_size, weighted=args.scheme == "wcc")
         return scheme, None, None
     # lcc
     if args.pilot is not None:
@@ -245,10 +266,11 @@ def _build_scheme(args, seed):
         pilot_source = args.pilot
     else:
         rng_pilot = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
-        pilot_obs = _reservoir_balanced_pass(
-            args.data, max(args.pilot_size // 2, 2), rng_pilot
-        )
-        pilot = fit_logistic(pilot_obs).params
+        with _file_errors_first(args.data):
+            pilot_obs = _reservoir_balanced_pass(
+                args.data, max(args.pilot_size // 2, 2), rng_pilot
+            )
+            pilot = fit_logistic(pilot_obs).params
         pilot_source = f"wcc reservoir (size {args.pilot_size})"
     scheme = LocalCaseControl(
         pilot, c=1.0 if args.c is None else args.c, retain_cases=args.retain_cases
@@ -264,7 +286,8 @@ def _accept_again(scheme, labels, feats, weight, offsets, u):
 
 
 def _acceptance_pass(args, scheme, calibration, rng):
-    """Stream the rows once: (header, scheme, rows read, expected size, kept).
+    """Stream the rows once: (header, scheme, rows read, expected size,
+    variance of the size, kept).
 
     kept holds the accepted rows' labels, features, weights and offsets,
     in file order.  With a calibration, c is known only after the last
@@ -273,7 +296,7 @@ def _acceptance_pass(args, scheme, calibration, rng):
     uniforms, are accepted again at the final c.  They are pruned each
     time they double, so memory stays O(target + CHUNK_ROWS).
     """
-    rows_read, expected, held, pruned, parts = 0, 0.0, 0, 0, []
+    rows_read, expected, sum_sq, held, pruned, parts = 0, 0.0, 0.0, 0, 0, []
     if calibration is not None:
         scheme = replace(scheme, c=calibration.bound())
     for header, _, feats, labels, _, _ in stream_rows(args.data):
@@ -282,6 +305,7 @@ def _acceptance_pass(args, scheme, calibration, rng):
         u = rng.random(n)
         keep, weight, offsets, prob = accept_rows(scheme, feats, labels, u)
         expected += float(prob.sum())
+        sum_sq += float(np.square(prob).sum())
         held += int(keep.sum())
         parts.append((labels[keep], feats[keep], weight[keep], offsets[keep], u[keep]))
         if calibration is not None:
@@ -295,7 +319,8 @@ def _acceptance_pass(args, scheme, calibration, rng):
         scheme = replace(scheme, c=calibration.solve())
         kept = _accept_again(scheme, *kept)
         expected = calibration.expected_size(scheme.c)
-    return header, scheme, rows_read, expected, kept[:4]
+        sum_sq = calibration.sum_sq(scheme.c)
+    return header, scheme, rows_read, expected, expected - sum_sq, kept[:4]
 
 
 def cmd_sample(args) -> int:
@@ -309,7 +334,7 @@ def cmd_sample(args) -> int:
         )
     seed = _resolve_seed(args)
     scheme, pilot_source, calibration = _build_scheme(args, seed)
-    header, scheme, rows_read, expected, kept = _acceptance_pass(
+    header, scheme, rows_read, expected, variance, kept = _acceptance_pass(
         args, scheme, calibration, np.random.default_rng(seed)
     )
     realized = kept[0].size
@@ -338,9 +363,10 @@ def cmd_sample(args) -> int:
             comments=[f"subsample of {args.data}"],
             json_extra={"seed": seed},
         )
+    z = (realized - expected) / np.sqrt(variance) if variance > 0 else 0.0
     print(
         f"kept {realized} of {rows_read} rows "
-        f"(expected {expected:.1f}) -> {args.out}",
+        f"(expected {expected:.1f}, z {z:+.2f}) -> {args.out}",
         file=sys.stderr,
     )
     return EXIT_OK

@@ -45,6 +45,7 @@ __all__ = [
     "parse_population",
     "parse_experiment",
     "stream_rows",
+    "convert_records",
     "write_report",
 ]
 
@@ -128,64 +129,101 @@ def _parse_cell(raw: str, row: int, column: str) -> float:
 _C_READER_UNSAFE = ("\x1c", "\x1d", "\x1e", "\x1f")
 
 
-def stream_rows(path: str, chunk_size: int = CHUNK_ROWS):
+def _column(table, idx):
+    return None if idx is None else np.ascontiguousarray(table[:, idx])
+
+
+def _convert(header: CsvHeader, lines, rows, start: int):
+    """One chunk as (header, start, features, labels, weights, offsets).
+
+    `rows` are csv records, or None where numpy's C reader takes the raw
+    `lines`.  A chunk the whole-array checks reject is parsed cell by cell,
+    which owns every row/column diagnostic.
+    """
+    try:
+        table = (
+            np.array(rows, dtype=np.float64)
+            if rows
+            else np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        )
+    except ValueError:
+        table = None
+    shape = (len(rows or lines), len(header.columns))
+    if table is not None and table.shape == shape and np.isfinite(table).all():
+        labels = _column(table, header.label_idx)
+        weights = _column(table, header.weight_idx)
+        if ((labels == 0.0) | (labels == 1.0)).all() and (
+            weights is None or (weights > 0.0).all()
+        ):
+            feats = _column(table, header.feature_idx)
+            return header, start, feats, labels, weights, _column(table, header.offset_idx)
+    rows = rows or list(csv.reader(lines))
+    feats = np.empty((len(rows), len(header.feature_idx)))
+    labels = np.empty(len(rows))
+    weights = np.empty(len(rows)) if header.weight_idx is not None else None
+    offsets = np.empty(len(rows)) if header.offset_idx is not None else None
+    for k, row in enumerate(rows):
+        r = start + k
+        if len(row) != len(header.columns):
+            raise CsvFormatError(
+                f"row {r}: expected {len(header.columns)} fields, got {len(row)}"
+            )
+        label = _parse_cell(row[header.label_idx], r, LABEL_COLUMN)
+        if label not in (0.0, 1.0):
+            raise CsvFormatError(f"row {r}: label {label!r} is not 0 or 1")
+        labels[k] = label
+        for j, idx in enumerate(header.feature_idx):
+            feats[k, j] = _parse_cell(row[idx], r, header.columns[idx])
+        if weights is not None:
+            weights[k] = _parse_cell(row[header.weight_idx], r, WEIGHT_COLUMN)
+            if weights[k] <= 0:
+                raise CsvFormatError(f"row {r}: weight must be positive")
+        if offsets is not None:
+            offsets[k] = _parse_cell(row[header.offset_idx], r, OFFSET_COLUMN)
+    return header, start, feats, labels, weights, offsets
+
+
+def _convert_labels(header: CsvHeader, lines, rows, start: int):
+    """(header, start, records, labels, None, None); a chunk whose labels
+    are not all 0 or 1 is checked in full by _convert."""
+    idx, records = header.label_idx, rows or lines
+    try:
+        labels = (
+            np.array([row[idx] for row in rows], dtype=np.float64)
+            if rows
+            else np.loadtxt(lines, delimiter=",", comments=None, usecols=idx, ndmin=1)
+        )
+        valid = labels.shape == (len(records),) and ((labels == 0.0) | (labels == 1.0)).all()
+    except (IndexError, ValueError):
+        valid = False
+    if not valid:
+        labels = _convert(header, lines, rows, start)[3]
+    return header, start, records, labels, None, None
+
+
+def convert_records(header: CsvHeader, records):
+    """Convert raw records of a labels_only pass as one chunk, rows numbered from 1."""
+    rows = [next(csv.reader([r])) if isinstance(r, str) else r for r in records]
+    return _convert(header, None, rows, 1)
+
+
+def stream_rows(path: str, chunk_size: int = CHUNK_ROWS, labels_only: bool = False):
     """Yield (header, row_offset, features, labels, weights, offsets) chunks.
 
     weights/offsets are None when the columns are absent.  Row numbers in
     error messages are 1-based over data rows.  Each chunk of `chunk_size`
     lines is converted by numpy's C reader in one call; a chunk holding a
     quote is split by csv.reader instead, since a quoted field may hold a
-    newline.  A chunk the whole-array checks reject is parsed cell by
-    cell, which owns every diagnostic.
+    newline.  With labels_only only the label column is converted and
+    checked, and chunks are (header, row_offset, records, labels, None,
+    None): the raw records, for convert_records.
     """
+    convert = _convert_labels if labels_only else _convert
     with open(path, newline="") as handle:
         try:
             header = _parse_header(next(csv.reader(handle)))
         except StopIteration:
             raise CsvFormatError("empty file: no header row") from None
-        width = len(header.columns)
-
-        def column(table, idx):
-            return None if idx is None else np.ascontiguousarray(table[:, idx])
-
-        def emit(table, n, start):
-            """The chunk if the whole-array checks pass, else None."""
-            if table is None or table.shape != (n, width) or not np.isfinite(table).all():
-                return None
-            labels = column(table, header.label_idx)
-            weights = column(table, header.weight_idx)
-            if ((labels == 0.0) | (labels == 1.0)).all() and (
-                weights is None or (weights > 0.0).all()
-            ):
-                feats = column(table, header.feature_idx)
-                return header, start, feats, labels, weights, column(table, header.offset_idx)
-            return None
-
-        def emit_cells(rows, start):
-            feats = np.empty((len(rows), len(header.feature_idx)))
-            labels = np.empty(len(rows))
-            weights = np.empty(len(rows)) if header.weight_idx is not None else None
-            offsets = np.empty(len(rows)) if header.offset_idx is not None else None
-            for k, row in enumerate(rows):
-                r = start + k
-                if len(row) != len(header.columns):
-                    raise CsvFormatError(
-                        f"row {r}: expected {len(header.columns)} fields, got {len(row)}"
-                    )
-                label = _parse_cell(row[header.label_idx], r, LABEL_COLUMN)
-                if label not in (0.0, 1.0):
-                    raise CsvFormatError(f"row {r}: label {label!r} is not 0 or 1")
-                labels[k] = label
-                for j, idx in enumerate(header.feature_idx):
-                    feats[k, j] = _parse_cell(row[idx], r, header.columns[idx])
-                if weights is not None:
-                    weights[k] = _parse_cell(row[header.weight_idx], r, WEIGHT_COLUMN)
-                    if weights[k] <= 0:
-                        raise CsvFormatError(f"row {r}: weight must be positive")
-                if offsets is not None:
-                    offsets[k] = _parse_cell(row[header.offset_idx], r, OFFSET_COLUMN)
-            return header, start, feats, labels, weights, offsets
-
         start = 1
         while lines := list(islice(handle, chunk_size)):
             text = "".join(lines)
@@ -195,17 +233,8 @@ def stream_rows(path: str, chunk_size: int = CHUNK_ROWS):
                 rows = list(islice(csv.reader(chain(lines, handle)), chunk_size))
             elif text.isspace() or any(c in text for c in _C_READER_UNSAFE):
                 rows = list(csv.reader(lines))
-            try:
-                table = (
-                    np.array(rows, dtype=np.float64)
-                    if rows
-                    else np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-                )
-            except ValueError:
-                table = None
-            n = len(rows or lines)
-            yield emit(table, n, start) or emit_cells(rows or list(csv.reader(lines)), start)
-            start += n
+            yield convert(header, lines, rows, start)
+            start += len(rows or lines)
         if start == 1:
             raise CsvFormatError("no data rows")
 
@@ -228,20 +257,20 @@ def read_observations_csv(path: str):
     return obs, header.feature_names
 
 
+_WRITE_ROWS = 1024  # rows formatted per write, which bounds the writer's memory
+
+
 def write_observations_csv(path: str, obs: ObservationSet, feature_names) -> None:
     """A header, then one `y, features..., weight, offset` record per row, 17 digits each."""
+    record = ",".join(["%.17g"] * (obs.p + 3)) + "\r\n"  # "%.17g" % x == format_value(x)
     with atomic_write(path, newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow([LABEL_COLUMN, *feature_names, WEIGHT_COLUMN, OFFSET_COLUMN])
-        for i in range(obs.n):
-            writer.writerow(
-                [
-                    format_value(obs.labels[i]),
-                    *(format_value(v) for v in obs.features[i]),
-                    format_value(obs.weights[i]),
-                    format_value(obs.offsets[i]),
-                ]
+        csv.writer(handle).writerow([LABEL_COLUMN, *feature_names, WEIGHT_COLUMN, OFFSET_COLUMN])
+        for i in range(0, obs.n, _WRITE_ROWS):
+            rows = slice(i, i + _WRITE_ROWS)
+            table = np.column_stack(
+                [obs.labels[rows], obs.features[rows], obs.weights[rows], obs.offsets[rows]]
             )
+            handle.write("".join([record % tuple(row) for row in table.tolist()]))
 
 
 # ---------------------------------------------------------------------------

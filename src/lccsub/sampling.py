@@ -330,10 +330,11 @@ class RateCalibration:
     at c = 1; retained cases have probability 1 at every c.  The sum is
     continuous, increasing and piecewise linear in c, and at the solution
     fewer than `target` rows are capped, all among the `target` largest
-    a_i.  So the state is those values, the sum of all a_i and two
-    counts: memory O(target) whatever the number of rows.  Callers add
-    CHUNK_ROWS rows at a time, so the running sum, and every result, is
-    the same in the library and the CLI.
+    a_i.  So the state is those values, the sums of all a_i and a_i**2
+    (for the size's variance) and two counts: memory O(target) whatever
+    the number of rows.  Callers add CHUNK_ROWS rows at a time, so the
+    running sums, and every result, are the same in the library and the
+    CLI.
     """
 
     def __init__(self, scheme: LocalCaseControl, target: int):
@@ -341,6 +342,7 @@ class RateCalibration:
         self.target = int(target)
         self.top = np.empty(0)
         self.total = 0.0
+        self.total_sq = 0.0  # sum of a_i**2
         self.free = 0  # rows with a_i > 0 whose probability scales with c
         self.sure = 0  # retained cases
 
@@ -353,6 +355,7 @@ class RateCalibration:
             a = a[~case]
         self.free += int(np.count_nonzero(a))
         self.total += float(a.sum())
+        self.total_sq += float(np.square(a).sum())
         top = np.concatenate([self.top, a])
         if top.size > self.target:
             top = np.partition(top, top.size - self.target)[-self.target:]
@@ -393,6 +396,13 @@ class RateCalibration:
         top = np.sort(self.top)  # summed in one order however rows arrived
         capped = np.minimum(c * top, 1.0)
         return self.sure + float(capped.sum()) + c * (self.total - float(top.sum()))
+
+    def sum_sq(self, c: float) -> float:
+        """sum_i prob_i(c)**2 over the rows so far, for c no larger than solve()."""
+        top = np.sort(self.top)
+        capped = np.minimum(c * top, 1.0)
+        rest = self.total_sq - float(np.square(top).sum())
+        return self.sure + float(np.square(capped).sum()) + c * c * rest
 
 
 def calibrate_lcc_rate(

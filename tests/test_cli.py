@@ -24,6 +24,7 @@ from lccsub.populations import population_theta_star, sample_population
 from lccsub.sampling import (
     LocalCaseControl,
     TooFewCases,
+    acceptance_probabilities,
     calibrate_lcc_rate,
     draw_subsample,
     estimate,
@@ -380,10 +381,10 @@ class TestSample:
     def count_passes(monkeypatch):
         from lccsub import cli
 
-        passes = []
+        passes = []  # one entry per pass: "labels" or "rows"
 
         def counting(*args, **kwargs):
-            passes.append(args)
+            passes.append("labels" if kwargs.get("labels_only") else "rows")
             return stream_rows(*args, **kwargs)
 
         monkeypatch.setattr(cli, "stream_rows", counting)
@@ -405,6 +406,70 @@ class TestSample:
                    "--seed", "1", "--chunk-size", "7", "--out", str(tmp_path / "sub.csv")])
         assert rc == 1
         assert "unrecognized arguments: --chunk-size 7" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scheme", [["lcc", "--pilot-size", "400"], ["wcc"]])
+    def test_label_pass_then_one_full_pass(self, gauss_csv, tmp_path, monkeypatch, scheme):
+        _, _, raw, _, _ = gauss_csv
+        passes = self.count_passes(monkeypatch)
+        rc = main(["sample", "--data", raw, "--scheme", *scheme, "--target-size", "800",
+                   "--seed", "1", "--out", str(tmp_path / "sub.csv")])
+        assert rc == 0
+        assert passes == ["labels", "rows"]
+
+    @staticmethod
+    def write_rows(path, n, cases, bad=()):
+        """y,x1,x2 rows with label 1 at the rows in `cases`; `bad` maps
+        (row, column index) to a replacement cell."""
+        rng = np.random.default_rng(3)
+        lines = []
+        for r in range(1, n + 1):
+            cells = [str(int(r in cases)), *(f"{v:.17g}" for v in rng.normal(size=2))]
+            for (row, col), cell in bad:
+                if row == r:
+                    cells[col] = cell
+            lines.append(",".join(cells))
+        path.write_text("y,x1,x2\n" + "\n".join(lines) + "\n")
+        return str(path)
+
+    PILOT = ["--scheme", "lcc", "--pilot-size", "400", "--target-size", "300"]
+
+    @pytest.mark.parametrize(
+        "cases, bad, scheme, message",
+        [
+            # the label pass meets the bad label first; the bad cell comes first in the file
+            (range(1, 10001, 50), [((5, 1), "oops"), ((9000, 0), "2")], PILOT,
+             "row 5, column 'x1': not a number: 'oops'"),
+            # one class: a bad cell, not TooFewCases
+            ((), [((7000, 2), "inf")], PILOT, "row 7000, column 'x2': non-finite value"),
+            ((), [((7000, 2), "inf")], ["--scheme", "cc", "--target-size", "300"],
+             "row 7000, column 'x2': non-finite value"),
+            # every case is kept by the pilot, the bad one too
+            (range(1, 10001, 1000), [((2001, 2), "x")], PILOT,
+             "row 2001, column 'x2': not a number: 'x'"),
+        ],
+    )
+    def test_first_bad_cell_wins_over_label_pass(self, tmp_path, capsys, cases, bad, scheme, message):
+        data = self.write_rows(tmp_path / "bad.csv", 10000, set(cases), bad)
+        out = tmp_path / "sub.csv"
+        rc = main(["sample", "--data", data, *scheme, "--seed", "1", "--out", str(out)])
+        assert rc == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [tmp_path / "bad.csv"]
+
+    def test_stderr_reports_z_score(self, gauss_csv, tmp_path, capsys):
+        spec, obs, raw, pilot, _ = gauss_csv
+        for rate in (["--c", "2"], ["--target-size", "3000"]):
+            out = tmp_path / "sub.csv"
+            rc = main(["sample", "--data", raw, "--scheme", "lcc", "--pilot", pilot, *rate,
+                       "--retain-cases", "--seed", "4", "--out", str(out)])
+            assert rc == 0
+            c = 2.0 if rate[0] == "--c" else calibrate_lcc_rate(
+                obs, spec.linear_params(), 3000, retain_cases=True)
+            scheme = LocalCaseControl(spec.linear_params(), c=c, retain_cases=True)
+            prob, _ = acceptance_probabilities(scheme, obs.features, obs.labels)
+            realized = read_observations_csv(out)[0].n
+            z = (realized - prob.sum()) / np.sqrt(np.sum(prob * (1 - prob)))
+            assert f"(expected {prob.sum():.1f}, z {z:+.2f})" in capsys.readouterr().err
 
     def test_weight_column_refused_before_any_pass(self, tmp_path, capsys, monkeypatch):
         data = tmp_path / "weighted.csv"
@@ -441,10 +506,47 @@ class TestPilotSample:
 
         path = self.write(tmp_path / "d.csv", [int(i % 3 == 0) for i in range(200)])
         whole = _reservoir_balanced_pass(path, 7, np.random.default_rng(5))
-        monkeypatch.setattr(cli, "stream_rows", lambda p: stream_rows(p, chunk_size=9))
-        chunked = _reservoir_balanced_pass(path, 7, np.random.default_rng(5))
-        assert np.array_equal(whole.features, chunked.features)
-        assert np.array_equal(whole.labels, chunked.labels)
+        for size in (1, 9, 64):
+            monkeypatch.setattr(
+                cli, "stream_rows", lambda p, **kw: stream_rows(p, chunk_size=size, **kw)
+            )
+            chunked = _reservoir_balanced_pass(path, 7, np.random.default_rng(5))
+            assert np.array_equal(whole.features, chunked.features)
+            assert np.array_equal(whole.labels, chunked.labels)
+
+    @staticmethod
+    def reference(path, per_class, rng):
+        """The pilot from a full parse: each class's per_class smallest keys."""
+        obs, _ = read_observations_csv(path)
+        keys = rng.random(obs.n)
+        rows = [np.flatnonzero(obs.labels == y) for y in (0, 1)]
+        return [obs.features[r[np.argsort(keys[r])][:per_class]] for r in rows], rows
+
+    @pytest.mark.parametrize("quoted", [False, True])
+    def test_label_pass_equals_full_parse_bitwise(self, tmp_path, monkeypatch, quoted):
+        from lccsub import cli
+
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(300, 3)) * 10.0 ** rng.integers(-5, 5, size=(300, 3))
+        y = (rng.random(300) < 0.2).astype(int)
+        lines = []
+        for i in range(300):
+            cells = [str(y[i]), *(f"{v:.17g}" for v in x[i])]
+            if quoted and i % 7 == 3:
+                cells[2] = f'"{cells[2]}\n"'  # a record over two lines
+            lines.append(",".join(cells))
+        path = tmp_path / "d.csv"
+        path.write_text("y,x1,x2,x3\n" + "\n".join(lines) + "\n")
+        (want0, want1), rows = self.reference(str(path), 20, np.random.default_rng(4))
+        for size in (1, 5, 64, 8192):
+            monkeypatch.setattr(
+                cli, "stream_rows", lambda p, **kw: stream_rows(p, chunk_size=size, **kw)
+            )
+            got = _reservoir_balanced_pass(str(path), 20, np.random.default_rng(4))
+            assert got.features.flags["C_CONTIGUOUS"]
+            assert got.features.tobytes() == np.vstack([want0, want1]).tobytes()
+            assert got.labels.tolist() == [0.0] * 20 + [1.0] * 20
+            assert got.weights.tolist() == [rows[0].size / 20] * 20 + [rows[1].size / 20] * 20
 
     def test_inclusion_is_uniform(self, tmp_path):
         path = self.write(tmp_path / "d.csv", [0] * 20 + [1] * 2)
@@ -877,3 +979,29 @@ class TestCsvRoundTrip:
         assert np.array_equal(back.features, obs.features)
         assert np.array_equal(back.weights, obs.weights)
         assert np.array_equal(back.offsets, obs.offsets)
+
+    def test_rows_written_as_csv_writer_would(self, tmp_path):
+        from lccsub.fileio import format_value, write_observations_csv
+        from lccsub.glm import ObservationSet
+
+        # special values, then enough rows to span several write blocks
+        rng = np.random.default_rng(2)
+        feats = np.vstack([
+            [[-0.0, 1e-320, 0.1], [1.7976931348623157e308, -2.5e-7, 123456789.0]],
+            rng.standard_normal((2500, 3)) * 10.0 ** rng.integers(-8, 8, (2500, 3)),
+        ])
+        labels = np.r_[0.0, 1.0, rng.integers(0, 2, 2500)]
+        weights = np.r_[1.0, 3.25, rng.uniform(1, 50, 2500)]
+        offsets = np.r_[-0.0, 1e300, rng.standard_normal(2500)]
+        obs = ObservationSet(feats, labels, weights=weights, offsets=offsets)
+        path = tmp_path / "rows.csv"
+        write_observations_csv(path, obs, ["a", "b,c", "d"])
+        want = tmp_path / "want.csv"
+        with open(want, "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["y", "a", "b,c", "d", "weight", "offset"])
+            for i in range(obs.n):
+                writer.writerow([format_value(v) for v in (
+                    obs.labels[i], *obs.features[i], obs.weights[i], obs.offsets[i])])
+        assert path.read_bytes() == want.read_bytes()
+        assert b"-0," in path.read_bytes() and path.read_bytes().endswith(b"\r\n")

@@ -1,6 +1,6 @@
-"""CSV scan: the C chunk parse against per-cell float(), quoted records,
-line endings, and the row/column diagnostics of bad cells past the first
-chunk; the experiment config schema."""
+"""CSV scan: the C chunk parse and the label-only pass against per-cell
+float(), quoted records, line endings, and the row/column diagnostics of
+bad cells past the first chunk; the experiment config schema."""
 
 import csv
 import os
@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lccsub import presets
-from lccsub.fileio import CsvFormatError, parse_experiment, stream_rows
+from lccsub.fileio import CsvFormatError, convert_records, parse_experiment, stream_rows
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 cells = st.one_of(
@@ -40,11 +40,20 @@ def test_chunk_parse_matches_float_bitwise(rows, chunk_size):
             for y, x1, off, x2 in rows:
                 handle.write(f"{x1},{y},{off},{x2}\n")
         feats, got_labels, offsets = stream_all(path, chunk_size)
+        label_chunks = list(stream_rows(path, chunk_size, labels_only=True))
     want = np.array([[float(c) for c in row] for row in rows])
     assert feats.tobytes() == want[:, [1, 3]].tobytes()
     assert got_labels.tobytes() == want[:, 0].tobytes()
     assert offsets.tobytes() == want[:, 2].tobytes()
     assert feats.flags["C_CONTIGUOUS"] and got_labels.flags["C_CONTIGUOUS"]
+    # the label converter, and the records it keeps converted afterwards
+    only = np.concatenate([c[3] for c in label_chunks])
+    assert only.tobytes() == want[:, 0].tobytes()
+    records = [r for c in label_chunks for r in c[2]]
+    _, _, kept_feats, kept_labels, _, kept_offsets = convert_records(label_chunks[0][0], records)
+    assert kept_feats.tobytes() == feats.tobytes() and kept_feats.flags["C_CONTIGUOUS"]
+    assert kept_labels.tobytes() == got_labels.tobytes()
+    assert kept_offsets.tobytes() == offsets.tobytes()
 
 
 BAD_ROW = 9000  # in the second chunk of the default 8192

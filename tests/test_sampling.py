@@ -371,6 +371,7 @@ class TestCalibration:
         )
         assert calibration.expected_size(c) == pytest.approx(prob.sum(), rel=1e-12)
         assert calibration.expected_size(c) == pytest.approx(12000, rel=1e-12)
+        assert calibration.sum_sq(c) == pytest.approx(np.square(prob).sum(), rel=1e-12)
 
     def test_wcc_consistent_under_misspecification(self):
         oat = presets.oatmeal()
