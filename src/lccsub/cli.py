@@ -57,12 +57,12 @@ from .sampling import (
     CaseControl,
     EmptySubsample,
     LocalCaseControl,
-    RateCalibration,
     TooFewCases,
     Uniform,
     WeightedCaseControl,
-    accept_rows,
+    accept_pass,
     class_balanced_scheme,
+    class_counts,
     scheme_adjustment,
 )
 
@@ -102,24 +102,12 @@ def _load_population(path):
 
 
 def _coef_rows(label, params: ModelParams, names, se=None):
-    rows = [
-        {
-            "quantity": label,
-            "coefficient": "intercept",
-            "value": params.intercept,
-            "mc_se": 0.0 if se is None else float(se[0]),
-        }
+    values = [params.intercept, *(float(v) for v in params.slopes)]
+    se = [0.0] * len(values) if se is None else [float(v) for v in se]
+    return [
+        {"quantity": label, "coefficient": name, "value": value, "mc_se": mc_se}
+        for name, value, mc_se in zip(["intercept", *names], values, se)
     ]
-    for i, name in enumerate(names):
-        rows.append(
-            {
-                "quantity": label,
-                "coefficient": name,
-                "value": float(params.slopes[i]),
-                "mc_se": 0.0 if se is None else float(se[i + 1]),
-            }
-        )
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -186,11 +174,8 @@ def _write_steplogit_plot(path, spec: StepLogit, params: ModelParams):
 
 
 def _count_pass(path):
-    n0 = n1 = 0
-    for _, _, _, labels, _, _ in stream_rows(path, labels_only=True):
-        n1 += int(np.sum(labels == 1.0))
-        n0 += int(np.sum(labels == 0.0))
-    return n0, n1
+    chunks = stream_rows(path, labels_only=True)
+    return tuple(map(sum, zip(*(class_counts(labels) for _, _, _, labels, _, _ in chunks))))
 
 
 def _reservoir_balanced_pass(path, per_class, rng):
@@ -239,93 +224,70 @@ def _file_errors_first(path):
         raise
 
 
+# the options each scheme reads, and pairs whose first option leaves the second unused
+_SCHEME_OPTIONS = {
+    "uniform": ("rate",),
+    "cc": ("a0", "a1", "target_size"),
+    "wcc": ("a0", "a1", "target_size"),
+    "lcc": ("pilot", "pilot_size", "c", "target_size", "retain_cases"),
+}
+_OVERRIDES = (("target_size", "a0"), ("target_size", "a1"), ("pilot", "pilot_size"))
+
+
+def _refuse_unused_options(args):
+    """A sample option the run would ignore is a usage error."""
+    names = sorted({name for names in _SCHEME_OPTIONS.values() for name in names})
+    # `is`, not `in`: --rate 0 is given, though 0.0 == False
+    given = [n for n in names if getattr(args, n) is not None and getattr(args, n) is not False]
+    flag = {name: "--" + name.replace("_", "-") for name in names}
+    for name in given:
+        if name not in _SCHEME_OPTIONS[args.scheme]:
+            raise _UsageError(f"{flag[name]} is not used by --scheme {args.scheme}")
+    for first, second in _OVERRIDES:
+        if first in given and second in given:
+            raise _UsageError(f"{flag[second]} is not used with {flag[first]}")
+
+
 def _build_scheme(args, seed):
     """Resolve the scheme, running count/pilot passes if needed.
 
-    Returns (scheme, pilot_source, calibration); a calibration, for lcc
-    with --target-size, fixes c during the acceptance pass.
+    Returns (scheme, pilot_source); for lcc with --target-size the
+    acceptance pass then solves c.
     """
     if args.scheme == "uniform":
         if args.rate is None:
             raise _UsageError("--rate is required for uniform sampling")
-        return Uniform(args.rate), None, None
+        return Uniform(args.rate), None
     if args.scheme in ("cc", "wcc"):
+        cls = CaseControl if args.scheme == "cc" else WeightedCaseControl
         if args.a0 is not None and args.a1 is not None:
-            cls = CaseControl if args.scheme == "cc" else WeightedCaseControl
-            return cls(a0=args.a0, a1=args.a1), None, None
+            return cls(a0=args.a0, a1=args.a1), None
         if args.target_size is None:
             raise _UsageError(f"--a0/--a1 or --target-size required for {args.scheme}")
         with _file_errors_first(args.data):
-            n0, n1 = _count_pass(args.data)
-            labels = np.concatenate([np.zeros(n0), np.ones(n1)])
-            scheme = class_balanced_scheme(labels, args.target_size, weighted=args.scheme == "wcc")
-        return scheme, None, None
+            counts = _count_pass(args.data)
+            return class_balanced_scheme(counts, args.target_size, args.scheme == "wcc"), None
     # lcc
     if args.pilot is not None:
         pilot, _ = read_coefficients(args.pilot)
         pilot_source = args.pilot
     else:
+        pilot_size = 1000 if args.pilot_size is None else args.pilot_size
         rng_pilot = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
         with _file_errors_first(args.data):
-            pilot_obs = _reservoir_balanced_pass(
-                args.data, max(args.pilot_size // 2, 2), rng_pilot
-            )
+            pilot_obs = _reservoir_balanced_pass(args.data, max(pilot_size // 2, 2), rng_pilot)
             pilot = fit_logistic(pilot_obs).params
-        pilot_source = f"wcc reservoir (size {args.pilot_size})"
+        pilot_source = f"wcc reservoir (size {pilot_size})"
     scheme = LocalCaseControl(
         pilot, c=1.0 if args.c is None else args.c, retain_cases=args.retain_cases
     )
-    if args.target_size is None:
-        return scheme, pilot_source, None
-    return scheme, pilot_source, RateCalibration(scheme, args.target_size)
-
-
-def _accept_again(scheme, labels, feats, weight, offsets, u):
-    keep, weight, offsets, _ = accept_rows(scheme, feats, labels, u, eta=-offsets)
-    return labels[keep], feats[keep], weight[keep], offsets[keep], u[keep]
-
-
-def _acceptance_pass(args, scheme, calibration, rng):
-    """Stream the rows once: (header, scheme, rows read, expected size,
-    variance of the size, kept).
-
-    kept holds the accepted rows' labels, features, weights and offsets,
-    in file order.  With a calibration, c is known only after the last
-    row, so each chunk is accepted at calibration.bound(), which no later
-    row can raise; the rows it keeps, with their pilot predictors and
-    uniforms, are accepted again at the final c.  They are pruned each
-    time they double, so memory stays O(target + CHUNK_ROWS).
-    """
-    rows_read, expected, sum_sq, held, pruned, parts = 0, 0.0, 0.0, 0, 0, []
-    if calibration is not None:
-        scheme = replace(scheme, c=calibration.bound())
-    for header, _, feats, labels, _, _ in stream_rows(args.data):
-        n = labels.shape[0]
-        rows_read += n
-        u = rng.random(n)
-        keep, weight, offsets, prob = accept_rows(scheme, feats, labels, u)
-        expected += float(prob.sum())
-        sum_sq += float(np.square(prob).sum())
-        held += int(keep.sum())
-        parts.append((labels[keep], feats[keep], weight[keep], offsets[keep], u[keep]))
-        if calibration is not None:
-            calibration.add(feats, labels, eta=-offsets)
-            if held > 2 * pruned:
-                scheme = replace(scheme, c=calibration.bound())
-                parts = [_accept_again(scheme, *map(np.concatenate, zip(*parts)))]
-                held = pruned = parts[0][0].size
-    kept = tuple(map(np.concatenate, zip(*parts)))
-    if calibration is not None:
-        scheme = replace(scheme, c=calibration.solve())
-        kept = _accept_again(scheme, *kept)
-        expected = calibration.expected_size(scheme.c)
-        sum_sq = calibration.sum_sq(scheme.c)
-    return header, scheme, rows_read, expected, expected - sum_sq, kept[:4]
+    return scheme, pilot_source
 
 
 def cmd_sample(args) -> int:
     if not args.out or args.out == "-":
         raise _UsageError("sample needs --out PATH for the subsample CSV")
+    _refuse_unused_options(args)
     with open(args.data, newline="") as src:
         columns = next(csv.reader(src), [])
     if WEIGHT_COLUMN in columns or OFFSET_COLUMN in columns:
@@ -333,14 +295,21 @@ def cmd_sample(args) -> int:
             "input already has weight/offset columns; sample from raw feature CSVs"
         )
     seed = _resolve_seed(args)
-    scheme, pilot_source, calibration = _build_scheme(args, seed)
-    header, scheme, rows_read, expected, variance, kept = _acceptance_pass(
-        args, scheme, calibration, np.random.default_rng(seed)
+    scheme, pilot_source = _build_scheme(args, seed)
+    rng, header = np.random.default_rng(seed), None
+
+    def chunks():
+        nonlocal header
+        for header, _, feats, labels, _, _ in stream_rows(args.data):
+            yield feats, labels, rng.random(labels.shape[0])
+
+    target = args.target_size if args.scheme == "lcc" else None
+    scheme, rows_read, expected, variance, (_, labels, feats, weights, offsets) = accept_pass(
+        scheme, chunks(), target
     )
-    realized = kept[0].size
+    realized = labels.size
     if realized == 0:
         raise EmptySubsample("no rows accepted")
-    labels, feats, weights, offsets = kept
     subsample = ObservationSet(feats, labels, weights=weights, offsets=offsets)
     write_observations_csv(args.out, subsample, header.feature_names)
     adjustment = scheme_adjustment(scheme, len(header.feature_names))
@@ -402,17 +371,8 @@ def cmd_fit(args) -> int:
     if args.out and args.out != "-":
         write_coefficients(args.out, params, names)
     rows = _coef_rows("coefficients", params, names)
-    rows.append(
-        {"quantity": "grad_norm", "coefficient": "", "value": result.grad_norm, "mc_se": 0.0}
-    )
-    rows.append(
-        {
-            "quantity": "iterations",
-            "coefficient": "",
-            "value": float(result.iterations),
-            "mc_se": 0.0,
-        }
-    )
+    for quantity, value in (("grad_norm", result.grad_norm), ("iterations", result.iterations)):
+        rows.append({"quantity": quantity, "coefficient": "", "value": float(value), "mc_se": 0.0})
     # the coefficient file goes to --out; the report always to stdout
     _emit(
         rows,
@@ -491,10 +451,9 @@ def _print_failures(failures):
 
 def cmd_simulate(args) -> int:
     raw = load_config_file(args.config)
-    if "population" not in raw:
-        raise ConfigError(f"{args.config}: missing key 'population'")
-    if "experiment" not in raw:
-        raise ConfigError(f"{args.config}: missing key 'experiment'")
+    for key in ("population", "experiment"):
+        if key not in raw:
+            raise ConfigError(f"{args.config}: missing key {key!r}")
     unknown = set(raw) - {"population", "experiment"}
     if unknown:
         raise ConfigError(f"{args.config}: unknown key {sorted(unknown)[0]!r}")
@@ -575,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--scheme", required=True, choices=("lcc", "cc", "wcc", "uniform"))
     p.add_argument("--pilot", help="coefficient file for the lcc pilot")
-    p.add_argument("--pilot-size", type=int, default=1000)
+    p.add_argument("--pilot-size", type=int, help="default 1000")
     rate = p.add_mutually_exclusive_group()
     rate.add_argument("--c", type=float)
     rate.add_argument("--target-size", type=int)

@@ -39,8 +39,8 @@ from .sampling import (
     LocalCaseControl,
     TooFewCases,
     Uniform,
-    calibrate_lcc_rate,
     class_balanced_scheme,
+    class_counts,
     draw_subsample,
     fit_pilot_wcc,
     fit_subsample,
@@ -246,20 +246,19 @@ def _replicate_explicit(config: ExperimentConfig, rep: int) -> dict:
         if method == "full":
             out[method] = (fit_logistic(data, config.fit).params.as_array(), data.n)
             continue
-        source, source_uniforms = data, uniforms
+        source, source_uniforms, target = data, uniforms, None
         if method == "lcc":
-            c = config.c
-            if c is None:
-                c = calibrate_lcc_rate(second, pilot, config.n_lcc, config.retain_cases)
+            c = 1.0 if config.c is None else config.c
             scheme = LocalCaseControl(pilot, c=c, retain_cases=config.retain_cases)
             source, source_uniforms = second, second_uniforms
+            target = config.n_lcc if config.c is None else None
         elif method == "uniform":
             scheme = Uniform(min(1.0, config.comparison_budget / config.n_full))
         else:
             scheme = class_balanced_scheme(
-                data.labels, config.comparison_budget, weighted=(method == "wcc")
+                class_counts(data.labels), config.comparison_budget, weighted=(method == "wcc")
             )
-        sub = draw_subsample(source, scheme, source_uniforms)
+        sub = draw_subsample(source, scheme, source_uniforms, target)
         out[method] = (fit_subsample(sub, config.fit).params.as_array(), sub.realized_size)
     return out
 
@@ -414,7 +413,7 @@ def convergence_study(
                         sub = draw_subsample(data, LocalCaseControl(pilot), uniforms)
                     else:
                         scheme = class_balanced_scheme(
-                            data.labels, n, weighted=(method == "wcc")
+                            class_counts(data.labels), n, weighted=(method == "wcc")
                         )
                         sub = draw_subsample(data, scheme, uniforms)
                     vec = fit_subsample(sub, fit).params.as_array()

@@ -40,8 +40,9 @@ __all__ = [
     "fit_pilot_wcc",
     "thin_uniform",
     "class_balanced_scheme",
+    "class_counts",
     "RateCalibration",
-    "calibrate_lcc_rate",
+    "accept_pass",
     "CHUNK_ROWS",
 ]
 
@@ -65,6 +66,12 @@ class Uniform:
             raise ValueError("rate must be in (0, 1]")
 
 
+def _check_class_rates(scheme):
+    for name in ("a0", "a1"):
+        if not 0.0 < getattr(scheme, name) <= 1.0:
+            raise ValueError(f"{name} must be in (0, 1]")
+
+
 @dataclass(frozen=True)
 class CaseControl:
     """Accept with a1 (cases) or a0 (controls); correct the intercept by
@@ -73,11 +80,7 @@ class CaseControl:
     a0: float
     a1: float
 
-    def __post_init__(self):
-        for name in ("a0", "a1"):
-            v = getattr(self, name)
-            if not 0.0 < v <= 1.0:
-                raise ValueError(f"{name} must be in (0, 1]")
+    __post_init__ = _check_class_rates
 
     @property
     def bias(self) -> float:
@@ -92,11 +95,7 @@ class WeightedCaseControl:
     a0: float
     a1: float
 
-    def __post_init__(self):
-        for name in ("a0", "a1"):
-            v = getattr(self, name)
-            if not 0.0 < v <= 1.0:
-                raise ValueError(f"{name} must be in (0, 1]")
+    __post_init__ = _check_class_rates
 
 
 @dataclass(frozen=True)
@@ -207,23 +206,28 @@ class WeightedSubsample:
 
 
 def draw_subsample(
-    data: ObservationSet, scheme: SamplingScheme, uniforms
+    data: ObservationSet, scheme: SamplingScheme, uniforms, target_size: int | None = None
 ) -> WeightedSubsample:
     """Accept-reject pass: row i enters iff uniforms[i] <= prob_i.
 
-    Deterministic given (data, scheme, uniforms).
+    With target_size (local case-control only) the pass also solves the c
+    whose expected subsample size is exactly target_size; see accept_pass.
+    Deterministic given (data, scheme, uniforms, target_size).
     """
     uniforms = np.asarray(uniforms, dtype=np.float64)
     if uniforms.shape != (data.n,):
         raise ValueError(f"need {data.n} uniforms, got shape {uniforms.shape}")
-    keep, weight, offset, prob = accept_rows(scheme, data.features, data.labels, uniforms)
-    rows = np.flatnonzero(keep)
+    # chunking changes only the calibration's sums, which must match a streamed file's
+    step = data.n if target_size is None else CHUNK_ROWS
+    spans = [slice(i, i + step) for i in range(0, data.n, step)]
+    chunks = ((data.features[r], data.labels[r], uniforms[r]) for r in spans)
+    scheme, _, size, _, (rows, _, _, weights, offsets) = accept_pass(scheme, chunks, target_size)
     return WeightedSubsample(
         source=data,
         rows=rows,
-        weights=weight[rows],
-        offsets=offset[rows],
-        expected_size=float(prob.sum()),
+        weights=weights,
+        offsets=offsets,
+        expected_size=size,
         realized_size=int(rows.size),
         scheme=scheme,
         adjustment=scheme_adjustment(scheme, data.p),
@@ -251,17 +255,16 @@ def estimate(
 
 
 def class_balanced_scheme(
-    labels, target_size: int, weighted: bool
+    counts: tuple[int, int], target_size: int, weighted: bool
 ) -> CaseControl | WeightedCaseControl:
     """Acceptance rates giving equal expected class counts, total target_size.
 
-    Expected per-class count is min(target_size/2, n0, n1): when one class
-    is exhausted the other is matched to it (all the cases and one control
+    counts is (n0, n1), the numbers of controls and cases.  Expected
+    per-class count is min(target_size/2, n0, n1): when one class is
+    exhausted the other is matched to it (all the cases and one control
     per case) and the expected total falls short of the target.
     """
-    labels = np.asarray(labels)
-    n1 = int(np.sum(labels == 1.0))
-    n0 = int(np.sum(labels == 0.0))
+    n0, n1 = counts
     if n1 == 0 or n0 == 0:
         raise TooFewCases(f"class counts (n0={n0}, n1={n1}) cannot be balanced")
     half = min(0.5 * target_size, float(n1), float(n0))
@@ -269,6 +272,12 @@ def class_balanced_scheme(
     a0 = half / n0
     cls = WeightedCaseControl if weighted else CaseControl
     return cls(a0=a0, a1=a1)
+
+
+def class_counts(labels) -> tuple[int, int]:
+    """(n0, n1) of a 0/1 label array."""
+    n1 = int(np.count_nonzero(labels))
+    return labels.shape[0] - n1, n1
 
 
 @dataclass(frozen=True)
@@ -296,7 +305,7 @@ def fit_pilot_wcc(
     """
     if target_size < data.p + 2:
         raise ValueError("target_size too small to fit the model")
-    scheme = class_balanced_scheme(data.labels, target_size, weighted=True)
+    scheme = class_balanced_scheme(class_counts(data.labels), target_size, weighted=True)
     sub = draw_subsample(data, scheme, rng.random(data.n))
     return PilotFit(params=fit_subsample(sub, config).params, subsample=sub)
 
@@ -332,9 +341,9 @@ class RateCalibration:
     fewer than `target` rows are capped, all among the `target` largest
     a_i.  So the state is those values, the sums of all a_i and a_i**2
     (for the size's variance) and two counts: memory O(target) whatever
-    the number of rows.  Callers add CHUNK_ROWS rows at a time, so the
-    running sums, and every result, are the same in the library and the
-    CLI.
+    the number of rows.  accept_pass adds CHUNK_ROWS rows at a time, so
+    the running sums, and every result, do not depend on where the rows
+    came from.
     """
 
     def __init__(self, scheme: LocalCaseControl, target: int):
@@ -346,9 +355,8 @@ class RateCalibration:
         self.free = 0  # rows with a_i > 0 whose probability scales with c
         self.sure = 0  # retained cases
 
-    def add(self, features, labels, eta=None) -> None:
-        """Take a chunk of rows; `eta` as in accept_rows."""
-        a, _ = acceptance_probabilities(self.scheme, features, labels, eta)
+    def add(self, a, labels) -> None:
+        """Take a chunk's acceptance probabilities at c = 1, and its labels."""
         if self.scheme.retain_cases:
             case = labels == 1.0
             self.sure += int(case.sum())
@@ -391,26 +399,59 @@ class RateCalibration:
             return np.finfo(np.float64).max  # not reachable yet
         return self.solve() * (1.0 + _BOUND_SLACK)
 
-    def expected_size(self, c: float) -> float:
-        """sum_i prob_i(c) over the rows so far, for c no larger than solve()."""
+    def sizes(self, c: float) -> tuple[float, float]:
+        """(sum_i prob_i(c), sum_i prob_i(c)**2) over the rows so far, for c <= solve()."""
         top = np.sort(self.top)  # summed in one order however rows arrived
         capped = np.minimum(c * top, 1.0)
-        return self.sure + float(capped.sum()) + c * (self.total - float(top.sum()))
-
-    def sum_sq(self, c: float) -> float:
-        """sum_i prob_i(c)**2 over the rows so far, for c no larger than solve()."""
-        top = np.sort(self.top)
-        capped = np.minimum(c * top, 1.0)
-        rest = self.total_sq - float(np.square(top).sum())
-        return self.sure + float(np.square(capped).sum()) + c * c * rest
+        rest_sq = self.total_sq - float(np.square(top).sum())
+        expected = self.sure + float(capped.sum()) + c * (self.total - float(top.sum()))
+        return expected, self.sure + float(np.square(capped).sum()) + c * c * rest_sq
 
 
-def calibrate_lcc_rate(
-    data: ObservationSet, pilot: ModelParams, target_size: int, retain_cases: bool = False
-) -> float:
-    """c whose expected subsample size is exactly target_size."""
-    scheme = LocalCaseControl(pilot, retain_cases=retain_cases)
-    calibration = RateCalibration(scheme, target_size)
-    for i in range(0, data.n, CHUNK_ROWS):
-        calibration.add(data.features[i : i + CHUNK_ROWS], data.labels[i : i + CHUNK_ROWS])
-    return calibration.solve()
+def _accept_again(scheme, rows, labels, features, weights, offsets, uniforms):
+    """Accept held rows again at scheme's c, from their pilot predictors -offsets."""
+    keep, weights, offsets, _ = accept_rows(scheme, features, labels, uniforms, eta=-offsets)
+    return tuple(a[keep] for a in (rows, labels, features, weights, offsets, uniforms))
+
+
+def accept_pass(scheme: SamplingScheme, chunks, target_size: int | None = None):
+    """The one accept-reject pass over (features, labels, uniforms) chunks.
+
+    Returns (scheme, rows read, expected size, variance of the size, kept
+    rows' (positions, labels, features, weights, offsets) in read order).
+    With target_size (local case-control only) c is solved in the same
+    scan: each chunk is accepted at RateCalibration.bound(), which no later
+    row can raise, and the held rows, pruned each time they double, are
+    accepted again at the final c from their pilot predictors -offsets.
+    """
+    calibration = None
+    if target_size is not None:
+        if not isinstance(scheme, LocalCaseControl):
+            raise ValueError("target_size calibrates c, so it needs local case-control")
+        calibration = RateCalibration(scheme, target_size)
+        scheme, bound = calibration.scheme, calibration.bound()
+    rows_read, expected, sum_sq, held, pruned, parts = 0, 0.0, 0.0, 0, 0, []
+    for features, labels, uniforms in chunks:
+        keep, weights, offsets, prob = accept_rows(scheme, features, labels, uniforms)
+        if calibration is None:
+            expected += float(prob.sum())
+            sum_sq += float(np.square(prob).sum())
+        else:
+            calibration.add(prob, labels)
+            # every row kept at a c <= bound, the retained cases (prob 1) too
+            keep = (uniforms <= bound * prob) | (prob == 1.0)
+        rows = np.flatnonzero(keep)
+        columns = (labels, features, weights, offsets, uniforms)
+        parts.append((rows + rows_read, *(a.take(rows, axis=0) for a in columns)))
+        rows_read += labels.shape[0]
+        held += rows.size
+        if calibration is not None and held > 2 * pruned:
+            bound = calibration.bound()
+            parts = [_accept_again(replace(scheme, c=bound), *map(np.concatenate, zip(*parts)))]
+            held = pruned = parts[0][0].size
+    kept = parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
+    if calibration is not None:
+        scheme = replace(scheme, c=calibration.solve())
+        kept = _accept_again(scheme, *kept)
+        expected, sum_sq = calibration.sizes(scheme.c)
+    return scheme, rows_read, expected, expected - sum_sq, kept[:5]

@@ -74,12 +74,14 @@ def variance_reports(correct5_star):
         recycle_pilot=False,
         master_seed=20140603,
     )
+    # two workers draw what one does (tests/test_cli.py::test_threads_do_not_change_output)
     rep_c1 = run_experiment(
         ExperimentConfig(methods=("full", "lcc"), c=1.0, **base),
+        threads=2,
         theta_star=correct5_star,
     )
     rep_c5 = run_experiment(
-        ExperimentConfig(methods=("lcc",), c=5.0, **base), theta_star=correct5_star
+        ExperimentConfig(methods=("lcc",), c=5.0, **base), threads=2, theta_star=correct5_star
     )
     return rep_c1, rep_c5
 
@@ -89,7 +91,7 @@ def sim1_desk_report():
     raw = load_config_file("configs/sim1_desk.cfg")
     spec = parse_population(raw["population"])
     config = parse_experiment(raw["experiment"], spec)
-    return run_experiment(config, theta_star=population_theta_star(spec))
+    return run_experiment(config, threads=2, theta_star=population_theta_star(spec))
 
 
 @pytest.fixture(scope="module")
@@ -97,7 +99,7 @@ def sim2_desk_report():
     raw = load_config_file("configs/sim2_desk.cfg")
     spec = parse_population(raw["population"])
     config = parse_experiment(raw["experiment"], spec)
-    return spec, run_experiment(config, theta_star=population_theta_star(spec))
+    return spec, run_experiment(config, threads=2, theta_star=population_theta_star(spec))
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,6 @@ from lccsub.sampling import (
     LocalCaseControl,
     TooFewCases,
     acceptance_probabilities,
-    calibrate_lcc_rate,
-    draw_subsample,
     estimate,
 )
 
@@ -350,7 +348,9 @@ class TestSample:
         assert not (tmp_path / "sub.csv").exists()
 
     @pytest.mark.parametrize("retain", [False, True])
-    def test_target_size_matches_library_bitwise(self, gauss_csv, wide_csv, tmp_path, retain):
+    def test_target_size_matches_library_bitwise(
+        self, gauss_csv, wide_csv, tmp_path, retain, lcc_reference
+    ):
         # wide_csv: 10 features, where OpenBLAS rounds a product's tail rows
         # apart from the rest, and a one-row last chunk
         for spec, obs, raw, pilot, _ in (gauss_csv, wide_csv):
@@ -358,13 +358,14 @@ class TestSample:
             argv = ["sample", "--data", raw, "--scheme", "lcc", "--pilot", pilot,
                     "--target-size", "8000", "--seed", "6", "--out", str(out)]
             assert main(argv + ["--retain-cases"] * retain) == 0
-            c = calibrate_lcc_rate(obs, spec.linear_params(), 8000, retain_cases=retain)
-            scheme = LocalCaseControl(spec.linear_params(), c=c, retain_cases=retain)
+            scheme = LocalCaseControl(spec.linear_params(), retain_cases=retain)
             uniforms = np.random.default_rng(6).random(obs.n)
-            want = draw_subsample(obs, scheme, uniforms).to_observation_set()
+            _, keep, weights, offsets, _ = lcc_reference(obs, scheme, 8000, uniforms)
+            want = {"features": obs.features[keep], "labels": obs.labels[keep],
+                    "weights": weights, "offsets": offsets}
             got, _ = read_observations_csv(out)
-            for field in ("features", "labels", "weights", "offsets"):
-                assert np.array_equal(getattr(got, field), getattr(want, field)), field
+            for field, value in want.items():
+                assert np.array_equal(getattr(got, field), value), field
 
     def test_bad_last_row_leaves_no_output(self, gauss_csv, tmp_path, capsys):
         _, _, raw, pilot, _ = gauss_csv
@@ -398,6 +399,41 @@ class TestSample:
                    "--seed", "1", "--out", str(out), "--c", "2", "--target-size", "50"])
         assert rc == 1
         assert "not allowed with argument --c" in capsys.readouterr().err
+        assert passes == [] and not out.exists()
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (["uniform", "--rate", "0.1", "--target-size", "1000"],
+             "--target-size is not used by --scheme uniform"),
+            (["cc", "--a0", "0.1", "--a1", "0.5", "--c", "2"], "--c is not used by --scheme cc"),
+            (["wcc", "--target-size", "300", "--retain-cases"],
+             "--retain-cases is not used by --scheme wcc"),
+            (["uniform", "--rate", "0.1", "--pilot", "PILOT"],
+             "--pilot is not used by --scheme uniform"),
+            (["cc", "--target-size", "300", "--pilot-size", "400"],
+             "--pilot-size is not used by --scheme cc"),
+            (["lcc", "--pilot-size", "400", "--rate", "0.1"], "--rate is not used by --scheme lcc"),
+            (["lcc", "--pilot-size", "400", "--rate", "0"], "--rate is not used by --scheme lcc"),
+            (["wcc", "--a0", "0.1", "--a1", "0.5", "--rate", "0.1"],
+             "--rate is not used by --scheme wcc"),
+            (["wcc", "--target-size", "300", "--a0", "0.1"], "--a0 is not used with --target-size"),
+            (["cc", "--target-size", "300", "--a0", "0.1", "--a1", "0.5"],
+             "--a0 is not used with --target-size"),
+            (["lcc", "--pilot", "PILOT", "--pilot-size", "400"],
+             "--pilot-size is not used with --pilot"),
+        ],
+    )
+    def test_unused_option_refused_before_any_pass(
+        self, gauss_csv, tmp_path, capsys, monkeypatch, options, message
+    ):
+        _, _, raw, pilot, _ = gauss_csv
+        passes = self.count_passes(monkeypatch)
+        out = tmp_path / "sub.csv"
+        options = [pilot if o == "PILOT" else o for o in options]
+        rc = main(["sample", "--data", raw, "--scheme", *options, "--seed", "1", "--out", str(out)])
+        assert rc == 1
+        assert f"error: {message}" in capsys.readouterr().err
         assert passes == [] and not out.exists()
 
     def test_chunk_size_is_not_an_option(self, gauss_csv, tmp_path, capsys):
@@ -456,16 +492,16 @@ class TestSample:
         assert f"error: {message}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [tmp_path / "bad.csv"]
 
-    def test_stderr_reports_z_score(self, gauss_csv, tmp_path, capsys):
+    def test_stderr_reports_z_score(self, gauss_csv, tmp_path, capsys, lcc_reference):
         spec, obs, raw, pilot, _ = gauss_csv
         for rate in (["--c", "2"], ["--target-size", "3000"]):
             out = tmp_path / "sub.csv"
             rc = main(["sample", "--data", raw, "--scheme", "lcc", "--pilot", pilot, *rate,
                        "--retain-cases", "--seed", "4", "--out", str(out)])
             assert rc == 0
-            c = 2.0 if rate[0] == "--c" else calibrate_lcc_rate(
-                obs, spec.linear_params(), 3000, retain_cases=True)
-            scheme = LocalCaseControl(spec.linear_params(), c=c, retain_cases=True)
+            scheme = LocalCaseControl(spec.linear_params(), c=2.0, retain_cases=True)
+            if rate[0] == "--target-size":
+                scheme = lcc_reference(obs, scheme, 3000, np.zeros(obs.n))[0]
             prob, _ = acceptance_probabilities(scheme, obs.features, obs.labels)
             realized = read_observations_csv(out)[0].n
             z = (realized - prob.sum()) / np.sqrt(np.sum(prob * (1 - prob)))

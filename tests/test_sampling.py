@@ -12,6 +12,7 @@ from lccsub.populations import (
     theta_cc_limit,
 )
 from lccsub.sampling import (
+    CHUNK_ROWS,
     CaseControl,
     EmptySubsample,
     LocalCaseControl,
@@ -22,8 +23,8 @@ from lccsub.sampling import (
     accept_rows,
     acceptance_probabilities,
     acceptance_probability,
-    calibrate_lcc_rate,
     class_balanced_scheme,
+    class_counts,
     draw_subsample,
     estimate,
     fit_pilot_wcc,
@@ -153,7 +154,7 @@ class TestDrawSubsample:
 class TestAdjustmentEquivalence:
     def test_cc_offset_fit_equals_plain_fit_plus_adjustment(self, gauss_data):
         _, data = gauss_data
-        scheme = class_balanced_scheme(data.labels, 2000, weighted=False)
+        scheme = class_balanced_scheme(class_counts(data.labels), 2000, weighted=False)
         sub = draw_subsample(data, scheme, np.random.default_rng(4).random(data.n))
         adjusted = fit_subsample(sub).params.as_array()
         plain_obs = ObservationSet(
@@ -183,7 +184,7 @@ class TestEstimate:
         reps = []
         for _ in range(30):
             data = sample_population(oat, 100000, rng)
-            scheme = class_balanced_scheme(data.labels, 4000, weighted=False)
+            scheme = class_balanced_scheme(class_counts(data.labels), 4000, weighted=False)
             reps.append(estimate(data, scheme, rng).slopes[0])
         assert np.mean(reps) == pytest.approx(-0.83, abs=0.15)
 
@@ -241,22 +242,21 @@ class TestCScalingSizeLaw:
 
 class TestPilot:
     def test_balanced_classes(self):
-        rng = np.random.default_rng(11)
-        X = rng.standard_normal((1000, 1))
         y = np.concatenate([np.ones(500), np.zeros(500)])
-        scheme = class_balanced_scheme(y, 100, weighted=True)
+        assert class_counts(y) == (500, 500)
+        scheme = class_balanced_scheme(class_counts(y), 100, weighted=True)
         assert scheme.a0 == pytest.approx(0.1)
         assert scheme.a1 == pytest.approx(0.1)
 
     def test_all_cases_one_control_per_case(self):
         y = np.concatenate([np.ones(500), np.zeros(49500)])
-        scheme = class_balanced_scheme(y, 1000, weighted=True)
+        scheme = class_balanced_scheme(class_counts(y), 1000, weighted=True)
         assert scheme.a1 == 1.0
         assert scheme.a0 == pytest.approx(500 / 49500)
 
     def test_single_class_raises(self):
         with pytest.raises(TooFewCases):
-            class_balanced_scheme(np.ones(10), 5, weighted=True)
+            class_balanced_scheme(class_counts(np.ones(10)), 5, weighted=True)
 
     def test_pilot_error_shrinks_with_target(self):
         spec = presets.correct_gaussian(p=3, mu_scale=0.8)
@@ -326,20 +326,19 @@ class TestThinUniform:
 class TestCalibration:
     def test_rate_hits_target(self, gauss_data):
         spec, data = gauss_data
-        pilot = spec.linear_params()
-        c = calibrate_lcc_rate(data, pilot, 1500)
-        sub = draw_subsample(
-            data, LocalCaseControl(pilot, c=c), np.random.default_rng(20).random(data.n)
-        )
+        u = np.random.default_rng(20).random(data.n)
+        sub = draw_subsample(data, LocalCaseControl(spec.linear_params()), u, target_size=1500)
         assert sub.expected_size == pytest.approx(1500, rel=0.05)
 
     @pytest.mark.parametrize("target,retain", [(1500, False), (12000, False), (12000, True)])
     def test_rate_hits_target_exactly(self, gauss_data, target, retain):
         spec, data = gauss_data
-        pilot = spec.linear_params()
-        c = calibrate_lcc_rate(data, pilot, target, retain_cases=retain)
-        scheme = LocalCaseControl(pilot, c=c, retain_cases=retain)
-        prob, _ = acceptance_probabilities(scheme, data.features, data.labels)
+        scheme = LocalCaseControl(spec.linear_params(), retain_cases=retain)
+        u = np.random.default_rng(24).random(data.n)
+        c = draw_subsample(data, scheme, u, target_size=target).scheme.c
+        prob, _ = acceptance_probabilities(
+            LocalCaseControl(scheme.pilot, c=c, retain_cases=retain), data.features, data.labels
+        )
         if target > 1500:
             # c > 1 caps some rows at probability 1, so the expected
             # size is no longer linear in c
@@ -348,11 +347,47 @@ class TestCalibration:
 
     def test_unreachable_target(self, gauss_data):
         spec, data = gauss_data
+        u = np.random.default_rng(25).random(data.n)
         with pytest.raises(ValueError, match="not reachable"):
-            calibrate_lcc_rate(data, spec.linear_params(), data.n)
+            draw_subsample(data, LocalCaseControl(spec.linear_params()), u, target_size=data.n)
         cases = int(data.labels.sum())
+        retain = LocalCaseControl(spec.linear_params(), retain_cases=True)
         with pytest.raises(ValueError, match="not reachable"):
-            calibrate_lcc_rate(data, spec.linear_params(), cases, retain_cases=True)
+            draw_subsample(data, retain, u, target_size=cases)
+
+    def test_target_needs_local_case_control(self, gauss_data):
+        _, data = gauss_data
+        with pytest.raises(ValueError, match="local case-control"):
+            draw_subsample(data, Uniform(0.5), np.zeros(data.n), target_size=100)
+
+    # c above and below 1: at 2000, 1,687 retained cases leave c < 1, so
+    # later chunks are held at a bound below 1 that must still keep cases
+    @pytest.mark.parametrize("target,retain", [(8000, False), (8000, True), (2000, True)])
+    def test_target_draw_matches_reference_bitwise(self, lcc_reference, target, retain):
+        # 4 full chunks and a one-row last chunk
+        spec = presets.correct_gaussian(p=10, mu_scale=0.3)
+        data = sample_population(spec, 4 * CHUNK_ROWS + 1, np.random.default_rng(26))
+        scheme = LocalCaseControl(spec.linear_params(), retain_cases=retain)
+        u = np.random.default_rng(27).random(data.n)
+        sub = draw_subsample(data, scheme, u, target_size=target)
+        want, keep, weights, offsets, calibration = lcc_reference(data, scheme, target, u)
+        assert sub.scheme == want and (want.c > 1) == (target == 8000)
+        assert np.array_equal(sub.rows, np.flatnonzero(keep))
+        assert np.array_equal(sub.weights, weights)
+        assert np.array_equal(sub.offsets, offsets)
+        assert sub.expected_size == calibration.sizes(want.c)[0]
+
+    def test_draw_without_target_matches_whole_array_pass(self, gauss_data):
+        spec, data = gauss_data
+        u = np.random.default_rng(29).random(data.n)
+        for scheme in (LocalCaseControl(spec.linear_params(), c=2.0), WeightedCaseControl(0.2, 0.9)):
+            sub = draw_subsample(data, scheme, u)
+            keep, weights, offsets, prob = accept_rows(scheme, data.features, data.labels, u)
+            assert sub.scheme == scheme
+            assert np.array_equal(sub.rows, np.flatnonzero(keep))
+            assert np.array_equal(sub.weights, weights[keep])
+            assert np.array_equal(sub.offsets, offsets[keep])
+            assert sub.expected_size == prob.sum()
 
     @pytest.mark.parametrize("retain", [False, True])
     def test_bound_falls_to_the_solution(self, gauss_data, retain):
@@ -361,7 +396,9 @@ class TestCalibration:
         calibration = RateCalibration(scheme, 12000)
         bounds = []
         for i in range(0, data.n, 1000):
-            calibration.add(data.features[i : i + 1000], data.labels[i : i + 1000])
+            rows = slice(i, i + 1000)
+            a, _ = acceptance_probabilities(scheme, data.features[rows], data.labels[rows])
+            calibration.add(a, data.labels[rows])
             bounds.append(calibration.bound())
         c = calibration.solve()
         assert np.all(np.diff(bounds) <= 0) and bounds[-1] >= c
@@ -369,9 +406,10 @@ class TestCalibration:
         prob, _ = acceptance_probabilities(
             LocalCaseControl(scheme.pilot, c=c, retain_cases=retain), data.features, data.labels
         )
-        assert calibration.expected_size(c) == pytest.approx(prob.sum(), rel=1e-12)
-        assert calibration.expected_size(c) == pytest.approx(12000, rel=1e-12)
-        assert calibration.sum_sq(c) == pytest.approx(np.square(prob).sum(), rel=1e-12)
+        expected, sum_sq = calibration.sizes(c)
+        assert expected == pytest.approx(prob.sum(), rel=1e-12)
+        assert expected == pytest.approx(12000, rel=1e-12)
+        assert sum_sq == pytest.approx(np.square(prob).sum(), rel=1e-12)
 
     def test_wcc_consistent_under_misspecification(self):
         oat = presets.oatmeal()
@@ -380,7 +418,7 @@ class TestCalibration:
         draws = []
         for _ in range(40):
             data = sample_population(oat, 100000, rng)
-            scheme = class_balanced_scheme(data.labels, 4000, weighted=True)
+            scheme = class_balanced_scheme(class_counts(data.labels), 4000, weighted=True)
             draws.append(estimate(data, scheme, rng).as_array())
         draws = np.array(draws)
         se = draws.std(axis=0, ddof=1) / np.sqrt(len(draws))

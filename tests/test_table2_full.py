@@ -1,4 +1,4 @@
-"""Full-scale headline study: n = 10^6, 1000 replications (hours).
+"""Full-scale headline study: n = 10^6, 1000 replications (about 5 min).
 
 Not part of the default suite; opt in with LCCSUB_RUN_FULL_TABLE2=1.
 Checks the published bias^2/variance values within three bootstrap SEs.
