@@ -3,7 +3,8 @@
 All quantities are x-integrals with the label integrated out analytically:
 exact cell sums for discrete populations, Gauss-Legendre panels for the
 step population, and Monte-Carlo draws with reported standard errors for
-Gaussian populations.
+Gaussian populations, whose callers pass grid=integration_grid(spec,
+mc_nodes=..., rng=...).
 
 Conventions (row x, pilot lam, evaluation point theta, rate multiplier c,
 xt = (1, x), m = sigmoid((theta - lam)'xt), a_y the acceptance probability
@@ -46,9 +47,6 @@ __all__ = [
     "conditional_bias_slope",
     "sigma_full",
 ]
-
-_MC_NODES_DEFAULT = 4 * 10**6
-
 
 @dataclass(frozen=True)
 class AsymptoticsReport:
@@ -145,11 +143,9 @@ def eval_abar(
     pilot: ModelParams,
     c: float = 1.0,
     grid: Grid | None = None,
-    mc_nodes: int = _MC_NODES_DEFAULT,
-    rng=None,
 ) -> tuple[float, float]:
     """Marginal acceptance probability E[min(c*a(X,Y), 1)] with its MC-SE."""
-    grid = grid or integration_grid(spec, mc_nodes=mc_nodes, rng=rng)
+    grid = grid or integration_grid(spec)
     per_x = _acceptance(grid, pilot.as_array(), c)[-1]
     value = float(np.sum(grid.masses * per_x))
     if grid.exact:
@@ -164,8 +160,6 @@ def eval_matrices(
     pilot: ModelParams,
     c: float = 1.0,
     grid: Grid | None = None,
-    mc_nodes: int = _MC_NODES_DEFAULT,
-    rng=None,
     theta_star: ModelParams | None = None,
 ) -> AsymptoticsReport:
     """Evaluate abar, G, H, J, C, Sigma and SigmaFull at (theta, pilot, c).
@@ -176,7 +170,7 @@ def eval_matrices(
     """
     if c < 1.0:
         raise ValueError("c must be at least 1 for the weighted moments")
-    grid = grid or integration_grid(spec, mc_nodes=mc_nodes, rng=rng)
+    grid = grid or integration_grid(spec)
     theta_vec = theta.as_array()
     lam_vec = pilot.as_array()
     k = theta_vec.size
@@ -247,8 +241,6 @@ def eval_bar_theta(
     pilot: ModelParams,
     tol: float = 1e-12,
     grid: Grid | None = None,
-    mc_nodes: int = _MC_NODES_DEFAULT,
-    rng=None,
 ) -> OracleFit:
     """Large-sample limit of the estimator with the pilot frozen.
 
@@ -257,7 +249,7 @@ def eval_bar_theta(
     proportional to the marginal acceptance), then shifts back by the
     pilot.  pilot=0 gives the plain population minimizer.
     """
-    grid = grid or integration_grid(spec, mc_nodes=mc_nodes, rng=rng)
+    grid = grid or integration_grid(spec)
     lam_vec = pilot.as_array()
     design, _, _, _, accept = _acceptance(grid, lam_vec, 1.0)
     masses = grid.masses * accept

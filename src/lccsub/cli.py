@@ -22,7 +22,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .asymptotics import _MC_NODES_DEFAULT, conditional_bias_slope, eval_matrices, lcc_variance
+from .asymptotics import conditional_bias_slope, eval_matrices, lcc_variance
 from .experiments import TooManyFailures, one_blas_thread, run_experiment
 from .fileio import (
     ConfigError,
@@ -63,13 +63,14 @@ from .sampling import (
     accept_pass,
     class_balanced_scheme,
     class_counts,
-    scheme_adjustment,
 )
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 EXIT_BUDGET = 3
+
+_MC_NODES_DEFAULT = 4 * 10**6  # asymptotics --mc-nodes
 
 
 class _UsageError(Exception):
@@ -232,10 +233,12 @@ _SCHEME_OPTIONS = {
     "lcc": ("pilot", "pilot_size", "c", "target_size", "retain_cases"),
 }
 _OVERRIDES = (("target_size", "a0"), ("target_size", "a1"), ("pilot", "pilot_size"))
+# the smallest sizes: the pilot reservoir keeps pilot_size // 2 rows of each class
+_LEAST_SIZES = (("pilot_size", 4), ("target_size", 1))
 
 
-def _refuse_unused_options(args):
-    """A sample option the run would ignore is a usage error."""
+def _refuse_bad_options(args):
+    """A sample option the run would ignore, or a size below its least, is a usage error."""
     names = sorted({name for names in _SCHEME_OPTIONS.values() for name in names})
     # `is`, not `in`: --rate 0 is given, though 0.0 == False
     given = [n for n in names if getattr(args, n) is not None and getattr(args, n) is not False]
@@ -246,6 +249,9 @@ def _refuse_unused_options(args):
     for first, second in _OVERRIDES:
         if first in given and second in given:
             raise _UsageError(f"{flag[second]} is not used with {flag[first]}")
+    for name, least in _LEAST_SIZES:
+        if name in given and getattr(args, name) < least:
+            raise _UsageError(f"{flag[name]} must be at least {least}")
 
 
 def _build_scheme(args, seed):
@@ -275,7 +281,7 @@ def _build_scheme(args, seed):
         pilot_size = 1000 if args.pilot_size is None else args.pilot_size
         rng_pilot = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
         with _file_errors_first(args.data):
-            pilot_obs = _reservoir_balanced_pass(args.data, max(pilot_size // 2, 2), rng_pilot)
+            pilot_obs = _reservoir_balanced_pass(args.data, pilot_size // 2, rng_pilot)
             pilot = fit_logistic(pilot_obs).params
         pilot_source = f"wcc reservoir (size {pilot_size})"
     scheme = LocalCaseControl(
@@ -287,7 +293,7 @@ def _build_scheme(args, seed):
 def cmd_sample(args) -> int:
     if not args.out or args.out == "-":
         raise _UsageError("sample needs --out PATH for the subsample CSV")
-    _refuse_unused_options(args)
+    _refuse_bad_options(args)
     with open(args.data, newline="") as src:
         columns = next(csv.reader(src), [])
     if WEIGHT_COLUMN in columns or OFFSET_COLUMN in columns:
@@ -303,25 +309,17 @@ def cmd_sample(args) -> int:
         for header, _, feats, labels, _, _ in stream_rows(args.data):
             yield feats, labels, rng.random(labels.shape[0])
 
-    target = args.target_size if args.scheme == "lcc" else None
-    scheme, rows_read, expected, variance, (_, labels, feats, weights, offsets) = accept_pass(
-        scheme, chunks(), target
-    )
-    realized = labels.size
-    if realized == 0:
-        raise EmptySubsample("no rows accepted")
-    subsample = ObservationSet(feats, labels, weights=weights, offsets=offsets)
-    write_observations_csv(args.out, subsample, header.feature_names)
-    adjustment = scheme_adjustment(scheme, len(header.feature_names))
+    sub = accept_pass(scheme, chunks(), args.target_size if args.scheme == "lcc" else None)
+    write_observations_csv(args.out, sub.to_observation_set(), header.feature_names)
     summary = {
         "seed": seed,
-        "scheme": _scheme_label(scheme),
-        "rows_read": rows_read,
-        "realized_size": realized,
-        "expected_size": expected,
-        "acceptance_rate_estimate": expected / rows_read,
+        "scheme": _scheme_label(sub.scheme),
+        "rows_read": sub.rows_read,
+        "realized_size": sub.realized_size,
+        "expected_size": sub.expected_size,
+        "acceptance_rate_estimate": sub.expected_size / sub.rows_read,
         "pilot_source": pilot_source or "",
-        "adjustment": " ".join(format_value(v) for v in adjustment),
+        "adjustment": " ".join(format_value(v) for v in sub.adjustment),
     }
     summary_rows = [{"key": key, "value": value} for key, value in summary.items()]
     if args.summary:
@@ -332,9 +330,10 @@ def cmd_sample(args) -> int:
             comments=[f"subsample of {args.data}"],
             json_extra={"seed": seed},
         )
+    realized, expected, variance = sub.realized_size, sub.expected_size, sub.size_variance
     z = (realized - expected) / np.sqrt(variance) if variance > 0 else 0.0
     print(
-        f"kept {realized} of {rows_read} rows "
+        f"kept {realized} of {sub.rows_read} rows "
         f"(expected {expected:.1f}, z {z:+.2f}) -> {args.out}",
         file=sys.stderr,
     )

@@ -28,6 +28,7 @@ from .glm import FitConfig, GlmError, ModelParams, ObservationSet, fit_logistic
 from .populations import (
     OracleFit,
     PopulationSpec,
+    equal_class_bias,
     population_theta_star,
     positive_rate,
     sample_conditional,
@@ -266,7 +267,7 @@ def _replicate_explicit(config: ExperimentConfig, rep: int) -> dict:
 def _replicate_implicit(config: ExperimentConfig, rep: int) -> dict:
     spec = config.spec
     prior1 = positive_rate(spec)
-    bias = float(np.log((1.0 - prior1) / prior1))
+    bias = equal_class_bias(spec)
 
     rng_pilot = derived_rng(config.master_seed, rep, "pilot")
     labels = (rng_pilot.random(config.n_pilot) < 0.5).astype(np.float64)

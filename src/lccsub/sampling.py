@@ -3,7 +3,7 @@
 Each scheme accepts row i with a probability that may depend on (x_i, y_i),
 then fits a weighted logistic regression whose offsets absorb the sampling
 tilt, so the fitted coefficients estimate the original-population model
-directly.  The equivalent two-step form (plain fit, then add the stored
+directly.  The equivalent two-step form (plain fit, then add the derived
 `adjustment`) is exposed through the subsample and exercised in tests.
 
 Acceptance uses the coupling z_i = 1{u_i <= prob_i} against caller-supplied
@@ -33,7 +33,6 @@ __all__ = [
     "accept_rows",
     "acceptance_probability",
     "acceptance_probabilities",
-    "scheme_adjustment",
     "draw_subsample",
     "fit_subsample",
     "estimate",
@@ -163,46 +162,51 @@ def acceptance_probability(scheme: SamplingScheme, x, y) -> tuple[float, float]:
     return float(prob[0]), float(weight[0])
 
 
-def scheme_adjustment(scheme: SamplingScheme, p: int) -> np.ndarray:
-    """Coefficient vector to add to a plain (offset-free) subsample fit."""
-    adj = np.zeros(p + 1)
-    if isinstance(scheme, CaseControl):
-        adj[0] = -scheme.bias
-    elif isinstance(scheme, LocalCaseControl):
-        adj = scheme.pilot.as_array()
-    return adj
-
-
 @dataclass(frozen=True)
 class WeightedSubsample:
-    """Selected rows with fit weights, tilt offsets, and the adjustment.
+    """The rows one accept-reject pass kept, in read order, ready to fit.
 
-    offsets are the per-row additions that make the subsample fit report
-    original-population coefficients directly; equivalently the plain
-    zero-offset fit plus `adjustment` gives the same estimate, since
-    offset_i = -adjustment'(1, x_i) row by row.
+    rows are their positions; offsets are the per-row additions that make
+    the subsample fit report original-population coefficients directly.
+    Equivalently the plain zero-offset fit plus `adjustment`, derived from
+    the scheme, gives the same estimate, since offset_i = -adjustment'(1, x_i).
+    expected_size and size_variance are the mean and variance of the size.
     """
 
-    source: ObservationSet
+    scheme: SamplingScheme
+    rows_read: int
+    expected_size: float
+    size_variance: float
     rows: np.ndarray
+    labels: np.ndarray
+    features: np.ndarray
     weights: np.ndarray
     offsets: np.ndarray
-    expected_size: float
-    realized_size: int
-    scheme: SamplingScheme
-    adjustment: np.ndarray
+
+    @property
+    def realized_size(self) -> int:
+        return int(self.rows.size)
+
+    @property
+    def adjustment(self) -> np.ndarray:
+        """Coefficient vector to add to a plain (offset-free) fit of the subsample."""
+        if isinstance(self.scheme, LocalCaseControl):
+            return self.scheme.pilot.as_array()
+        adj = np.zeros(self.features.shape[1] + 1)
+        if isinstance(self.scheme, CaseControl):
+            adj[0] = -self.scheme.bias
+        return adj
 
     def to_observation_set(self) -> ObservationSet:
-        """Materialize the subsample, combining source weights and offsets."""
+        """The fit input: the kept rows with their weights and offsets."""
         if self.realized_size == 0:
             raise EmptySubsample("no rows were accepted")
-        rows = self.rows
         return ObservationSet(
-            self.source.features[rows],
-            self.source.labels[rows],
-            weights=self.source.weights[rows] * self.weights,
-            offsets=self.source.offsets[rows] + self.offsets,
+            self.features, self.labels, weights=self.weights, offsets=self.offsets
         )
+
+
+_ROW_FIELDS = ("rows", "labels", "features", "weights", "offsets")  # one entry per kept row
 
 
 def draw_subsample(
@@ -212,7 +216,8 @@ def draw_subsample(
 
     With target_size (local case-control only) the pass also solves the c
     whose expected subsample size is exactly target_size; see accept_pass.
-    Deterministic given (data, scheme, uniforms, target_size).
+    The subsample's weights and offsets combine the source's own with the
+    scheme's.  Deterministic given (data, scheme, uniforms, target_size).
     """
     uniforms = np.asarray(uniforms, dtype=np.float64)
     if uniforms.shape != (data.n,):
@@ -221,16 +226,11 @@ def draw_subsample(
     step = data.n if target_size is None else CHUNK_ROWS
     spans = [slice(i, i + step) for i in range(0, data.n, step)]
     chunks = ((data.features[r], data.labels[r], uniforms[r]) for r in spans)
-    scheme, _, size, _, (rows, _, _, weights, offsets) = accept_pass(scheme, chunks, target_size)
-    return WeightedSubsample(
-        source=data,
-        rows=rows,
-        weights=weights,
-        offsets=offsets,
-        expected_size=size,
-        realized_size=int(rows.size),
-        scheme=scheme,
-        adjustment=scheme_adjustment(scheme, data.p),
+    sub = accept_pass(scheme, chunks, target_size)
+    return replace(
+        sub,
+        weights=data.weights[sub.rows] * sub.weights,
+        offsets=data.offsets[sub.rows] + sub.offsets,
     )
 
 
@@ -313,18 +313,16 @@ def fit_pilot_wcc(
 def thin_uniform(sub: WeightedSubsample, n_s: int, rng) -> WeightedSubsample:
     """Uniform without-replacement thinning to exactly n_s rows.
 
-    Weights, offsets, and the adjustment carry through unchanged.
+    Each row keeps its weight and offset; the adjustment carries through.
     """
     if n_s > sub.realized_size:
         raise ValueError(f"cannot thin {sub.realized_size} rows to {n_s}")
     pick = np.sort(rng.choice(sub.realized_size, size=n_s, replace=False))
     return replace(
         sub,
-        rows=sub.rows[pick],
-        weights=sub.weights[pick],
-        offsets=sub.offsets[pick],
         expected_size=float(n_s),
-        realized_size=int(n_s),
+        size_variance=0.0,
+        **{name: getattr(sub, name)[pick] for name in _ROW_FIELDS},
     )
 
 
@@ -417,12 +415,11 @@ def _accept_again(scheme, rows, labels, features, weights, offsets, uniforms):
 def accept_pass(scheme: SamplingScheme, chunks, target_size: int | None = None):
     """The one accept-reject pass over (features, labels, uniforms) chunks.
 
-    Returns (scheme, rows read, expected size, variance of the size, kept
-    rows' (positions, labels, features, weights, offsets) in read order).
-    With target_size (local case-control only) c is solved in the same
-    scan: each chunk is accepted at RateCalibration.bound(), which no later
-    row can raise, and the held rows, pruned each time they double, are
-    accepted again at the final c from their pilot predictors -offsets.
+    Returns the WeightedSubsample of the kept rows.  With target_size (local
+    case-control only) c is solved in the same scan: each chunk is
+    accepted at RateCalibration.bound(), which no later row can raise, and
+    the held rows, pruned each time they double, are accepted again at the
+    final c from their pilot predictors -offsets.
     """
     calibration = None
     if target_size is not None:
@@ -454,4 +451,4 @@ def accept_pass(scheme: SamplingScheme, chunks, target_size: int | None = None):
         scheme = replace(scheme, c=calibration.solve())
         kept = _accept_again(scheme, *kept)
         expected, sum_sq = calibration.sizes(scheme.c)
-    return scheme, rows_read, expected, expected - sum_sq, kept[:5]
+    return WeightedSubsample(scheme, rows_read, expected, expected - sum_sq, *kept[:5])

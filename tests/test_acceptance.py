@@ -28,6 +28,7 @@ from lccsub.glm import ModelParams, ObservationSet, hessian, score
 from lccsub.glm import neg_log_likelihood
 from lccsub.populations import (
     equal_class_bias,
+    integration_grid,
     marginal_odds_ratio,
     population_theta_star,
     precision_recall,
@@ -175,7 +176,6 @@ def test_c03_twice_variance(variance_reports):
     ratio = float(np.trace(cov_lcc) / np.trace(cov_full))
     # also compare against the theoretical full-sample covariance
     from lccsub.asymptotics import sigma_full
-    from lccsub.populations import integration_grid
 
     spec = rep_c1.config.spec
     grid = integration_grid(spec, mc_nodes=10**6, rng=np.random.default_rng(12))
@@ -258,12 +258,8 @@ def test_c07_desk_simulation2(sim2_desk_report):
     rates = rep.lcc_acceptance_rates
     measured = float(rates.mean())
     measured_se = float(rates.std(ddof=1) / np.sqrt(rates.size))
-    predicted, predicted_se = eval_abar(
-        spec,
-        rep.theta_star.params,
-        mc_nodes=2 * 10**6,
-        rng=np.random.default_rng(20140607),
-    )
+    grid = integration_grid(spec, mc_nodes=2 * 10**6, rng=np.random.default_rng(20140607))
+    predicted, predicted_se = eval_abar(spec, rep.theta_star.params, grid=grid)
     gap_se = abs(measured - predicted) / np.hypot(measured_se, predicted_se)
     report(
         7,

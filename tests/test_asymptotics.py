@@ -61,9 +61,8 @@ class TestAbar:
     def test_simulation2_pilot_rate(self):
         spec = presets.simulation2(p=50)
         theta0 = spec.linear_params()
-        value, se = eval_abar(
-            spec, theta0, mc_nodes=5 * 10**5, rng=np.random.default_rng(0)
-        )
+        grid = integration_grid(spec, mc_nodes=5 * 10**5, rng=np.random.default_rng(0))
+        value, se = eval_abar(spec, theta0, grid=grid)
         assert value == pytest.approx(0.005, abs=0.001)
         assert 0 < se < 1e-3
 

@@ -13,6 +13,7 @@ from lccsub import presets
 from lccsub.cli import _reservoir_balanced_pass, main
 from lccsub.asymptotics import eval_matrices
 from lccsub.fileio import (
+    format_value,
     load_config_file,
     parse_population,
     read_coefficients,
@@ -20,7 +21,7 @@ from lccsub.fileio import (
     stream_rows,
     write_coefficients,
 )
-from lccsub.populations import population_theta_star, sample_population
+from lccsub.populations import population_theta_star, sample_population, theta_cc_limit
 from lccsub.sampling import (
     LocalCaseControl,
     TooFewCases,
@@ -126,6 +127,22 @@ class TestOracle:
         assert by_key[("theta_star", "x1")] == pytest.approx(1.4, abs=0.05)
         cc_key = next(k for k in by_key if k[0].startswith("theta_cc") and k[1] == "x1")
         assert by_key[cc_key] == pytest.approx(-0.83, abs=0.15)
+
+    def test_extra_bias_rows_are_the_cc_limits(self, tmp_path):
+        out = tmp_path / "oracle.csv"
+        rc = main(["oracle", "--spec", f"{CONFIGS}/oatmeal.cfg", "--b", "0", "--b", "1.5",
+                   "--seed", "1", "--out", str(out)])
+        assert rc == 0
+        with open(out) as handle:
+            rows = list(csv.DictReader(line for line in handle if not line.startswith("#")))
+        value = {(r["quantity"], r["coefficient"]): r["value"] for r in rows}
+        spec = parse_population(load_config_file(f"{CONFIGS}/oatmeal.cfg")["population"])
+        names = ("intercept", "x1", "x2")
+        for b, label in ((0.0, "theta_cc[b=0]"), (1.5, "theta_cc[b=1.5]")):
+            limit = theta_cc_limit(spec, b, tol=1e-10).params.as_array()
+            assert [value[(label, name)] for name in names] == [format_value(v) for v in limit]
+        for name in names:
+            assert value[("theta_cc[b=0]", name)] == value[("theta_star", name)]
 
     def test_steplogit_writes_plot_data(self, tmp_path):
         out = tmp_path / "report.csv"
@@ -422,6 +439,11 @@ class TestSample:
              "--a0 is not used with --target-size"),
             (["lcc", "--pilot", "PILOT", "--pilot-size", "400"],
              "--pilot-size is not used with --pilot"),
+            (["lcc", "--pilot-size", "-4", "--c", "1"], "--pilot-size must be at least 4"),
+            (["lcc", "--pilot-size", "3"], "--pilot-size must be at least 4"),
+            (["cc", "--target-size", "-5"], "--target-size must be at least 1"),
+            (["wcc", "--target-size", "0"], "--target-size must be at least 1"),
+            (["lcc", "--target-size", "-5"], "--target-size must be at least 1"),
         ],
     )
     def test_unused_option_refused_before_any_pass(

@@ -33,6 +33,9 @@ from lccsub.sampling import (
 )
 
 
+ROW_FIELDS = ("rows", "labels", "features", "weights", "offsets")
+
+
 def intercept_pilot(prob):
     return ModelParams(np.log(prob / (1.0 - prob)), [0.0])
 
@@ -285,8 +288,19 @@ class TestThinUniform:
             data, LocalCaseControl(spec.linear_params()), np.random.default_rng(15).random(data.n)
         )
         thinned = thin_uniform(sub, sub.realized_size, np.random.default_rng(16))
-        assert np.array_equal(thinned.rows, sub.rows)
-        assert np.array_equal(thinned.offsets, sub.offsets)
+        for name in ROW_FIELDS:
+            assert np.array_equal(getattr(thinned, name), getattr(sub, name))
+
+    def test_thinning_keeps_each_row_whole(self, gauss_data):
+        spec, data = gauss_data
+        sub = draw_subsample(
+            data, LocalCaseControl(spec.linear_params()), np.random.default_rng(24).random(data.n)
+        )
+        thinned = thin_uniform(sub, sub.realized_size // 2, np.random.default_rng(25))
+        assert thinned.realized_size == sub.realized_size // 2 == thinned.expected_size
+        pick = np.searchsorted(sub.rows, thinned.rows)
+        for name in ROW_FIELDS:
+            assert np.array_equal(getattr(thinned, name), getattr(sub, name)[pick])
 
     def test_oversized_request_raises(self, gauss_data):
         spec, data = gauss_data
@@ -383,11 +397,33 @@ class TestCalibration:
         for scheme in (LocalCaseControl(spec.linear_params(), c=2.0), WeightedCaseControl(0.2, 0.9)):
             sub = draw_subsample(data, scheme, u)
             keep, weights, offsets, prob = accept_rows(scheme, data.features, data.labels, u)
-            assert sub.scheme == scheme
+            assert sub.scheme == scheme and sub.rows_read == data.n
             assert np.array_equal(sub.rows, np.flatnonzero(keep))
+            assert np.array_equal(sub.labels, data.labels[keep])
+            assert np.array_equal(sub.features, data.features[keep])
             assert np.array_equal(sub.weights, weights[keep])
             assert np.array_equal(sub.offsets, offsets[keep])
             assert sub.expected_size == prob.sum()
+            assert sub.size_variance == prob.sum() - np.square(prob).sum()
+
+    def test_source_weights_and_offsets_fold_into_the_draw(self, gauss_data):
+        spec, data = gauss_data
+        rng = np.random.default_rng(30)
+        source = ObservationSet(
+            data.features,
+            data.labels,
+            weights=rng.uniform(0.5, 2.0, data.n),
+            offsets=rng.normal(size=data.n),
+        )
+        u = rng.random(data.n)
+        scheme = LocalCaseControl(spec.linear_params(), c=2.0)
+        plain, sub = (draw_subsample(d, scheme, u) for d in (data, source))
+        assert np.array_equal(sub.rows, plain.rows)
+        assert np.array_equal(sub.weights, source.weights[sub.rows] * plain.weights)
+        assert np.array_equal(sub.offsets, source.offsets[sub.rows] + plain.offsets)
+        obs = sub.to_observation_set()
+        assert np.array_equal(obs.weights, sub.weights)
+        assert np.array_equal(obs.offsets, sub.offsets)
 
     @pytest.mark.parametrize("retain", [False, True])
     def test_bound_falls_to_the_solution(self, gauss_data, retain):
