@@ -14,6 +14,7 @@ acceptance caps exceeded.
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
 import secrets
 import sys
@@ -32,11 +33,11 @@ from .fileio import (
     convert_records,
     format_value,
     load_config_file,
+    map_shards,
     parse_experiment,
     parse_population,
     read_coefficients,
     read_observations_csv,
-    stream_rows,
     write_coefficients,
     write_observations_csv,
     write_report,
@@ -60,7 +61,8 @@ from .sampling import (
     TooFewCases,
     Uniform,
     WeightedCaseControl,
-    accept_pass,
+    accept_finish,
+    accept_scan,
     class_balanced_scheme,
     class_counts,
 )
@@ -175,8 +177,26 @@ def _write_steplogit_plot(path, spec: StepLogit, params: ModelParams):
 
 
 def _count_pass(path):
-    chunks = stream_rows(path, labels_only=True)
-    return tuple(map(sum, zip(*(class_counts(labels) for _, _, _, labels, _, _ in chunks))))
+    def scan(chunks, first):
+        return [class_counts(labels) for _, _, _, labels, _, _ in chunks]
+
+    _, shards = map_shards(path, scan, labels_only=True)
+    return tuple(map(sum, zip(*(counts for shard in shards for counts in shard))))
+
+
+def _generator_at(rng, row: int):
+    """A copy of rng at the draw a pass from row 0 reaches at `row`: one random() per row."""
+    rng = copy.deepcopy(rng)
+    rng.bit_generator.advance(row)
+    return rng
+
+
+def _keep_smallest(keys, records, size):
+    """The `size` smallest keys and their records."""
+    if keys.size <= size:
+        return keys, records
+    top = np.argpartition(keys, size - 1)[:size]
+    return keys[top], [records[i] for i in top]
 
 
 def _reservoir_balanced_pass(path, per_class, rng):
@@ -184,33 +204,54 @@ def _reservoir_balanced_pass(path, per_class, rng):
 
     Every row draws one uniform key in file order and each class keeps the
     rows with its per_class smallest keys: a uniform sample without
-    replacement that does not depend on the chunking.  The keys ignore row
-    content, so only the labels are converted; the pass holds the raw
-    records of rows still among their class's smallest keys and converts
-    the kept ones at the end.
+    replacement that does not depend on the chunking or the shards.  The
+    keys ignore row content, so only the labels are converted; each shard
+    holds the raw records of rows still among their class's smallest keys,
+    and the kept ones are converted at the end.  rng ends where one draw
+    per row leaves it.
     """
-    seen, keys, kept = [0, 0], [np.empty(0), np.empty(0)], [[], []]
-    for header, _, records, labels, _, _ in stream_rows(path, labels_only=True):
-        chunk_keys = rng.random(labels.shape[0])
-        for y in (0, 1):
-            rows = np.flatnonzero(labels == y)
-            seen[y] += rows.size
-            if keys[y].size == per_class:
-                rows = rows[chunk_keys[rows] < keys[y].max()]
-            keys[y] = np.concatenate([keys[y], chunk_keys[rows]])
-            kept[y] += [records[i] for i in rows]
-            if keys[y].size > per_class:
-                top = np.argpartition(keys[y], per_class - 1)[:per_class]
-                keys[y], kept[y] = keys[y][top], [kept[y][i] for i in top]
+
+    def scan(chunks, first):
+        keys_rng = _generator_at(rng, first)
+        seen, keys, kept = [0, 0], [np.empty(0), np.empty(0)], [[], []]
+        for _, _, records, labels, _, _ in chunks:
+            chunk_keys = keys_rng.random(labels.shape[0])
+            for y in (0, 1):
+                rows = np.flatnonzero(labels == y)
+                seen[y] += rows.size
+                if keys[y].size == per_class:
+                    rows = rows[chunk_keys[rows] < keys[y].max()]
+                keys[y], kept[y] = _keep_smallest(
+                    np.concatenate([keys[y], chunk_keys[rows]]),
+                    kept[y] + [records[i] for i in rows],
+                    per_class,
+                )
+        return seen, keys, kept
+
+    header, shards = map_shards(path, scan, labels_only=True)
+    seen = [sum(shard[0][y] for shard in shards) for y in (0, 1)]
     if not (seen[0] and seen[1]):
         raise TooFewCases("pilot needs both classes present")
-    records = [kept[y][i] for y in (0, 1) for i in np.argsort(keys[y])]
-    sizes = [keys[0].size, keys[1].size]
+    rng.bit_generator.advance(seen[0] + seen[1])
+    records, sizes = [], []
+    for y in (0, 1):
+        keys, kept = _keep_smallest(
+            np.concatenate([shard[1][y] for shard in shards]),
+            [record for shard in shards for record in shard[2][y]],
+            per_class,
+        )
+        records += [kept[i] for i in np.argsort(keys)]
+        sizes.append(keys.size)
     return ObservationSet(
         convert_records(header, records)[2],
         np.repeat([0.0, 1.0], sizes),
         weights=np.repeat([seen[0] / sizes[0], seen[1] / sizes[1]], sizes),
     )
+
+
+def _read_through(chunks, first):
+    for _ in chunks:
+        pass
 
 
 @contextmanager
@@ -220,8 +261,7 @@ def _file_errors_first(path):
     try:
         yield
     except Exception:
-        for _ in stream_rows(path):
-            pass
+        map_shards(path, _read_through)
         raise
 
 
@@ -302,14 +342,16 @@ def cmd_sample(args) -> int:
         )
     seed = _resolve_seed(args)
     scheme, pilot_source = _build_scheme(args, seed)
-    rng, header = np.random.default_rng(seed), None
+    target_size = args.target_size if args.scheme == "lcc" else None
+    rng = np.random.default_rng(seed)
 
-    def chunks():
-        nonlocal header
-        for header, _, feats, labels, _, _ in stream_rows(args.data):
-            yield feats, labels, rng.random(labels.shape[0])
+    def scan(chunks, first):
+        shard_rng = _generator_at(rng, first)
+        draws = ((f, labels, shard_rng.random(labels.shape[0])) for _, _, f, labels, _, _ in chunks)
+        return accept_scan(scheme, draws, target_size, first)
 
-    sub = accept_pass(scheme, chunks(), args.target_size if args.scheme == "lcc" else None)
+    header, shards = map_shards(args.data, scan)
+    sub = accept_finish(shards)
     write_observations_csv(args.out, sub.to_observation_set(), header.feature_names)
     summary = {
         "seed": seed,

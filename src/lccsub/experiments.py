@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import ctypes
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -330,6 +329,9 @@ def run_experiment(
     # threads would oversubscribe the cores the workers use.
     with one_blas_thread() as blas:
         if threads > 1:
+            # imported here: importing lccsub.cli, every command's set-up, skips it
+            from concurrent.futures import ThreadPoolExecutor
+
             with ThreadPoolExecutor(max_workers=threads) as pool:
                 results = list(pool.map(one, reps))
         else:

@@ -13,10 +13,13 @@ import csv
 import io
 import json
 import os
+import pickle
+import signal
 import sys
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
+from functools import partial
 from itertools import chain, islice
 
 import numpy as np
@@ -45,6 +48,7 @@ __all__ = [
     "parse_population",
     "parse_experiment",
     "stream_rows",
+    "map_shards",
     "convert_records",
     "write_report",
 ]
@@ -207,7 +211,22 @@ def convert_records(header: CsvHeader, records):
     return _convert(header, None, rows, 1)
 
 
-def stream_rows(path: str, chunk_size: int = CHUNK_ROWS, labels_only: bool = False):
+def _read_header(handle) -> CsvHeader:
+    try:
+        return _parse_header(next(csv.reader(handle)))
+    except StopIteration:
+        raise CsvFormatError("empty file: no header row") from None
+
+
+def stream_rows(
+    path: str,
+    chunk_size: int = CHUNK_ROWS,
+    labels_only: bool = False,
+    *,
+    offset: int | None = None,
+    first_row: int = 1,
+    rows: int | None = None,
+):
     """Yield (header, row_offset, features, labels, weights, offsets) chunks.
 
     weights/offsets are None when the columns are absent.  Row numbers in
@@ -216,27 +235,144 @@ def stream_rows(path: str, chunk_size: int = CHUNK_ROWS, labels_only: bool = Fal
     quote is split by csv.reader instead, since a quoted field may hold a
     newline.  With labels_only only the label column is converted and
     checked, and chunks are (header, row_offset, records, labels, None,
-    None): the raw records, for convert_records.
+    None): the raw records, for convert_records.  A shard of the file
+    starts at byte `offset`, numbers its first row `first_row` and reads
+    at most `rows` lines; by default the pass reads every row.
     """
     convert = _convert_labels if labels_only else _convert
     with open(path, newline="") as handle:
-        try:
-            header = _parse_header(next(csv.reader(handle)))
-        except StopIteration:
-            raise CsvFormatError("empty file: no header row") from None
-        start = 1
-        while lines := list(islice(handle, chunk_size)):
+        header = _read_header(handle)
+        if offset is not None:
+            handle.seek(offset)
+        source = handle if rows is None else islice(handle, rows)
+        start = first_row
+        while lines := list(islice(source, chunk_size)):
             text = "".join(lines)
-            rows = None  # csv records, where the C reader cannot take the lines
+            records = None  # csv records, where the C reader cannot take the lines
             if '"' in text:
                 # read on past the chunk's lines until its records are whole
-                rows = list(islice(csv.reader(chain(lines, handle)), chunk_size))
+                records = list(islice(csv.reader(chain(lines, source)), chunk_size))
             elif text.isspace() or any(c in text for c in _C_READER_UNSAFE):
-                rows = list(csv.reader(lines))
-            yield convert(header, lines, rows, start)
-            start += len(rows or lines)
+                records = list(csv.reader(lines))
+            yield convert(header, lines, records, start)
+            start += len(records or lines)
         if start == 1:
             raise CsvFormatError("no data rows")
+
+
+_SCAN_BYTES = 1 << 20  # the newline scan for shard starts holds at most this much of the file
+
+
+def _newline_counts(handle):
+    """[(block start, block length, newlines)] per block of the file, or None
+    when its records need not end at newlines: a quote may hold one inside a
+    field, and a carriage return not followed by one ends a line too."""
+    blocks, pos = [], 0
+    while block := handle.read(_SCAN_BYTES):
+        if block.endswith(b"\r"):
+            block += handle.read(1)  # a \r\n split across blocks
+        if b'"' in block or (b"\r" in block and block.count(b"\r") != block.count(b"\r\n")):
+            return None
+        newlines = int(np.count_nonzero(np.frombuffer(block, np.uint8) == 10))
+        blocks.append((pos, len(block), newlines))
+        pos += len(block)
+    return blocks
+
+
+def _shards(path: str, workers: int):
+    """[(offset, first_row, rows)]: contiguous runs of CHUNK_ROWS-line chunks,
+    at most one per worker, in file order.  The last shard reads to the end."""
+    with open(path, "rb") as handle:
+        blocks = _newline_counts(handle)
+        if not blocks:
+            return [(None, 1, None)]
+        through = np.cumsum([newlines for _, _, newlines in blocks])  # newlines up to each block's end
+        handle.seek(-1, os.SEEK_END)
+        # the header ends at the first newline; a last line may lack its own
+        data_rows = int(through[-1]) - 1 + (handle.read(1) != b"\n")
+        chunks = -(-data_rows // CHUNK_ROWS)
+        workers = min(workers, chunks)
+        if workers <= 1:
+            return [(None, 1, None)]
+        firsts = [s * chunks // workers * CHUNK_ROWS for s in range(workers)]
+        offsets = []
+        for first in firsts:
+            # data row `first` (from 0) begins after newline first + 1 (from 1)
+            k = int(np.searchsorted(through, first + 1))
+            pos, size, newlines = blocks[k]
+            handle.seek(pos)
+            ends = np.flatnonzero(np.frombuffer(handle.read(size), np.uint8) == 10)
+            offsets.append(pos + int(ends[first - (through[k] - newlines)]) + 1)
+    rows = [end - first for first, end in zip(firsts, firsts[1:])] + [None]
+    return [(offset, first + 1, n) for offset, first, n in zip(offsets, firsts, rows)]
+
+
+def _fork(task):
+    """(pid, read end of a pipe) of a forked worker that runs task() and
+    sends back (True, its result) or (False, its exception), pickled."""
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        # the worker never returns or unwinds into its caller's frames
+        try:
+            os.close(read)
+            try:
+                payload = (True, task())
+            except BaseException as exc:  # raised again by the parent
+                payload = (False, exc)
+            with open(write, "wb") as pipe:
+                pickle.dump(payload, pipe, pickle.HIGHEST_PROTOCOL)
+        finally:
+            os._exit(0)
+    os.close(write)
+    return pid, read
+
+
+def _receive(pid: int, read: int):
+    with open(read, "rb", closefd=False) as pipe:
+        try:
+            ok, value = pickle.load(pipe)
+        except (EOFError, pickle.UnpicklingError):
+            raise RuntimeError(f"shard worker {pid} exited without a result") from None
+    if not ok:
+        raise value
+    return value
+
+
+def map_shards(path: str, scan, labels_only: bool = False):
+    """(header, [scan(chunks, first) for each shard]): one pass, split by core.
+
+    The shards are contiguous runs of CHUNK_ROWS-line chunks, one per
+    usable core at most; `chunks` is stream_rows over the shard and `first`
+    the position (from 0) of its first row, so each chunk holds the rows a
+    one-shard pass gives it.  The caller scans shard 0 and forked workers
+    the others.  A file whose records need not end at newlines is one shard.
+    The first exception in file order is raised, and every worker is
+    reaped before this returns or raises.
+    """
+    with open(path, newline="") as handle:
+        header = _read_header(handle)
+    shards = _shards(path, len(os.sched_getaffinity(0)))
+
+    def run(shard):
+        offset, first_row, rows = shard
+        chunks = stream_rows(
+            path, labels_only=labels_only, offset=offset, first_row=first_row, rows=rows
+        )
+        return scan(chunks, first_row - 1)
+
+    workers = []  # (pid, read end) per forked shard, in file order
+    try:
+        for shard in shards[1:]:
+            workers.append(_fork(partial(run, shard)))
+        results = [run(shards[0])]
+        results += [_receive(pid, read) for pid, read in workers]
+        return header, results
+    finally:
+        for pid, read in workers:
+            os.close(read)
+            os.kill(pid, signal.SIGKILL)  # a no-op once it has sent its result
+            os.waitpid(pid, 0)
 
 
 def read_observations_csv(path: str):

@@ -42,6 +42,9 @@ __all__ = [
     "class_counts",
     "RateCalibration",
     "accept_pass",
+    "accept_scan",
+    "accept_finish",
+    "ShardScan",
     "CHUNK_ROWS",
 ]
 
@@ -330,6 +333,15 @@ CHUNK_ROWS = 8192  # rows per chunk of every streamed pass
 _BOUND_SLACK = 1e-6  # relative headroom of RateCalibration.bound() over rounding
 
 
+def _in_order(values) -> float:
+    """Sum left to right, as one running total over the chunks would; on
+    Python 3.12+ the builtin sum() compensates and rounds otherwise."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 class RateCalibration:
     """Streaming solve of sum_i prob_i(c) = target for a local case-control c.
 
@@ -337,19 +349,18 @@ class RateCalibration:
     at c = 1; retained cases have probability 1 at every c.  The sum is
     continuous, increasing and piecewise linear in c, and at the solution
     fewer than `target` rows are capped, all among the `target` largest
-    a_i.  So the state is those values, the sums of all a_i and a_i**2
-    (for the size's variance) and two counts: memory O(target) whatever
-    the number of rows.  accept_pass adds CHUNK_ROWS rows at a time, so
-    the running sums, and every result, do not depend on where the rows
-    came from.
+    a_i.  So the state is those values, the per-chunk sums of a_i and
+    a_i**2 (for the size's variance) and two counts: memory O(target)
+    whatever the number of rows.  accept_scan adds CHUNK_ROWS rows at a
+    time and the sums are added in chunk order, so every result depends
+    on the rows alone, not on where they came from or how a pass was split.
     """
 
     def __init__(self, scheme: LocalCaseControl, target: int):
         self.scheme = replace(scheme, c=1.0)
         self.target = int(target)
         self.top = np.empty(0)
-        self.total = 0.0
-        self.total_sq = 0.0  # sum of a_i**2
+        self.sums = []  # (sum of a_i, sum of a_i**2) per chunk, in chunk order
         self.free = 0  # rows with a_i > 0 whose probability scales with c
         self.sure = 0  # retained cases
 
@@ -360,12 +371,29 @@ class RateCalibration:
             self.sure += int(case.sum())
             a = a[~case]
         self.free += int(np.count_nonzero(a))
-        self.total += float(a.sum())
-        self.total_sq += float(np.square(a).sum())
+        self.sums.append((float(a.sum()), float(np.square(a).sum())))
+        self._keep_top(a)
+
+    def _keep_top(self, a) -> None:
         top = np.concatenate([self.top, a])
         if top.size > self.target:
             top = np.partition(top, top.size - self.target)[-self.target:]
         self.top = top
+
+    @classmethod
+    def merge(cls, parts):
+        """One calibration over the rows of parts given in file order,
+        equal bit for bit to one that took all of their chunks itself."""
+        merged = cls(parts[0].scheme, parts[0].target)
+        for part in parts:
+            merged.sums += part.sums
+            merged.free += part.free
+            merged.sure += part.sure
+            merged._keep_top(part.top)
+        return merged
+
+    def _total(self, k: int) -> float:
+        return _in_order(sums[k] for sums in self.sums)
 
     def solve(self) -> float:
         """The c whose expected subsample size is exactly target."""
@@ -374,26 +402,30 @@ class RateCalibration:
             raise ValueError(
                 f"target size {self.target} is not reachable: the expected size "
                 f"lies strictly between {self.sure} and {self.sure + self.free}"
-                + (" over the rows so far" if need <= 0 else "")
             )
         # the rows capped at the solution are among the `need` largest
         a = np.sort(self.top)[::-1][:need]
         head = np.concatenate([[0.0], np.cumsum(a)])
+        total = self._total(0)
         # expected size at c = 1/a[k], where the rows 0..k are capped
-        size_at = np.arange(1, a.size + 1) + (self.total - head[1:]) / a
+        size_at = np.arange(1, a.size + 1) + (total - head[1:]) / a
         k = int(np.argmax(size_at >= need))
         # between 1/a[k-1] and 1/a[k] exactly the k largest rows are capped
-        return (need - k) / (self.total - head[k])
+        return (need - k) / (total - head[k])
 
     def bound(self) -> float:
         """An upper bound on solve() after any further rows.
 
         Each row adds a term that is nonnegative and nondecreasing in c,
         so the root over the rows so far can only fall as rows arrive.
-        Retained cases only add to `sure`, so once they reach the target
-        this raises as solve() would at the end.
+        Retained cases only add to `sure`; once they reach the target no c
+        is solvable and solve() raises at the end, so any bound serves, and
+        the least positive one holds no row but those cases.
         """
-        if 0 < self.target - self.sure >= self.free:
+        need = self.target - self.sure
+        if need <= 0:
+            return np.finfo(np.float64).tiny
+        if need >= self.free:
             return np.finfo(np.float64).max  # not reachable yet
         return self.solve() * (1.0 + _BOUND_SLACK)
 
@@ -401,8 +433,8 @@ class RateCalibration:
         """(sum_i prob_i(c), sum_i prob_i(c)**2) over the rows so far, for c <= solve()."""
         top = np.sort(self.top)  # summed in one order however rows arrived
         capped = np.minimum(c * top, 1.0)
-        rest_sq = self.total_sq - float(np.square(top).sum())
-        expected = self.sure + float(capped.sum()) + c * (self.total - float(top.sum()))
+        rest_sq = self._total(1) - float(np.square(top).sum())
+        expected = self.sure + float(capped.sum()) + c * (self._total(0) - float(top.sum()))
         return expected, self.sure + float(np.square(capped).sum()) + c * c * rest_sq
 
 
@@ -412,14 +444,37 @@ def _accept_again(scheme, rows, labels, features, weights, offsets, uniforms):
     return tuple(a[keep] for a in (rows, labels, features, weights, offsets, uniforms))
 
 
-def accept_pass(scheme: SamplingScheme, chunks, target_size: int | None = None):
-    """The one accept-reject pass over (features, labels, uniforms) chunks.
+def _join(parts):
+    return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
 
-    Returns the WeightedSubsample of the kept rows.  With target_size (local
-    case-control only) c is solved in the same scan: each chunk is
-    accepted at RateCalibration.bound(), which no later row can raise, and
-    the held rows, pruned each time they double, are accepted again at the
-    final c from their pilot predictors -offsets.
+
+@dataclass(frozen=True)
+class ShardScan:
+    """What accept_scan keeps of one shard of rows, for accept_finish.
+
+    kept holds (rows, labels, features, weights, offsets) of the kept rows,
+    and their uniforms while c is calibrated: then the rows held at the
+    shard's bound, to be accepted again at the final c.  sums holds each
+    chunk's (sum of prob, sum of prob**2) when c is given.
+    """
+
+    scheme: SamplingScheme
+    rows_read: int
+    sums: list
+    calibration: RateCalibration | None
+    kept: tuple
+
+
+def accept_scan(
+    scheme: SamplingScheme, chunks, target_size: int | None = None, first: int = 0
+) -> ShardScan:
+    """The accept-reject scan of one shard of (features, labels, uniforms) chunks.
+
+    first is the position of the shard's first row.  With target_size
+    (local case-control only) each chunk is accepted at the shard's
+    RateCalibration.bound(): the root over the shard's rows so far, which
+    neither its later rows nor the other shards' rows can raise.  The held
+    rows are pruned at the bound each time they double.
     """
     calibration = None
     if target_size is not None:
@@ -427,28 +482,54 @@ def accept_pass(scheme: SamplingScheme, chunks, target_size: int | None = None):
             raise ValueError("target_size calibrates c, so it needs local case-control")
         calibration = RateCalibration(scheme, target_size)
         scheme, bound = calibration.scheme, calibration.bound()
-    rows_read, expected, sum_sq, held, pruned, parts = 0, 0.0, 0.0, 0, 0, []
+    rows_read, sums, held, pruned, parts = 0, [], 0, 0, []
     for features, labels, uniforms in chunks:
         keep, weights, offsets, prob = accept_rows(scheme, features, labels, uniforms)
+        columns = (labels, features, weights, offsets)
         if calibration is None:
-            expected += float(prob.sum())
-            sum_sq += float(np.square(prob).sum())
+            sums.append((float(prob.sum()), float(np.square(prob).sum())))
         else:
             calibration.add(prob, labels)
             # every row kept at a c <= bound, the retained cases (prob 1) too
             keep = (uniforms <= bound * prob) | (prob == 1.0)
+            columns += (uniforms,)
         rows = np.flatnonzero(keep)
-        columns = (labels, features, weights, offsets, uniforms)
-        parts.append((rows + rows_read, *(a.take(rows, axis=0) for a in columns)))
+        parts.append((rows + (first + rows_read), *(a.take(rows, axis=0) for a in columns)))
         rows_read += labels.shape[0]
         held += rows.size
         if calibration is not None and held > 2 * pruned:
             bound = calibration.bound()
-            parts = [_accept_again(replace(scheme, c=bound), *map(np.concatenate, zip(*parts)))]
+            parts = [_accept_again(replace(scheme, c=bound), *_join(parts))]
             held = pruned = parts[0][0].size
-    kept = parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
-    if calibration is not None:
+    return ShardScan(scheme, rows_read, sums, calibration, _join(parts))
+
+
+def accept_finish(scans) -> WeightedSubsample:
+    """The WeightedSubsample of accept_scan's shards, given in file order.
+
+    Sums are added in chunk order, so the result equals bit for bit that
+    of one scan over all the rows.  A calibrated c is solved over every
+    shard, and the held rows are accepted again at it from their pilot
+    predictors -offsets.
+    """
+    scheme, kept = scans[0].scheme, _join([scan.kept for scan in scans])
+    if scans[0].calibration is None:
+        sums = [s for scan in scans for s in scan.sums]
+        expected, sum_sq = (_in_order(s[k] for s in sums) for k in (0, 1))
+    else:
+        calibration = RateCalibration.merge([scan.calibration for scan in scans])
         scheme = replace(scheme, c=calibration.solve())
         kept = _accept_again(scheme, *kept)
         expected, sum_sq = calibration.sizes(scheme.c)
+    rows_read = sum(scan.rows_read for scan in scans)
     return WeightedSubsample(scheme, rows_read, expected, expected - sum_sq, *kept[:5])
+
+
+def accept_pass(scheme: SamplingScheme, chunks, target_size: int | None = None):
+    """The one accept-reject pass over (features, labels, uniforms) chunks:
+    the one-shard case of accept_scan and accept_finish.
+
+    Returns the WeightedSubsample of the kept rows.  With target_size
+    (local case-control only) c is solved in the same scan.
+    """
+    return accept_finish([accept_scan(scheme, chunks, target_size)])

@@ -9,12 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lccsub import presets
+from lccsub import fileio, presets
 from lccsub.cli import _reservoir_balanced_pass, main
 from lccsub.asymptotics import eval_matrices
 from lccsub.fileio import (
     format_value,
     load_config_file,
+    map_shards,
     parse_population,
     read_coefficients,
     read_observations_csv,
@@ -403,9 +404,9 @@ class TestSample:
 
         def counting(*args, **kwargs):
             passes.append("labels" if kwargs.get("labels_only") else "rows")
-            return stream_rows(*args, **kwargs)
+            return map_shards(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "stream_rows", counting)
+        monkeypatch.setattr(cli, "map_shards", counting)
         return passes
 
     def test_usage_errors_before_any_pass(self, gauss_csv, tmp_path, capsys, monkeypatch):
@@ -542,6 +543,100 @@ class TestSample:
         assert passes == [] and not out.exists()
 
 
+    @staticmethod
+    def set_workers(monkeypatch, workers):
+        """Make `workers` cores usable, whatever the machine has."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            ["lcc", "--pilot-size", "400", "--target-size", "3000"],
+            ["lcc", "--pilot-size", "400", "--target-size", "3000", "--retain-cases"],
+            ["lcc", "--pilot", "PILOT", "--c", "2"],
+            ["cc", "--target-size", "2000"],
+            ["wcc", "--target-size", "2000"],
+            ["uniform", "--rate", "0.05"],
+        ],
+    )
+    def test_output_does_not_depend_on_worker_count(
+        self, gauss_csv, tmp_path, capsys, monkeypatch, options
+    ):
+        # 20,000 rows: two full chunks and a partial one, so 3 workers scan one chunk each
+        _, _, raw, pilot, _ = gauss_csv
+        options = [pilot if o == "PILOT" else o for o in options]
+        out, summary = tmp_path / "sub.csv", tmp_path / "summary.json"
+        runs = []
+        for workers in (1, 2, 3):
+            assert len(fileio._shards(raw, workers)) == workers
+            self.set_workers(monkeypatch, workers)
+            assert main(["sample", "--data", raw, "--scheme", *options, "--seed", "7",
+                         "--out", str(out), "--summary", str(summary), "--format", "json"]) == 0
+            runs.append((out.read_bytes(), summary.read_bytes(), capsys.readouterr().err))
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+        with pytest.raises(ChildProcessError):  # every worker was reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("first_shard_bad", [False, True])
+    def test_worker_error_raised_in_file_order(
+        self, gauss_csv, tmp_path, capsys, monkeypatch, first_shard_bad
+    ):
+        _, _, raw, pilot, _ = gauss_csv
+        self.set_workers(monkeypatch, 2)
+        lines = Path(raw).read_text().splitlines(keepends=True)
+        if first_shard_bad:
+            lines[5] = "0,1,oops,2\n"  # row 5, in the caller's shard
+        bad = tmp_path / "bad.csv"
+        bad.write_text("".join(lines) + "0,1,2,x\n")  # row 20001, in the worker's shard
+        assert [s[1] for s in fileio._shards(str(bad), 2)] == [1, 8193]
+        out = tmp_path / "sub.csv"
+        # each worker ends in os._exit, so none unwinds into this test: it writes a byte first
+        exits, wrote = os.pipe()
+        real_exit = os._exit
+        monkeypatch.setattr(os, "_exit", lambda code: (os.write(wrote, b"x"), real_exit(code)))
+        rc = main(["sample", "--data", str(bad), "--scheme", "lcc", "--pilot", pilot,
+                   "--target-size", "800", "--seed", "2", "--out", str(out)])
+        os.close(wrote)
+        with open(exits, "rb") as pipe:
+            ended = pipe.read()
+        # the worker ran to os._exit, unless it was stopped once shard 0 had failed
+        assert ended == b"x" or (first_shard_bad and ended == b"")
+        assert rc == 1
+        message = ("row 5, column 'x2': not a number: 'oops'" if first_shard_bad
+                   else "row 20001, column 'x3': not a number: 'x'")
+        assert f"error: {message}\n" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [bad]
+        with pytest.raises(ChildProcessError):  # every worker was reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("layout, shards", [("quoted", 1), ("\r", 1), ("\r\n", 3)])
+    def test_records_off_newlines_keep_one_shard(
+        self, gauss_csv, tmp_path, capsys, monkeypatch, layout, shards
+    ):
+        _, _, raw, _, _ = gauss_csv
+        lines = Path(raw).read_text().splitlines()
+        if layout == "quoted":
+            cells = lines[9000].split(",")
+            lines[9000] = ",".join([cells[0], f'"{cells[1]}\n"', *cells[2:]])  # over two lines
+            text = "\n".join(lines) + "\n"
+        elif layout == "\r":
+            # bare \r ends the first 100 lines, \n the rest
+            text = "\r".join(lines[:100]) + "\r" + "\n".join(lines[100:]) + "\n"
+        else:
+            text = layout.join(lines) + layout
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode())
+        assert len(fileio._shards(str(path), 3)) == shards
+        runs = []
+        for workers in (1, 3):
+            self.set_workers(monkeypatch, workers)
+            out = tmp_path / "sub.csv"
+            assert main(["sample", "--data", str(path), "--scheme", "lcc", "--pilot-size", "400",
+                         "--target-size", "3000", "--seed", "3", "--out", str(out)]) == 0
+            runs.append((out.read_bytes(), capsys.readouterr().err))
+        assert runs[1] == runs[0]
+
+
 class TestPilotSample:
     @staticmethod
     def write(path, labels):
@@ -560,13 +655,11 @@ class TestPilotSample:
         assert set(obs.features[zeros, 0]) <= set(range(30)) | set(range(33, 43))
 
     def test_chunking_does_not_change_the_sample(self, tmp_path, monkeypatch):
-        from lccsub import cli
-
         path = self.write(tmp_path / "d.csv", [int(i % 3 == 0) for i in range(200)])
         whole = _reservoir_balanced_pass(path, 7, np.random.default_rng(5))
         for size in (1, 9, 64):
             monkeypatch.setattr(
-                cli, "stream_rows", lambda p, **kw: stream_rows(p, chunk_size=size, **kw)
+                fileio, "stream_rows", lambda p, **kw: stream_rows(p, chunk_size=size, **kw)
             )
             chunked = _reservoir_balanced_pass(path, 7, np.random.default_rng(5))
             assert np.array_equal(whole.features, chunked.features)
@@ -582,8 +675,6 @@ class TestPilotSample:
 
     @pytest.mark.parametrize("quoted", [False, True])
     def test_label_pass_equals_full_parse_bitwise(self, tmp_path, monkeypatch, quoted):
-        from lccsub import cli
-
         rng = np.random.default_rng(8)
         x = rng.normal(size=(300, 3)) * 10.0 ** rng.integers(-5, 5, size=(300, 3))
         y = (rng.random(300) < 0.2).astype(int)
@@ -598,7 +689,7 @@ class TestPilotSample:
         (want0, want1), rows = self.reference(str(path), 20, np.random.default_rng(4))
         for size in (1, 5, 64, 8192):
             monkeypatch.setattr(
-                cli, "stream_rows", lambda p, **kw: stream_rows(p, chunk_size=size, **kw)
+                fileio, "stream_rows", lambda p, **kw: stream_rows(p, chunk_size=size, **kw)
             )
             got = _reservoir_balanced_pass(str(path), 20, np.random.default_rng(4))
             assert got.features.flags["C_CONTIGUOUS"]
@@ -622,6 +713,20 @@ class TestPilotSample:
         with pytest.raises(TooFewCases):
             _reservoir_balanced_pass(path, 5, np.random.default_rng(0))
 
+    def test_shards_merge_to_the_serial_reservoir(self, tmp_path, monkeypatch):
+        # three full chunks and a partial one; rows of the rarer class in every chunk
+        path = self.write(tmp_path / "d.csv", [int(i % 37 == 0) for i in range(3 * 8192 + 100)])
+        runs = []
+        for workers in (1, 2, 3, 4):
+            assert len(fileio._shards(path, workers)) == workers
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
+            rng = np.random.default_rng(12)
+            obs = _reservoir_balanced_pass(path, 300, rng)
+            runs.append((obs.features.tobytes(), obs.labels.tobytes(), obs.weights.tobytes()))
+            # rng ends where one key per row leaves it
+            assert rng.random() == np.random.default_rng(12).random(3 * 8192 + 101)[-1]
+        assert runs[1:] == runs[:1] * 3
+
 
 def test_cli_import_leaves_scipy_unloaded():
     """lccsub does not depend on scipy: neither importing the CLI nor the
@@ -642,6 +747,23 @@ def test_cli_import_leaves_scipy_unloaded():
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
 
+
+
+def test_cli_import_starts_no_process_pool():
+    """Importing lccsub.cli is every command's set-up: it loads neither
+    multiprocessing nor concurrent.futures, which cost milliseconds."""
+    import lccsub
+
+    env = dict(os.environ)
+    src = str(Path(lccsub.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys, lccsub.cli\n"
+        "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 class TestFit:
     def test_intercept_only_file(self, tmp_path, capsys):

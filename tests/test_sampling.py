@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,10 @@ from lccsub.sampling import (
     TooFewCases,
     Uniform,
     WeightedCaseControl,
+    accept_finish,
+    accept_pass,
     accept_rows,
+    accept_scan,
     acceptance_probabilities,
     acceptance_probability,
     class_balanced_scheme,
@@ -446,6 +451,60 @@ class TestCalibration:
         assert expected == pytest.approx(prob.sum(), rel=1e-12)
         assert expected == pytest.approx(12000, rel=1e-12)
         assert sum_sq == pytest.approx(np.square(prob).sum(), rel=1e-12)
+
+    # shard boundaries, in chunks, of 5 chunks: the last holds one row
+    SPLITS = ([1], [3], [1, 2], [2, 4], [1, 2, 3, 4])
+
+    @staticmethod
+    def five_chunks(retain):
+        # at seed 28, summing each shard's chunks first rounds the c = 2
+        # expected size apart from the one-pass sum for 4 of the 5 splits
+        spec = presets.correct_gaussian(p=10, mu_scale=0.3)
+        data = sample_population(spec, 4 * CHUNK_ROWS + 1, np.random.default_rng(28))
+        spans = [slice(i, i + CHUNK_ROWS) for i in range(0, data.n, CHUNK_ROWS)]
+        return LocalCaseControl(spec.linear_params(), retain_cases=retain), data, spans
+
+    @pytest.mark.parametrize("retain", [False, True])
+    def test_shard_calibrations_merge_bitwise(self, retain):
+        scheme, data, spans = self.five_chunks(retain)
+
+        def calibration(rows):
+            cal = RateCalibration(scheme, 8000)
+            for r in rows:
+                a, _ = acceptance_probabilities(cal.scheme, data.features[r], data.labels[r])
+                cal.add(a, data.labels[r])
+            return cal
+
+        whole = calibration(spans)
+        c = whole.solve()
+        for cuts in self.SPLITS:
+            bounds = [0, *cuts, len(spans)]
+            parts = [calibration(spans[a:b]) for a, b in zip(bounds, bounds[1:])]
+            merged = RateCalibration.merge(parts)
+            assert merged.solve() == c
+            assert merged.sizes(c) == whole.sizes(c)
+
+    @pytest.mark.parametrize("target,retain", [(None, False), (8000, False), (2000, True)])
+    def test_shard_scans_finish_as_one_pass(self, target, retain):
+        scheme, data, spans = self.five_chunks(retain)
+        if target is None:
+            scheme = replace(scheme, c=2.0)
+        u = np.random.default_rng(27).random(data.n)
+        chunks = [(data.features[r], data.labels[r], u[r]) for r in spans]
+        whole = accept_pass(scheme, chunks, target)
+        for cuts in self.SPLITS:
+            bounds = [0, *cuts, len(spans)]
+            scans = [
+                accept_scan(scheme, chunks[a:b], target, first=a * CHUNK_ROWS)
+                for a, b in zip(bounds, bounds[1:])
+            ]
+            sub = accept_finish(scans)
+            assert (sub.scheme, sub.rows_read) == (whole.scheme, whole.rows_read)
+            assert (sub.expected_size, sub.size_variance) == (
+                whole.expected_size, whole.size_variance
+            )
+            for name in ROW_FIELDS:
+                assert np.array_equal(getattr(sub, name), getattr(whole, name)), name
 
     def test_wcc_consistent_under_misspecification(self):
         oat = presets.oatmeal()
