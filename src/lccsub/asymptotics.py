@@ -2,9 +2,11 @@
 
 All quantities are x-integrals with the label integrated out analytically:
 exact cell sums for discrete populations, Gauss-Legendre panels for the
-step population, and Monte-Carlo draws with reported standard errors for
-Gaussian populations, whose callers pass grid=integration_grid(spec,
-mc_nodes=..., rng=...).
+step population, and for Gaussian populations a quadrature rule built
+along the linear predictors each integrand depends on (the pilot and
+theta - pilot, or theta_star), which is exact.  A caller may pass its own
+grid instead; on a Monte-Carlo grid (Grid.exact False) the standard errors
+are the nodes' spread.
 
 Conventions (row x, pilot lam, evaluation point theta, rate multiplier c,
 xt = (1, x), m = sigmoid((theta - lam)'xt), a_y the acceptance probability
@@ -145,7 +147,7 @@ def eval_abar(
     grid: Grid | None = None,
 ) -> tuple[float, float]:
     """Marginal acceptance probability E[min(c*a(X,Y), 1)] with its MC-SE."""
-    grid = grid or integration_grid(spec)
+    grid = grid or integration_grid(spec, along=(pilot.as_array(),), c=c)
     per_x = _acceptance(grid, pilot.as_array(), c)[-1]
     value = float(np.sum(grid.masses * per_x))
     if grid.exact:
@@ -166,13 +168,15 @@ def eval_matrices(
 
     SigmaFull is the no-subsampling sandwich at theta_star (defaults to
     theta).  C integrates the pilot derivative of G's integrand in closed
-    form on the same grid.
+    form on the same grid.  Without a grid, SigmaFull gets its own along
+    theta_star.
     """
     if c < 1.0:
         raise ValueError("c must be at least 1 for the weighted moments")
-    grid = grid or integration_grid(spec)
     theta_vec = theta.as_array()
     lam_vec = pilot.as_array()
+    given = grid
+    grid = grid or integration_grid(spec, along=(lam_vec, theta_vec - lam_vec), c=c)
     k = theta_vec.size
 
     mom = _node_moments(grid, theta_vec, lam_vec, c)
@@ -192,7 +196,7 @@ def eval_matrices(
 
     Sigma = np.linalg.solve(H, np.linalg.solve(H, J).T)
 
-    SigmaFull, se_full = sigma_full(spec, theta_star or theta, grid=grid)
+    SigmaFull, se_full = sigma_full(spec, theta_star or theta, grid=given)
 
     mc_se = {
         "abar": 0.0 if grid.exact else float(mom["abar"].std(ddof=1) / np.sqrt(len(masses))),
@@ -223,7 +227,7 @@ def sigma_full(spec: PopulationSpec, theta_star: ModelParams, grid: Grid | None 
     H_full^-1 J_full H_full^-1 under the original population; collapses to
     the inverse Fisher information under correct specification.
     """
-    grid = grid or integration_grid(spec)
+    grid = grid or integration_grid(spec, along=(theta_star.as_array(),))
     design = grid.design
     p = grid.prob1
     mstar = K.sigmoid(design @ theta_star.as_array())
@@ -247,7 +251,8 @@ def eval_bar_theta(
     Solves the tilted population score equation in the shifted
     parameterization (soft labels sigmoid(f(x) - lam'xt) under x-masses
     proportional to the marginal acceptance), then shifts back by the
-    pilot.  pilot=0 gives the plain population minimizer.
+    pilot.  pilot=0 gives the plain population minimizer.  The target is
+    not linear in p(x), so a Gaussian population needs the caller's grid.
     """
     grid = grid or integration_grid(spec)
     lam_vec = pilot.as_array()

@@ -38,6 +38,7 @@ from .fileio import (
     parse_population,
     read_coefficients,
     read_observations_csv,
+    shard_plan,
     write_coefficients,
     write_observations_csv,
     write_report,
@@ -72,7 +73,7 @@ EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 EXIT_BUDGET = 3
 
-_MC_NODES_DEFAULT = 4 * 10**6  # asymptotics --mc-nodes
+_MC_NODES_DEFAULT = 4 * 10**6  # asymptotics --mc-nodes, which no population uses
 
 
 class _UsageError(Exception):
@@ -176,11 +177,11 @@ def _write_steplogit_plot(path, spec: StepLogit, params: ModelParams):
 # sample
 
 
-def _count_pass(path):
+def _count_pass(path, plan):
     def scan(chunks, first):
         return [class_counts(labels) for _, _, _, labels, _, _ in chunks]
 
-    _, shards = map_shards(path, scan, labels_only=True)
+    _, shards = map_shards(path, scan, plan, labels_only=True)
     return tuple(map(sum, zip(*(counts for shard in shards for counts in shard))))
 
 
@@ -199,7 +200,7 @@ def _keep_smallest(keys, records, size):
     return keys[top], [records[i] for i in top]
 
 
-def _reservoir_balanced_pass(path, per_class, rng):
+def _reservoir_balanced_pass(path, per_class, rng, plan):
     """One-pass per-class uniform sample; returns a WCC-weighted pilot set.
 
     Every row draws one uniform key in file order and each class keeps the
@@ -228,7 +229,7 @@ def _reservoir_balanced_pass(path, per_class, rng):
                 )
         return seen, keys, kept
 
-    header, shards = map_shards(path, scan, labels_only=True)
+    header, shards = map_shards(path, scan, plan, labels_only=True)
     seen = [sum(shard[0][y] for shard in shards) for y in (0, 1)]
     if not (seen[0] and seen[1]):
         raise TooFewCases("pilot needs both classes present")
@@ -255,13 +256,13 @@ def _read_through(chunks, first):
 
 
 @contextmanager
-def _file_errors_first(path):
+def _file_errors_first(path, plan):
     """On any exception from a label-only step, one full check pass runs
     first, so a bad file raises its first CsvFormatError as a full pass would."""
     try:
         yield
     except Exception:
-        map_shards(path, _read_through)
+        map_shards(path, _read_through, plan)
         raise
 
 
@@ -278,7 +279,8 @@ _LEAST_SIZES = (("pilot_size", 4), ("target_size", 1))
 
 
 def _refuse_bad_options(args):
-    """A sample option the run would ignore, or a size below its least, is a usage error."""
+    """A sample option the run would ignore or needs and lacks, or a size
+    below its least, is a usage error."""
     names = sorted({name for names in _SCHEME_OPTIONS.values() for name in names})
     # `is`, not `in`: --rate 0 is given, though 0.0 == False
     given = [n for n in names if getattr(args, n) is not None and getattr(args, n) is not False]
@@ -292,36 +294,36 @@ def _refuse_bad_options(args):
     for name, least in _LEAST_SIZES:
         if name in given and getattr(args, name) < least:
             raise _UsageError(f"{flag[name]} must be at least {least}")
+    if args.scheme == "uniform" and args.rate is None:
+        raise _UsageError("--rate is required for uniform sampling")
+    if args.scheme in ("cc", "wcc") and args.target_size is None and None in (args.a0, args.a1):
+        raise _UsageError(f"--a0/--a1 or --target-size required for {args.scheme}")
 
 
-def _build_scheme(args, seed):
-    """Resolve the scheme, running count/pilot passes if needed.
+def _build_scheme(args, seed, plan, pilot):
+    """Resolve the scheme, running count/pilot passes over plan's shards if needed.
 
-    Returns (scheme, pilot_source); for lcc with --target-size the
-    acceptance pass then solves c.
+    `pilot` is --pilot's coefficients, if given.  Returns (scheme,
+    pilot_source); for lcc with --target-size the acceptance pass then
+    solves c.
     """
     if args.scheme == "uniform":
-        if args.rate is None:
-            raise _UsageError("--rate is required for uniform sampling")
         return Uniform(args.rate), None
     if args.scheme in ("cc", "wcc"):
         cls = CaseControl if args.scheme == "cc" else WeightedCaseControl
-        if args.a0 is not None and args.a1 is not None:
-            return cls(a0=args.a0, a1=args.a1), None
         if args.target_size is None:
-            raise _UsageError(f"--a0/--a1 or --target-size required for {args.scheme}")
-        with _file_errors_first(args.data):
-            counts = _count_pass(args.data)
+            return cls(a0=args.a0, a1=args.a1), None
+        with _file_errors_first(args.data, plan):
+            counts = _count_pass(args.data, plan)
             return class_balanced_scheme(counts, args.target_size, args.scheme == "wcc"), None
     # lcc
-    if args.pilot is not None:
-        pilot, _ = read_coefficients(args.pilot)
+    if pilot is not None:
         pilot_source = args.pilot
     else:
         pilot_size = 1000 if args.pilot_size is None else args.pilot_size
         rng_pilot = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
-        with _file_errors_first(args.data):
-            pilot_obs = _reservoir_balanced_pass(args.data, pilot_size // 2, rng_pilot)
+        with _file_errors_first(args.data, plan):
+            pilot_obs = _reservoir_balanced_pass(args.data, pilot_size // 2, rng_pilot, plan)
             pilot = fit_logistic(pilot_obs).params
         pilot_source = f"wcc reservoir (size {pilot_size})"
     scheme = LocalCaseControl(
@@ -341,7 +343,9 @@ def cmd_sample(args) -> int:
             "input already has weight/offset columns; sample from raw feature CSVs"
         )
     seed = _resolve_seed(args)
-    scheme, pilot_source = _build_scheme(args, seed)
+    pilot = None if args.pilot is None else read_coefficients(args.pilot)[0]
+    plan = shard_plan(args.data)  # after every usage error: one newline scan serves every pass
+    scheme, pilot_source = _build_scheme(args, seed, plan, pilot)
     target_size = args.target_size if args.scheme == "lcc" else None
     rng = np.random.default_rng(seed)
 
@@ -350,7 +354,7 @@ def cmd_sample(args) -> int:
         draws = ((f, labels, shard_rng.random(labels.shape[0])) for _, _, f, labels, _, _ in chunks)
         return accept_scan(scheme, draws, target_size, first)
 
-    header, shards = map_shards(args.data, scan)
+    header, shards = map_shards(args.data, scan, plan)
     sub = accept_finish(shards)
     write_observations_csv(args.out, sub.to_observation_set(), header.feature_names)
     summary = {
@@ -439,16 +443,11 @@ def cmd_asymptotics(args) -> int:
         star if value == "star" else read_coefficients(value)[0]
         for value in (args.theta, args.pilot)
     )
-    grid = integration_grid(spec, mc_nodes=args.mc_nodes, rng=np.random.default_rng(seed))
-    report = eval_matrices(spec, theta, pilot, c=args.c, grid=grid)
+    report = eval_matrices(spec, theta, pilot, c=args.c)
     variance = lcc_variance(report)
     slope = conditional_bias_slope(report)
-    rows = [
-        {"quantity": "abar", "row": 0, "col": 0, "value": report.abar, "mc_se": report.mc_se["abar"]}
-    ]
-    # a quantity without an SE is exact only on an exact grid
-    no_se = 0.0 if grid.exact else None
-    ses = dict(report.mc_se, G=report.mc_se["G"][:, None])
+    # every population's rule is exact, so no value carries a Monte-Carlo error
+    rows = [{"quantity": "abar", "row": 0, "col": 0, "value": report.abar, "mc_se": 0.0}]
     for name, mat in (
         ("G", report.G[:, None]),
         ("H", report.H),
@@ -459,16 +458,9 @@ def cmd_asymptotics(args) -> int:
         ("variance", variance),
         ("bias_slope", slope),
     ):
-        se = ses.get(name)
         for (i, j), value in np.ndenumerate(mat):
             rows.append(
-                {
-                    "quantity": name,
-                    "row": i,
-                    "col": j,
-                    "value": float(value),
-                    "mc_se": no_se if se is None else float(se[i, j]),
-                }
+                {"quantity": name, "row": i, "col": j, "value": float(value), "mc_se": 0.0}
             )
     extra = {
         "seed": seed,
@@ -600,7 +592,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", default="star")
     p.add_argument("--pilot", default="star")
     p.add_argument("--c", type=float, default=1.0)
-    p.add_argument("--mc-nodes", type=int, default=_MC_NODES_DEFAULT)
+    p.add_argument(
+        "--mc-nodes",
+        type=int,
+        default=_MC_NODES_DEFAULT,
+        help="ignored: every population's rule is exact (accepted so older command lines run)",
+    )
     p.add_argument("--tol", type=float, default=1e-10)
     common(p)
     p.set_defaults(func=cmd_asymptotics)

@@ -49,6 +49,7 @@ __all__ = [
     "parse_experiment",
     "stream_rows",
     "map_shards",
+    "shard_plan",
     "convert_records",
     "write_report",
 ]
@@ -339,20 +340,25 @@ def _receive(pid: int, read: int):
     return value
 
 
-def map_shards(path: str, scan, labels_only: bool = False):
+def shard_plan(path: str):
+    """The shards of a pass over `path`, one per usable core at most (see _shards)."""
+    return _shards(path, len(os.sched_getaffinity(0)))
+
+
+def map_shards(path: str, scan, shards, labels_only: bool = False):
     """(header, [scan(chunks, first) for each shard]): one pass, split by core.
 
-    The shards are contiguous runs of CHUNK_ROWS-line chunks, one per
-    usable core at most; `chunks` is stream_rows over the shard and `first`
-    the position (from 0) of its first row, so each chunk holds the rows a
-    one-shard pass gives it.  The caller scans shard 0 and forked workers
+    `shards` is shard_plan(path), which a run making several passes over
+    one file computes once: contiguous runs of CHUNK_ROWS-line chunks, one
+    per usable core at most.  `chunks` is stream_rows over a shard and
+    `first` the position (from 0) of its first row, so each chunk holds the
+    rows a one-shard pass gives it.  The caller scans shard 0 and forked workers
     the others.  A file whose records need not end at newlines is one shard.
     The first exception in file order is raised, and every worker is
     reaped before this returns or raises.
     """
     with open(path, newline="") as handle:
         header = _read_header(handle)
-    shards = _shards(path, len(os.sched_getaffinity(0)))
 
     def run(shard):
         offset, first_row, rows = shard

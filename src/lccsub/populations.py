@@ -10,7 +10,8 @@ solved by damped Newton: on exact cell sums for discrete populations, on
 two-panel Gauss-Legendre quadrature for the step population (the integrand
 is smooth on each side of the jump), and on a closed-form risk for Gaussian
 populations (one-dimensional Gauss-Hermite sums by Stein's lemma).  Other
-Gaussian integrals use Monte-Carlo grids with reported standard errors.
+Gaussian integrals are exact too: integration_grid builds a quadrature rule
+along the linear predictors the integrand depends on.
 """
 
 from __future__ import annotations
@@ -388,25 +389,29 @@ class Grid:
 
 _STEP_NODES_PER_PANEL = 256
 _HERMITE_NODES = 160
-_MC_SEED = 20140523
+# A Gaussian grid's coordinates: Gauss-Legendre panels of _PANEL_NODES nodes
+# on |t| <= _NORMAL_RANGE (the normal tail beyond holds 8e-24), each at most
+# _PANEL_WIDTH standard deviations and units of the predictor wide (the
+# sigmoid's poles lie pi off the real axis).
+_PANEL_NODES = 10
+_NORMAL_RANGE = 10.0
+_PANEL_WIDTH = 2.0
 
 
-def _gauss_legendre(a: float, b: float, n: int):
+def _gauss_legendre(a, b, n: int):
     x, w = np.polynomial.legendre.leggauss(n)
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
-def integration_grid(
-    spec: PopulationSpec,
-    mc_nodes: int | None = None,
-    rng=None,
-) -> Grid:
+def integration_grid(spec: PopulationSpec, along=(), c: float = 1.0) -> Grid:
     """Integration rule over the feature distribution.
 
     Discrete populations integrate exactly over cells; the step population
-    uses Gauss-Legendre panels split at the jump.  Both ignore mc_nodes.
-    Gaussian populations need mc_nodes: that many plain Monte-Carlo nodes
-    are drawn from rng (seeded by default), each with mass 1/mc_nodes.
+    uses Gauss-Legendre panels split at the jump.  Both ignore `along` and
+    `c`.  A Gaussian population's rule is built along the linear predictors
+    `along` (coefficient vectors, intercept first) that the integrand
+    depends on, and is exact for integrands linear in p(x) and at most
+    quadratic in x given them (_gaussian_grid).
     """
     if isinstance(spec, DiscretePopulation):
         return Grid(spec.points, spec.masses, K.sigmoid(spec.logodds), True)
@@ -417,15 +422,71 @@ def integration_grid(
         masses = np.concatenate([w1, w2])
         return Grid(pts, masses, conditional_probability(spec, pts), True)
     if isinstance(spec, TwoClassGaussian):
-        if mc_nodes is None:
-            raise ValueError("a Gaussian population's grid needs mc_nodes")
-        if rng is None:
-            rng = np.random.default_rng(_MC_SEED)
-        labels = (rng.random(mc_nodes) < spec.prior1).astype(np.float64)
-        pts = _gaussian_features(spec, labels, rng)
-        masses = np.full(mc_nodes, 1.0 / mc_nodes)
-        return Grid(pts, masses, conditional_probability(spec, pts), False)
+        if not len(along):
+            raise ValueError(
+                "a Gaussian population's grid needs the linear predictors of its integrand"
+            )
+        return _gaussian_grid(spec, along, c)
     raise TypeError(f"unknown population spec {type(spec)!r}")
+
+
+def _normal_rule(scale: float, split: float = 0.0):
+    """(nodes, weights) for a standard normal t that enters as scale * t:
+    Gauss-Legendre panels with an edge at `split`."""
+    edge = float(np.clip(split, -_NORMAL_RANGE, _NORMAL_RANGE))
+    width = _PANEL_WIDTH / max(scale, 1.0)
+    cuts = np.unique(np.concatenate([
+        np.linspace(a, b, int(np.ceil((b - a) / width)) + 1)
+        for a, b in ((-_NORMAL_RANGE, edge), (edge, _NORMAL_RANGE))
+    ]))
+    t, w = _gauss_legendre(cuts[:-1, None], cuts[1:, None], _PANEL_NODES)
+    return t.ravel(), (w * np.exp(-0.5 * t * t)).ravel() / np.sqrt(2.0 * np.pi)
+
+
+def _gaussian_grid(spec: TwoClassGaussian, along, c: float) -> Grid:
+    """Exact rule for sum_y P(Y=y) E_y[g(x)], g at most quadratic in x given u = B'(1, x).
+
+    Each node carries its class as prob1 (0 or 1) and mass P(Y=y) times its
+    weight: an integrand linear in p(x) has E[p(x) g(x)] = P(Y=1) E_1[g].
+    Under class y, x = mu + L z with z standard normal.  The predictors see
+    z through the Gram-Schmidt directions q_i of the L'beta_i (beta_i the
+    slopes of along[i]); each t_i = q_i'z gets a _normal_rule, the first
+    split where min(c * a, 1) has its kink: sigmoid(u) = 1/c for controls
+    and 1 - 1/c for cases.  Given t, the other k directions of z have mean
+    0 and identity covariance, carried exactly by the k + 1 vertices of a
+    regular simplex: two moments are all a quadratic integrand sees.
+    """
+    points, masses, prob1 = [], [], []
+    for y, prior, mu, chol in (
+        (0.0, 1.0 - spec.prior1, spec.mu0, spec._chol[0]),
+        (1.0, spec.prior1, spec.mu1, spec._chol[1]),
+    ):
+        directions, t, weights = [], np.zeros((1, 0)), np.ones(1)
+        for i, b in enumerate(along):
+            a = chol.T @ b[1:]
+            resid = a - sum((q @ a) * q for q in directions)
+            scale = float(np.linalg.norm(resid))
+            if scale <= 1e-12 * np.linalg.norm(a):
+                continue  # constant given the predictors before it
+            split = 0.0
+            if i == 0 and c > 1.0:
+                split = (np.log(c - 1.0) * (2.0 * y - 1.0) - b[0] - b[1:] @ mu) / scale
+            directions.append(resid / scale)
+            nodes, w = _normal_rule(scale, split)
+            t = np.column_stack([np.repeat(t, nodes.size, axis=0), np.tile(nodes, t.shape[0])])
+            weights = np.outer(weights, w).ravel()
+        p, r = mu.size, len(directions)
+        # the QR of [q_1 .. q_r, I] completes the q_i to a basis, and the rows
+        # of a ones column's complete QR, less its first column, are the
+        # vertices of a regular simplex over sqrt(k + 1)
+        rest = np.linalg.qr(np.column_stack(directions + [np.eye(p)]))[0][:, r:]
+        simplex = np.linalg.qr(np.ones((p - r + 1, 1)), mode="complete")[0][:, 1:]
+        vertices = np.sqrt(p - r + 1.0) * simplex @ rest.T
+        z = (t @ np.reshape(directions, (r, p)))[:, None, :] + vertices
+        points.append(mu + z.reshape(-1, p) @ chol.T)
+        masses.append(np.repeat(prior * weights / len(vertices), len(vertices)))
+        prob1.append(np.full(masses[-1].size, y))
+    return Grid(np.concatenate(points), np.concatenate(masses), np.concatenate(prob1), True)
 
 
 def _gaussian_risk(spec: TwoClassGaussian):
@@ -502,7 +563,7 @@ def _solve_on_grid(grid: Grid, design, masses, target, tol, offsets=0.0) -> Orac
 
 def population_score(spec: PopulationSpec, theta: ModelParams, grid: Grid | None = None):
     """Population score E[(p(X) - p_theta(X)) (1,X)'] on the spec's grid."""
-    grid = grid or integration_grid(spec)
+    grid = grid or integration_grid(spec, along=(theta.as_array(),))
     design = grid.design
     mu = K.sigmoid(design @ theta.as_array())
     return design.T @ (grid.masses * (grid.prob1 - mu))

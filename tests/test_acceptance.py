@@ -28,7 +28,6 @@ from lccsub.glm import ModelParams, ObservationSet, hessian, score
 from lccsub.glm import neg_log_likelihood
 from lccsub.populations import (
     equal_class_bias,
-    integration_grid,
     marginal_odds_ratio,
     population_theta_star,
     precision_recall,
@@ -178,8 +177,7 @@ def test_c03_twice_variance(variance_reports):
     from lccsub.asymptotics import sigma_full
 
     spec = rep_c1.config.spec
-    grid = integration_grid(spec, mc_nodes=10**6, rng=np.random.default_rng(12))
-    sf, _ = sigma_full(spec, spec.linear_params(), grid=grid)
+    sf, _ = sigma_full(spec, spec.linear_params())
     theory_ratio = float(
         np.trace(cov_lcc * rep_c1.config.n_full) / np.trace(2 * sf)
     )
@@ -258,8 +256,7 @@ def test_c07_desk_simulation2(sim2_desk_report):
     rates = rep.lcc_acceptance_rates
     measured = float(rates.mean())
     measured_se = float(rates.std(ddof=1) / np.sqrt(rates.size))
-    grid = integration_grid(spec, mc_nodes=2 * 10**6, rng=np.random.default_rng(20140607))
-    predicted, predicted_se = eval_abar(spec, rep.theta_star.params, grid=grid)
+    predicted, predicted_se = eval_abar(spec, rep.theta_star.params)
     gap_se = abs(measured - predicted) / np.hypot(measured_se, predicted_se)
     report(
         7,

@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
 
-from lccsub import presets
+from lccsub import populations, presets
 from lccsub.asymptotics import (
     conditional_bias_slope,
     eval_abar,
     eval_bar_theta,
     eval_matrices,
     lcc_variance,
+    sigma_full,
 )
 from lccsub.glm import ModelParams
 from lccsub.populations import (
+    Grid,
     integration_grid,
     population_theta_star,
     sample_population,
@@ -58,10 +60,10 @@ class TestAbar:
         direct = np.sum(oatmeal.masses * (p * (1 - ptilde) + (1 - p) * ptilde))
         assert value == pytest.approx(direct, rel=1e-14)
 
-    def test_simulation2_pilot_rate(self):
+    def test_simulation2_pilot_rate(self, mc_grid):
         spec = presets.simulation2(p=50)
         theta0 = spec.linear_params()
-        grid = integration_grid(spec, mc_nodes=5 * 10**5, rng=np.random.default_rng(0))
+        grid = mc_grid(spec, mc_nodes=5 * 10**5, rng=np.random.default_rng(0))
         value, se = eval_abar(spec, theta0, grid=grid)
         assert value == pytest.approx(0.005, abs=0.001)
         assert 0 < se < 1e-3
@@ -147,12 +149,12 @@ def _fd_c_matrix(grid, theta, pilot, c, abar, step=5e-5):
     return np.column_stack(cols) / abar
 
 
-def _c_case(name):
+def _c_case(name, mc_grid):
     """(spec, grid, theta, pilot) of one closed-form C check."""
     if name == "example2":
         spec = presets.example2()
         theta = ModelParams.from_array([-6.45663, 1.59292, 1.01273])
-        grid = integration_grid(spec, mc_nodes=5 * 10**5, rng=np.random.default_rng(1))
+        grid = mc_grid(spec, mc_nodes=5 * 10**5, rng=np.random.default_rng(1))
         return spec, grid, theta, theta
     spec = presets.steplogit() if name == "steplogit" else presets.oatmeal()
     star = population_theta_star(spec).params
@@ -167,8 +169,8 @@ class TestClosedFormC:
         "name, c",
         [("oatmeal", 1.0), ("oatmeal_perturbed", 3.0), ("steplogit", 2.0), ("example2", 2.0)],
     )
-    def test_matches_finite_differences_of_G(self, name, c):
-        spec, grid, theta, pilot = _c_case(name)
+    def test_matches_finite_differences_of_G(self, name, c, mc_grid):
+        spec, grid, theta, pilot = _c_case(name, mc_grid)
         rep = eval_matrices(spec, theta, pilot, c=c, grid=grid)
         fd = _fd_c_matrix(grid, theta, pilot, c, rep.abar)
         assert np.max(np.abs(fd - rep.C)) <= 1e-7 * np.max(np.abs(rep.C))
@@ -179,10 +181,10 @@ class TestClosedFormC:
 
 
 @pytest.fixture(scope="module")
-def gauss_reports():
+def gauss_reports(mc_grid):
     spec = presets.correct_gaussian()
     theta0 = spec.linear_params()
-    grid = integration_grid(spec, mc_nodes=10**6, rng=np.random.default_rng(1))
+    grid = mc_grid(spec, mc_nodes=10**6, rng=np.random.default_rng(1))
     return {c: eval_matrices(spec, theta0, theta0, c=c, grid=grid) for c in (1, 2, 5)}
 
 
@@ -231,14 +233,12 @@ class TestConditionalBiasSlope:
 
 
 class TestVarianceAgainstReplication:
-    def test_c_law_empirical_with_true_pilot(self):
+    def test_c_law_empirical_with_true_pilot(self, mc_grid):
         # strong marginal imbalance keeps the acceptance probabilities small
         # everywhere, where the (1 + 1/c) variance law is tight
         spec = presets.correct_gaussian(p=5, prior1=0.01, mu_scale=0.3)
         theta0 = spec.linear_params()
-        grid = integration_grid(spec, mc_nodes=10**6, rng=np.random.default_rng(42))
-        from lccsub.asymptotics import sigma_full
-
+        grid = mc_grid(spec, mc_nodes=10**6, rng=np.random.default_rng(42))
         sf, _ = sigma_full(spec, theta0, grid=grid)
         n, reps = 100000, 400
         rng = np.random.default_rng(314)
@@ -266,3 +266,88 @@ class TestVarianceAgainstReplication:
         theory = lcc_variance(oatmeal_report)
         assert np.min(np.linalg.eigvalsh(theory)) > 0
         assert np.trace(emp) / np.trace(theory) == pytest.approx(1.0, abs=0.15)
+
+
+def _quadrature_points(spec):
+    """(theta, pilot, c) of the quadrature checks: (theta*, theta*) at c = 1,
+    2 and 5 (one predictor), and theta* under a pilot moved off it (two)."""
+    star = population_theta_star(spec).params
+    k = spec.p + 1
+    step = 0.3 * np.random.default_rng(5).standard_normal(k) / np.sqrt(k)
+    moved = ModelParams.from_array(star.as_array() + step)
+    return [(star, star, c) for c in (1.0, 2.0, 5.0)] + [(star, moved, 2.0)]
+
+
+def _batch_se(grid, statistic, batches=20):
+    """Standard error of statistic(grid) from its spread over equal slices of
+    a Monte-Carlo grid's nodes.  Each slice is marked exact, so the
+    statistic forms no per-node errors of its own."""
+    n = grid.masses.size // batches
+    values = [
+        statistic(Grid(grid.points[s], grid.masses[s] * batches, grid.prob1[s], True))
+        for s in (slice(i * n, (i + 1) * n) for i in range(batches))
+    ]
+    return np.std(values, axis=0, ddof=1) / np.sqrt(batches)
+
+
+@pytest.fixture(scope="module")
+def gaussian_oracle(misspecified_gaussian, mc_grid):
+    """(spec, 1M-node Monte-Carlo grid) for each misspecified Gaussian."""
+    _, spec = misspecified_gaussian
+    return spec, mc_grid(spec, 10**6, rng=np.random.default_rng(101))
+
+
+class TestProjectedQuadrature:
+    """The Gaussian grid built along the integrand's linear predictors."""
+
+    def test_within_monte_carlo_error(self, gaussian_oracle):
+        spec, grid = gaussian_oracle
+        points = _quadrature_points(spec)
+        star = points[0][0]
+        for theta, pilot, c in points:
+            exact = eval_matrices(spec, theta, pilot, c=c)
+            oracle = eval_matrices(spec, theta, pilot, c=c, grid=grid)
+            assert all(np.all(se == 0.0) for se in exact.mc_se.values())
+            for name in ("abar", "G", "H", "J"):
+                z = (np.asarray(getattr(exact, name)) - getattr(oracle, name)) / oracle.mc_se[name]
+                assert np.all(np.abs(z) < 3.0), (name, c, z)
+        # SigmaFull, at theta* at every point, is checked once; its error is
+        # the oracle's spread over slices of the nodes
+        se = _batch_se(grid, lambda g: sigma_full(spec, star, grid=g)[0])
+        z = (exact.SigmaFull - oracle.SigmaFull) / se
+        assert np.all(np.abs(z) < 3.0), z
+
+    def test_doubling_the_nodes_moves_nothing(self, misspecified_gaussian, monkeypatch):
+        _, spec = misspecified_gaussian
+        for theta, pilot, c in _quadrature_points(spec):
+            base = eval_matrices(spec, theta, pilot, c=c)
+            with monkeypatch.context() as patch:
+                patch.setattr(populations, "_PANEL_NODES", 2 * populations._PANEL_NODES)
+                finer = eval_matrices(spec, theta, pilot, c=c)
+            for name in ("abar", "G", "H", "J", "C", "Sigma", "SigmaFull"):
+                moved = np.abs(np.asarray(getattr(finer, name)) - getattr(base, name))
+                assert np.all(moved < 1e-10), (name, c, moved.max())
+
+    def test_matches_an_independent_two_dimensional_rule(self):
+        # example2 is two-dimensional: a dense tensor rule over x itself,
+        # with the true p(x) rather than class labels, gives abar directly.
+        # At c = 1 the acceptance has no kink for that rule to miss.
+        spec = presets.example2()
+        star = population_theta_star(spec).params
+        t, w = np.polynomial.legendre.leggauss(30)
+        edges = np.linspace(-10.0, 10.0, 41)
+        half = 0.5 * np.diff(edges)[:, None]
+        t = (half * t + 0.5 * (edges[1:] + edges[:-1])[:, None]).ravel()
+        w = (half * w).ravel() * np.exp(-0.5 * t * t) / np.sqrt(2.0 * np.pi)
+        z = np.stack(np.meshgrid(t, t, indexing="ij"), axis=-1).reshape(-1, 2)
+        weights = np.outer(w, w).ravel()
+        direct = 0.0
+        for prior, mu, chol in ((0.99, spec.mu0, spec._chol[0]), (0.01, spec.mu1, spec._chol[1])):
+            x = mu + z @ chol.T
+            grid = Grid(x, prior * weights, populations.conditional_probability(spec, x), True)
+            direct += eval_abar(spec, star, grid=grid)[0]
+        assert eval_abar(spec, star)[0] == pytest.approx(direct, rel=1e-12)
+
+    def test_gaussian_grid_needs_predictors(self):
+        with pytest.raises(ValueError, match="linear predictors"):
+            eval_bar_theta(presets.example2(), ModelParams.zeros(2))

@@ -19,6 +19,7 @@ from lccsub.fileio import (
     parse_population,
     read_coefficients,
     read_observations_csv,
+    shard_plan,
     stream_rows,
     write_coefficients,
 )
@@ -409,15 +410,34 @@ class TestSample:
         monkeypatch.setattr(cli, "map_shards", counting)
         return passes
 
+    @staticmethod
+    def count_scans(monkeypatch):
+        scans = []  # the shards each newline scan found
+        real = fileio._shards
+        monkeypatch.setattr(fileio, "_shards", lambda *args: scans.append(real(*args)) or scans[-1])
+        return scans
+
     def test_usage_errors_before_any_pass(self, gauss_csv, tmp_path, capsys, monkeypatch):
         _, _, raw, _, _ = gauss_csv
-        passes = self.count_passes(monkeypatch)
+        passes, scans = self.count_passes(monkeypatch), self.count_scans(monkeypatch)
         out = tmp_path / "sub.csv"
         rc = main(["sample", "--data", raw, "--scheme", "lcc", "--pilot-size", "400",
                    "--seed", "1", "--out", str(out), "--c", "2", "--target-size", "50"])
         assert rc == 1
         assert "not allowed with argument --c" in capsys.readouterr().err
-        assert passes == [] and not out.exists()
+        assert passes == scans == [] and not out.exists()
+
+    def test_bad_pilot_file_before_any_scan(self, gauss_csv, tmp_path, capsys, monkeypatch):
+        _, _, raw, _, _ = gauss_csv
+        pilot = tmp_path / "pilot.coef"
+        pilot.write_text("x1 0.5\n")
+        passes, scans = self.count_passes(monkeypatch), self.count_scans(monkeypatch)
+        out = tmp_path / "sub.csv"
+        rc = main(["sample", "--data", raw, "--scheme", "lcc", "--pilot", str(pilot),
+                   "--seed", "1", "--out", str(out)])
+        assert rc == 1
+        assert "first coefficient must be 'intercept'" in capsys.readouterr().err
+        assert passes == scans == [] and not out.exists()
 
     @pytest.mark.parametrize(
         "options, message",
@@ -445,19 +465,22 @@ class TestSample:
             (["cc", "--target-size", "-5"], "--target-size must be at least 1"),
             (["wcc", "--target-size", "0"], "--target-size must be at least 1"),
             (["lcc", "--target-size", "-5"], "--target-size must be at least 1"),
+            (["uniform"], "--rate is required for uniform sampling"),
+            (["cc"], "--a0/--a1 or --target-size required for cc"),
+            (["wcc", "--a0", "0.1"], "--a0/--a1 or --target-size required for wcc"),
         ],
     )
     def test_unused_option_refused_before_any_pass(
         self, gauss_csv, tmp_path, capsys, monkeypatch, options, message
     ):
         _, _, raw, pilot, _ = gauss_csv
-        passes = self.count_passes(monkeypatch)
+        passes, scans = self.count_passes(monkeypatch), self.count_scans(monkeypatch)
         out = tmp_path / "sub.csv"
         options = [pilot if o == "PILOT" else o for o in options]
         rc = main(["sample", "--data", raw, "--scheme", *options, "--seed", "1", "--out", str(out)])
         assert rc == 1
         assert f"error: {message}" in capsys.readouterr().err
-        assert passes == [] and not out.exists()
+        assert passes == scans == [] and not out.exists()
 
     def test_chunk_size_is_not_an_option(self, gauss_csv, tmp_path, capsys):
         _, _, raw, pilot, _ = gauss_csv
@@ -474,6 +497,24 @@ class TestSample:
                    "--seed", "1", "--out", str(tmp_path / "sub.csv")])
         assert rc == 0
         assert passes == ["labels", "rows"]
+
+    @pytest.mark.parametrize("bad", [False, True])
+    def test_newline_scan_once_per_run(self, gauss_csv, tmp_path, monkeypatch, capsys, bad):
+        # an on-the-fly pilot makes a label pass, then the acceptance pass;
+        # a bad label fails the label pass, and the full check pass follows
+        _, _, raw, _, _ = gauss_csv
+        self.set_workers(monkeypatch, 2)
+        if bad:
+            path = tmp_path / "bad.csv"
+            path.write_text(Path(raw).read_text() + "2,1,2,3\n")
+            raw = str(path)
+        passes, scans = self.count_passes(monkeypatch), self.count_scans(monkeypatch)
+        rc = main(["sample", "--data", raw, "--scheme", "lcc", "--pilot-size", "400",
+                   "--target-size", "800", "--seed", "1", "--out", str(tmp_path / "sub.csv")])
+        assert rc == (1 if bad else 0)
+        assert passes == ["labels", "rows"]
+        assert ("row 20001: label 2.0 is not 0 or 1" in capsys.readouterr().err) == bad
+        assert len(scans) == 1 and len(scans[0]) == 2
 
     @staticmethod
     def write_rows(path, n, cases, bad=()):
@@ -639,6 +680,10 @@ class TestSample:
 
 class TestPilotSample:
     @staticmethod
+    def balanced_pass(path, per_class, rng):
+        return _reservoir_balanced_pass(path, per_class, rng, shard_plan(path))
+
+    @staticmethod
     def write(path, labels):
         # the feature is the row number, so kept rows can be told apart
         path.write_text("y,x1\n" + "".join(f"{y},{i}\n" for i, y in enumerate(labels)))
@@ -646,7 +691,7 @@ class TestPilotSample:
 
     def test_keeps_min_k_seen_with_wcc_weights(self, tmp_path):
         path = self.write(tmp_path / "d.csv", [0] * 30 + [1] * 3 + [0] * 10)
-        obs = _reservoir_balanced_pass(path, 5, np.random.default_rng(0))
+        obs = self.balanced_pass(path, 5, np.random.default_rng(0))
         zeros, ones = obs.labels == 0.0, obs.labels == 1.0
         assert zeros.sum() == 5 and ones.sum() == 3
         assert np.all(obs.weights[zeros] == 40 / 5) and np.all(obs.weights[ones] == 1.0)
@@ -656,12 +701,12 @@ class TestPilotSample:
 
     def test_chunking_does_not_change_the_sample(self, tmp_path, monkeypatch):
         path = self.write(tmp_path / "d.csv", [int(i % 3 == 0) for i in range(200)])
-        whole = _reservoir_balanced_pass(path, 7, np.random.default_rng(5))
+        whole = self.balanced_pass(path, 7, np.random.default_rng(5))
         for size in (1, 9, 64):
             monkeypatch.setattr(
                 fileio, "stream_rows", lambda p, **kw: stream_rows(p, chunk_size=size, **kw)
             )
-            chunked = _reservoir_balanced_pass(path, 7, np.random.default_rng(5))
+            chunked = self.balanced_pass(path, 7, np.random.default_rng(5))
             assert np.array_equal(whole.features, chunked.features)
             assert np.array_equal(whole.labels, chunked.labels)
 
@@ -691,7 +736,7 @@ class TestPilotSample:
             monkeypatch.setattr(
                 fileio, "stream_rows", lambda p, **kw: stream_rows(p, chunk_size=size, **kw)
             )
-            got = _reservoir_balanced_pass(str(path), 20, np.random.default_rng(4))
+            got = self.balanced_pass(str(path), 20, np.random.default_rng(4))
             assert got.features.flags["C_CONTIGUOUS"]
             assert got.features.tobytes() == np.vstack([want0, want1]).tobytes()
             assert got.labels.tolist() == [0.0] * 20 + [1.0] * 20
@@ -703,7 +748,7 @@ class TestPilotSample:
         counts = np.zeros(20)
         reps = 400
         for _ in range(reps):
-            obs = _reservoir_balanced_pass(path, 5, rng)
+            obs = self.balanced_pass(path, 5, rng)
             counts[obs.features[obs.labels == 0.0, 0].astype(int)] += 1
         # each row is kept with probability 5/20; 0.1 is over 4.5 sd
         assert np.all(np.abs(counts / reps - 0.25) < 0.1)
@@ -711,7 +756,7 @@ class TestPilotSample:
     def test_absent_class_raises(self, tmp_path):
         path = self.write(tmp_path / "d.csv", [0] * 12)
         with pytest.raises(TooFewCases):
-            _reservoir_balanced_pass(path, 5, np.random.default_rng(0))
+            self.balanced_pass(path, 5, np.random.default_rng(0))
 
     def test_shards_merge_to_the_serial_reservoir(self, tmp_path, monkeypatch):
         # three full chunks and a partial one; rows of the rarer class in every chunk
@@ -721,7 +766,7 @@ class TestPilotSample:
             assert len(fileio._shards(path, workers)) == workers
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
             rng = np.random.default_rng(12)
-            obs = _reservoir_balanced_pass(path, 300, rng)
+            obs = self.balanced_pass(path, 300, rng)
             runs.append((obs.features.tobytes(), obs.labels.tobytes(), obs.weights.tobytes()))
             # rng ends where one key per row leaves it
             assert rng.random() == np.random.default_rng(12).random(3 * 8192 + 101)[-1]
@@ -1079,6 +1124,8 @@ class TestAsymptotics:
         assert "c_fd_relerr" not in payload
 
     def test_rows_without_se_are_null_only_on_monte_carlo_grids(self, tmp_path):
+        # the command builds no Monte-Carlo grid: a Gaussian spec's rule is
+        # exact too, so no row is null and every SE is 0, as on oatmeal
         se = {}
         for name, extra in (("example2", ["--mc-nodes", "20000"]), ("oatmeal", [])):
             out = tmp_path / f"{name}.json"
@@ -1087,12 +1134,33 @@ class TestAsymptotics:
             assert rc == 0
             for r in json.loads(out.read_text())["rows"]:
                 se.setdefault((name, r["quantity"]), []).append(r["mc_se"])
-        for quantity in ("C", "Sigma", "variance", "bias_slope"):
-            assert se[("example2", quantity)] == [None] * 9
-        for quantity in ("abar", "G", "H", "J", "SigmaFull"):
-            values = se[("example2", quantity)]
-            assert all(isinstance(v, float) for v in values) and max(values) > 0
-        assert all(v == 0.0 for key, vs in se.items() if key[0] == "oatmeal" for v in vs)
+        assert se[("example2", "abar")] == [0.0] and se[("example2", "H")] == [0.0] * 9
+        assert all(v == 0.0 for vs in se.values() for v in vs)
+
+    def test_gaussian_output_ignores_seed_and_mc_nodes(self, tmp_path):
+        outputs = set()
+        for seed, nodes in (("1", "1000"), ("2", "1000"), ("1", "500000")):
+            out = tmp_path / "limits.csv"
+            rc = main(["asymptotics", "--spec", f"{CONFIGS}/example2.cfg", "--seed", seed,
+                       "--c", "2", "--mc-nodes", nodes, "--out", str(out)])
+            assert rc == 0
+            # the seed is still recorded, in the first comment line
+            first, rest = out.read_text().split("\n", 1)
+            assert first == f"# seed {seed}"
+            outputs.add(rest)
+        assert len(outputs) == 1
+
+    def test_runs_on_the_twenty_dimensional_desk_population(self, tmp_path):
+        out = tmp_path / "sim2.json"
+        rc = main(["asymptotics", "--spec", f"{CONFIGS}/sim2_desk.cfg", "--seed", "1",
+                   "--format", "json", "--out", str(out)])
+        assert rc == 0
+        rows = json.loads(out.read_text())["rows"]
+        H = np.zeros((21, 21))
+        for r in rows:
+            if r["quantity"] == "H":
+                H[r["row"], r["col"]] = r["value"]
+        assert np.allclose(H, H.T) and np.min(np.linalg.eigvalsh(H)) > 0
 
     def test_theta_star_solved_once(self, tmp_path, monkeypatch):
         import lccsub.cli as cli

@@ -16,7 +16,6 @@ from lccsub.populations import (
     AcceptanceTooLow,
     DiscretePopulation,
     StepLogit,
-    TwoClassGaussian,
     _gaussian_features,
     _gaussian_risk,
     _solve_on_grid,
@@ -214,31 +213,11 @@ class TestThetaCCLimit:
         assert abs(s0 - s38) > 1.0
 
 
-def _unequal_covariance_spec(p=12):
-    """A misspecified Gaussian population of dimension p >= 10."""
-    rng = np.random.default_rng(12)
-    a = rng.standard_normal((p, p))
-    return TwoClassGaussian(
-        prior1=0.05,
-        mu0=np.zeros(p),
-        mu1=rng.normal(0.0, 0.5, p),
-        sigma0=np.eye(p),
-        sigma1=a @ a.T / p + 0.5 * np.eye(p),
-    )
-
-
-_GAUSSIAN_SPECS = {
-    "simulation1": presets.simulation1,
-    "example2": presets.example2,
-    "unequal12": _unequal_covariance_spec,
-}
-
-
-@pytest.fixture(scope="module", params=sorted(_GAUSSIAN_SPECS))
-def gaussian_mc(request):
+@pytest.fixture(scope="module")
+def gaussian_mc(misspecified_gaussian, mc_grid):
     """(spec, 1M-node Monte-Carlo grid) for each misspecified Gaussian."""
-    spec = _GAUSSIAN_SPECS[request.param]()
-    return spec, integration_grid(spec, mc_nodes=10**6, rng=np.random.default_rng(101))
+    _, spec = misspecified_gaussian
+    return spec, mc_grid(spec, 10**6, rng=np.random.default_rng(101))
 
 
 class TestGaussianClosedForm:
@@ -266,13 +245,19 @@ class TestGaussianClosedForm:
         z = (cc.params.as_array() - oracle.params.as_array()) / oracle.mc_se
         assert np.all(np.abs(z) < 4.0), z
 
-    @pytest.mark.parametrize("name", sorted(_GAUSSIAN_SPECS))
-    def test_doubling_hermite_nodes_moves_nothing(self, name, monkeypatch):
-        spec = _GAUSSIAN_SPECS[name]()
+    def test_doubling_hermite_nodes_moves_nothing(self, misspecified_gaussian, monkeypatch):
+        _, spec = misspecified_gaussian
         base = population_theta_star(spec).params.as_array()
         monkeypatch.setattr(populations, "_HERMITE_NODES", 320)
         finer = population_theta_star(spec).params.as_array()
         assert np.max(np.abs(finer - base)) < 1e-10
+
+    @pytest.mark.parametrize("name", ["simulation1", "example2"])
+    def test_score_vanishes_at_closed_form_theta_star(self, name):
+        # the projected grid along theta against the Stein's-lemma solver
+        spec = getattr(presets, name)()
+        score = population_score(spec, population_theta_star(spec).params)
+        assert np.max(np.abs(score)) < 1e-9, score
 
     def test_simulation1_exchangeable_slopes_equal(self):
         slopes = population_theta_star(presets.simulation1()).params.slopes
