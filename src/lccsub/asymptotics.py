@@ -5,8 +5,7 @@ exact cell sums for discrete populations, Gauss-Legendre panels for the
 step population, and for Gaussian populations a quadrature rule built
 along the linear predictors each integrand depends on (the pilot and
 theta - pilot, or theta_star), which is exact.  A caller may pass its own
-grid instead; on a Monte-Carlo grid (Grid.exact False) the standard errors
-are the nodes' spread.
+grid instead.
 
 Conventions (row x, pilot lam, evaluation point theta, rate multiplier c,
 xt = (1, x), m = sigmoid((theta - lam)'xt), a_y the acceptance probability
@@ -25,20 +24,13 @@ and the conditional-bias slope d(limit)/d(lam) is H^-1 C.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels as K
-from .glm import ModelParams
-from .populations import (
-    Grid,
-    OracleFit,
-    PopulationSpec,
-    _solve_on_grid,
-    integration_grid,
-    true_log_odds,
-)
+from .glm import FitConfig, ModelParams, newton_logistic
+from .populations import Grid, OracleFit, PopulationSpec, integration_grid, true_log_odds
 
 __all__ = [
     "AsymptoticsReport",
@@ -52,11 +44,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AsymptoticsReport:
-    """Evaluated population quantities at one (theta, lambda, c) point.
-
-    mc_se holds per-entry Monte-Carlo standard errors for abar, G, H, J and
-    SigmaFull (zero for exact discrete/quadrature evaluation).
-    """
+    """Evaluated population quantities at one (theta, lambda, c) point."""
 
     spec: PopulationSpec
     theta: ModelParams
@@ -69,7 +57,6 @@ class AsymptoticsReport:
     C: np.ndarray
     Sigma: np.ndarray
     SigmaFull: np.ndarray
-    mc_se: dict
 
 
 def _acceptance(grid: Grid, lam_vec, c):
@@ -119,41 +106,15 @@ def _weighted_mat(design, masses, scalars):
     return (design * (masses * scalars)[:, None]).T @ design
 
 
-def _se_vec(design, masses, scalars, exact):
-    if exact:
-        return np.zeros(design.shape[1])
-    terms = design * (scalars * masses)[:, None] * design.shape[0]
-    n = design.shape[0]
-    return terms.std(axis=0, ddof=1) / np.sqrt(n)
-
-
-def _se_mat(design, masses, scalars, exact):
-    if exact:
-        return np.zeros((design.shape[1], design.shape[1]))
-    n = design.shape[0]
-    k = design.shape[1]
-    out = np.empty((k, k))
-    scaled = scalars * masses * n
-    for i in range(k):
-        cols = design * (design[:, i] * scaled)[:, None]
-        out[i, :] = cols.std(axis=0, ddof=1) / np.sqrt(n)
-    return out
-
-
 def eval_abar(
     spec: PopulationSpec,
     pilot: ModelParams,
     c: float = 1.0,
     grid: Grid | None = None,
-) -> tuple[float, float]:
-    """Marginal acceptance probability E[min(c*a(X,Y), 1)] with its MC-SE."""
+) -> float:
+    """Marginal acceptance probability E[min(c*a(X,Y), 1)]."""
     grid = grid or integration_grid(spec, along=(pilot.as_array(),), c=c)
-    per_x = _acceptance(grid, pilot.as_array(), c)[-1]
-    value = float(np.sum(grid.masses * per_x))
-    if grid.exact:
-        return value, 0.0
-    se = float(per_x.std(ddof=1) / np.sqrt(per_x.size))
-    return value, se
+    return float(np.sum(grid.masses * _acceptance(grid, pilot.as_array(), c)[-1]))
 
 
 def eval_matrices(
@@ -196,15 +157,6 @@ def eval_matrices(
 
     Sigma = np.linalg.solve(H, np.linalg.solve(H, J).T)
 
-    SigmaFull, se_full = sigma_full(spec, theta_star or theta, grid=given)
-
-    mc_se = {
-        "abar": 0.0 if grid.exact else float(mom["abar"].std(ddof=1) / np.sqrt(len(masses))),
-        "G": _se_vec(design, masses, mom["g"], grid.exact),
-        "H": _se_mat(design, masses, mom["h"] / abar, grid.exact),
-        "J": _se_mat(design, masses, mom["j"] / abar, grid.exact),
-        "SigmaFull": se_full,
-    }
     return AsymptoticsReport(
         spec=spec,
         theta=theta,
@@ -216,8 +168,7 @@ def eval_matrices(
         J=J,
         C=C,
         Sigma=Sigma,
-        SigmaFull=SigmaFull,
-        mc_se=mc_se,
+        SigmaFull=sigma_full(spec, theta_star or theta, grid=given),
     )
 
 
@@ -235,9 +186,7 @@ def sigma_full(spec: PopulationSpec, theta_star: ModelParams, grid: Grid | None 
     h_full = _weighted_mat(design, grid.masses, mstar * (1 - mstar))
     j_full = _weighted_mat(design, grid.masses, j_x)
     h_inv = np.linalg.inv(h_full)
-    value = h_inv @ j_full @ h_inv
-    se = _se_mat(design, grid.masses, j_x, grid.exact)
-    return value, se
+    return h_inv @ j_full @ h_inv
 
 
 def eval_bar_theta(
@@ -261,9 +210,8 @@ def eval_bar_theta(
     masses = masses / masses.sum()
     f_x = true_log_odds(spec, grid.points)
     target = K.sigmoid(f_x - design @ lam_vec)
-    fit = _solve_on_grid(grid, design, masses, target, tol)
-    shifted = ModelParams.from_array(fit.params.as_array() + lam_vec)
-    return replace(fit, params=shifted)
+    fit = newton_logistic(design, masses, target, config=FitConfig(grad_tol=tol))
+    return OracleFit(ModelParams.from_array(fit.params.as_array() + lam_vec), fit.grad_norm)
 
 
 def lcc_variance(report: AsymptoticsReport, pilot_variance=None) -> np.ndarray:

@@ -73,8 +73,6 @@ EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 EXIT_BUDGET = 3
 
-_MC_NODES_DEFAULT = 4 * 10**6  # asymptotics --mc-nodes, which no population uses
-
 
 class _UsageError(Exception):
     pass
@@ -105,12 +103,11 @@ def _load_population(path):
     return parse_population(raw["population"])
 
 
-def _coef_rows(label, params: ModelParams, names, se=None):
+def _coef_rows(label, params: ModelParams, names):
     values = [params.intercept, *(float(v) for v in params.slopes)]
-    se = [0.0] * len(values) if se is None else [float(v) for v in se]
     return [
-        {"quantity": label, "coefficient": name, "value": value, "mc_se": mc_se}
-        for name, value, mc_se in zip(["intercept", *names], values, se)
+        {"quantity": label, "coefficient": name, "value": value, "mc_se": 0.0}
+        for name, value in zip(["intercept", *names], values)
     ]
 
 
@@ -124,14 +121,14 @@ def cmd_oracle(args) -> int:
     names = [f"x{i + 1}" for i in range(spec.p)]
     star = population_theta_star(spec, tol=args.tol)
     b_eq = equal_class_bias(spec)
-    rows = _coef_rows("theta_star", star.params, names, star.mc_se)
+    rows = _coef_rows("theta_star", star.params, names)
     rows.append(
         {"quantity": "equal_class_bias", "coefficient": "", "value": b_eq, "mc_se": 0.0}
     )
     b_values = [b_eq, *(args.b or [])]
     for b in b_values:
         cc = theta_cc_limit(spec, b, tol=args.tol)
-        rows.extend(_coef_rows(f"theta_cc[b={b:.6g}]", cc.params, names, cc.mc_se))
+        rows.extend(_coef_rows(f"theta_cc[b={b:.6g}]", cc.params, names))
     if isinstance(spec, DiscretePopulation):
         for j in range(spec.p):
             col = spec.points[:, j]
@@ -595,7 +592,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--mc-nodes",
         type=int,
-        default=_MC_NODES_DEFAULT,
         help="ignored: every population's rule is exact (accepted so older command lines run)",
     )
     p.add_argument("--tol", type=float, default=1e-10)

@@ -25,6 +25,7 @@ __all__ = [
     "neg_log_likelihood",
     "score",
     "hessian",
+    "logistic_risk",
     "minimize_risk",
     "newton_logistic",
     "fit_logistic",
@@ -309,19 +310,11 @@ def minimize_risk(
     )
 
 
-def newton_logistic(
-    design: np.ndarray,
-    weights: np.ndarray,
-    targets: np.ndarray,
-    offsets: np.ndarray | float = 0.0,
-    config: FitConfig | None = None,
-    start: np.ndarray | None = None,
-) -> FitResult:
-    """Damped Newton (IRLS) minimizer of sum_i w_i [log(1+e^eta_i) - t_i eta_i].
+def logistic_risk(design: np.ndarray, weights: np.ndarray, targets: np.ndarray, offsets=0.0):
+    """The risk sum_i w_i [log(1+e^eta_i) - t_i eta_i], as minimize_risk takes it.
 
     eta = design @ theta + offsets, and the targets t lie in [0, 1]: 0/1
     labels give the weighted logistic NLL, soft targets a population risk.
-    Raises as minimize_risk does.
     """
 
     def risk(theta):
@@ -333,6 +326,19 @@ def newton_logistic(
             (design * (weights * mu * (1.0 - mu))[:, None]).T @ design,
         )
 
+    return risk
+
+
+def newton_logistic(
+    design: np.ndarray,
+    weights: np.ndarray,
+    targets: np.ndarray,
+    offsets: np.ndarray | float = 0.0,
+    config: FitConfig | None = None,
+    start: np.ndarray | None = None,
+) -> FitResult:
+    """Damped Newton (IRLS) minimizer of logistic_risk.  Raises as minimize_risk does."""
+    risk = logistic_risk(design, weights, targets, offsets)
     return minimize_risk(risk, design.shape[1], float(np.sum(weights)), config, start)
 
 

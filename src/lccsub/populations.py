@@ -6,12 +6,11 @@ Three population kinds:
   StepLogit           scalar X ~ U(0,1) with a jump in the log-odds
 
 Population risk minimizers (the large-sample limits of the estimators) are
-solved by damped Newton: on exact cell sums for discrete populations, on
-two-panel Gauss-Legendre quadrature for the step population (the integrand
-is smooth on each side of the jump), and on a closed-form risk for Gaussian
-populations (one-dimensional Gauss-Hermite sums by Stein's lemma).  Other
-Gaussian integrals are exact too: integration_grid builds a quadrature rule
-along the linear predictors the integrand depends on.
+solved by damped Newton on an exact integration rule: cell sums for
+discrete populations, two-panel Gauss-Legendre quadrature for the step
+population (the integrand is smooth on each side of the jump), and for
+Gaussian populations a rule that integration_grid builds along the linear
+predictors the integrand depends on (for the logit risk, the iterate's).
 """
 
 from __future__ import annotations
@@ -23,7 +22,8 @@ from typing import Union
 import numpy as np
 
 from . import _kernels as K
-from .glm import FitConfig, ModelParams, ObservationSet, Separation, minimize_risk, newton_logistic
+from .glm import FitConfig, ModelParams, ObservationSet, Separation
+from .glm import logistic_risk, minimize_risk, newton_logistic
 from .sampling import LocalCaseControl, accept_rows
 
 __all__ = [
@@ -379,7 +379,6 @@ class Grid:
     points: np.ndarray
     masses: np.ndarray
     prob1: np.ndarray
-    exact: bool
 
     @property
     def design(self) -> np.ndarray:
@@ -388,7 +387,6 @@ class Grid:
 
 
 _STEP_NODES_PER_PANEL = 256
-_HERMITE_NODES = 160
 # A Gaussian grid's coordinates: Gauss-Legendre panels of _PANEL_NODES nodes
 # on |t| <= _NORMAL_RANGE (the normal tail beyond holds 8e-24), each at most
 # _PANEL_WIDTH standard deviations and units of the predictor wide (the
@@ -414,13 +412,13 @@ def integration_grid(spec: PopulationSpec, along=(), c: float = 1.0) -> Grid:
     quadratic in x given them (_gaussian_grid).
     """
     if isinstance(spec, DiscretePopulation):
-        return Grid(spec.points, spec.masses, K.sigmoid(spec.logodds), True)
+        return Grid(spec.points, spec.masses, K.sigmoid(spec.logodds))
     if isinstance(spec, StepLogit):
         x1, w1 = _gauss_legendre(0.0, spec.threshold, _STEP_NODES_PER_PANEL)
         x2, w2 = _gauss_legendre(spec.threshold, 1.0, _STEP_NODES_PER_PANEL)
         pts = np.concatenate([x1, x2]).reshape(-1, 1)
         masses = np.concatenate([w1, w2])
-        return Grid(pts, masses, conditional_probability(spec, pts), True)
+        return Grid(pts, masses, conditional_probability(spec, pts))
     if isinstance(spec, TwoClassGaussian):
         if not len(along):
             raise ValueError(
@@ -486,104 +484,60 @@ def _gaussian_grid(spec: TwoClassGaussian, along, c: float) -> Grid:
         points.append(mu + z.reshape(-1, p) @ chol.T)
         masses.append(np.repeat(prior * weights / len(vertices), len(vertices)))
         prob1.append(np.full(masses[-1].size, y))
-    return Grid(np.concatenate(points), np.concatenate(masses), np.concatenate(prob1), True)
+    return Grid(np.concatenate(points), np.concatenate(masses), np.concatenate(prob1))
 
 
 def _gaussian_risk(spec: TwoClassGaussian):
     """The population logit risk of a Gaussian spec, as minimize_risk takes it.
 
-    The risk is sum_y P(Y=y) E_y[log(1+e^u) - y*u], u = theta'xt, xt = (1, x).
-    Under class y, u ~ N(theta'mt, theta'S theta) with mt and S the mean and
-    covariance of xt.  With v = S theta, Stein's lemma gives E[g(u) xt] =
-    mt E[g] + v E[g'] and E[g(u) xt xt'] = E[g] (mt mt' + S) + E[g'] (mt v' +
-    v mt') + E[g''] v v': Gauss-Hermite sums of the sigmoid and its first
-    three derivatives.  Nothing divides by the spread of u, so theta = 0 is
-    a safe start.
+    The risk, its score and its Hessian depend on x through u = theta'(1, x)
+    and are linear in p(x) and at most quadratic in x given u, so at each
+    iterate theta the grid along theta integrates all three exactly (at
+    theta = 0, where u is constant, its simplex points alone do).
     """
-    nodes, weights = np.polynomial.hermite_e.hermegauss(_HERMITE_NODES)
-    weights = weights / np.sqrt(2.0 * np.pi)
-    k = spec.p + 1
 
     def risk(theta):
-        value, score, hess = 0.0, np.zeros(k), np.zeros((k, k))
-        for y, prior, mu, sigma in (
-            (0.0, 1.0 - spec.prior1, spec.mu0, spec.sigma0),
-            (1.0, spec.prior1, spec.mu1, spec.sigma1),
-        ):
-            mean = np.concatenate([[1.0], mu])
-            v = np.concatenate([[0.0], sigma @ theta[1:]])
-            u = mean @ theta + np.sqrt(theta @ v) * nodes
-            sig = K.sigmoid(u)
-            d1 = sig * (1.0 - sig)
-            e0, e1, e2, e3 = (
-                weights @ g for g in (sig, d1, d1 * (1.0 - 2.0 * sig), d1 * (1.0 - 6.0 * d1))
-            )
-            value += prior * (weights @ np.logaddexp(0.0, u) - y * (mean @ theta))
-            score += prior * ((y - e0) * mean - e1 * v)
-            cross = np.outer(mean, v)
-            hess += prior * (
-                e1 * np.outer(mean, mean) + e2 * (cross + cross.T) + e3 * np.outer(v, v)
-            )
-            hess[1:, 1:] += prior * e1 * sigma
-        return value, score, hess
+        grid = integration_grid(spec, along=(theta,))
+        return logistic_risk(grid.design, grid.masses, grid.prob1)(theta)
 
     return risk
 
 
 @dataclass(frozen=True)
 class OracleFit:
-    """Population solver output: coefficients plus Monte-Carlo SEs.
-
-    mc_se is zero for exact evaluation (cell sums, quadrature, or the
-    Gaussian closed form); on Monte-Carlo grids it is the sandwich standard
-    error treating the nodes as i.i.d.
-    """
+    """Population solver output: coefficients and the final normalized score."""
 
     params: ModelParams
-    mc_se: np.ndarray
     grad_norm: float
 
-
-def _solve_on_grid(grid: Grid, design, masses, target, tol, offsets=0.0) -> OracleFit:
-    """Newton minimizer of a population risk on grid nodes, with its MC-SE.
-
-    The risk is sum masses*[log(1+e^eta) - target*eta], eta = design @
-    theta + offsets; the SE is the sandwich treating the nodes as i.i.d.
-    """
-    fit = newton_logistic(design, masses, target, offsets, FitConfig(grad_tol=tol))
-    if grid.exact:
-        return OracleFit(fit.params, np.zeros(design.shape[1]), fit.grad_norm)
-    mu = K.sigmoid(design @ fit.params.as_array() + offsets)
-    g = design * (masses * (target - mu))[:, None]
-    A = (design * (masses * mu * (1.0 - mu))[:, None]).T @ design
-    Ainv = np.linalg.inv(A)
-    se = np.sqrt(np.diag(Ainv @ (g.T @ g) @ Ainv))
-    return OracleFit(fit.params, se, fit.grad_norm)
+    @property
+    def mc_se(self) -> np.ndarray:
+        """Zero: every rule is exact.  It feeds only the reports' mc_se column
+        and simulate's theta_star_mc_se key, and goes with them."""
+        return np.zeros(self.params.slopes.size + 1)
 
 
 def population_score(spec: PopulationSpec, theta: ModelParams, grid: Grid | None = None):
     """Population score E[(p(X) - p_theta(X)) (1,X)'] on the spec's grid."""
     grid = grid or integration_grid(spec, along=(theta.as_array(),))
-    design = grid.design
-    mu = K.sigmoid(design @ theta.as_array())
-    return design.T @ (grid.masses * (grid.prob1 - mu))
+    return logistic_risk(grid.design, grid.masses, grid.prob1)(theta.as_array())[1]
 
 
 def population_theta_star(spec: PopulationSpec, tol: float = 1e-12) -> OracleFit:
     """Best linear log-odds approximation under the population logit risk.
 
-    Gaussian populations are solved in closed form: correctly specified ones
-    (equal covariances) return the exact coefficients, and the others
-    minimize the Gauss-Hermite risk of _gaussian_risk.
+    A correctly specified Gaussian population (equal covariances) returns
+    its exact coefficients; other Gaussians minimize _gaussian_risk.
     """
+    config = FitConfig(grad_tol=tol)
     if isinstance(spec, TwoClassGaussian):
-        zeros = np.zeros(spec.p + 1)
         if spec.correctly_specified:
-            return OracleFit(spec.linear_params(), zeros, 0.0)
-        fit = minimize_risk(_gaussian_risk(spec), spec.p + 1, 1.0, FitConfig(grad_tol=tol))
-        return OracleFit(fit.params, zeros, fit.grad_norm)
-    grid = integration_grid(spec)
-    return _solve_on_grid(grid, grid.design, grid.masses, grid.prob1, tol)
+            return OracleFit(spec.linear_params(), 0.0)
+        fit = minimize_risk(_gaussian_risk(spec), spec.p + 1, 1.0, config)
+    else:
+        grid = integration_grid(spec)
+        fit = newton_logistic(grid.design, grid.masses, grid.prob1, config=config)
+    return OracleFit(fit.params, fit.grad_norm)
 
 
 def theta_cc_limit(spec: PopulationSpec, b: float, tol: float = 1e-12) -> OracleFit:
@@ -609,7 +563,8 @@ def theta_cc_limit(spec: PopulationSpec, b: float, tol: float = 1e-12) -> Oracle
     masses = grid.masses * accept_x
     masses = masses / masses.sum()
     target = K.sigmoid(true_log_odds(spec, grid.points) + b)
-    return _solve_on_grid(grid, grid.design, masses, target, tol, offsets=b)
+    fit = newton_logistic(grid.design, masses, target, b, FitConfig(grad_tol=tol))
+    return OracleFit(fit.params, fit.grad_norm)
 
 
 def marginal_odds_ratio(spec: DiscretePopulation, coordinate: int) -> float:
