@@ -2,10 +2,10 @@
 
 All quantities are x-integrals with the label integrated out analytically:
 exact cell sums for discrete populations, Gauss-Legendre panels for the
-step population, and for Gaussian populations a quadrature rule built
-along the linear predictors each integrand depends on (the pilot and
-theta - pilot, or theta_star), which is exact.  A caller may pass its own
-grid instead.
+step population, and for Gaussian populations an exact quadrature rule
+built along the linear predictors each integrand depends on (the pilot and
+theta - pilot, or theta_star).  A caller may pass its own grid to all but
+eval_bar_theta, which, like theta*, is a population_limit on every spec.
 
 Conventions (row x, pilot lam, evaluation point theta, rate multiplier c,
 xt = (1, x), m = sigmoid((theta - lam)'xt), a_y the acceptance probability
@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as K
-from .glm import FitConfig, ModelParams, newton_logistic
-from .populations import Grid, OracleFit, PopulationSpec, integration_grid, true_log_odds
+from .glm import ModelParams
+from .populations import Grid, OracleFit, PopulationSpec, integration_grid, population_limit
 
 __all__ = [
     "AsymptoticsReport",
@@ -189,29 +189,13 @@ def sigma_full(spec: PopulationSpec, theta_star: ModelParams, grid: Grid | None 
     return h_inv @ j_full @ h_inv
 
 
-def eval_bar_theta(
-    spec: PopulationSpec,
-    pilot: ModelParams,
-    tol: float = 1e-12,
-    grid: Grid | None = None,
-) -> OracleFit:
+def eval_bar_theta(spec: PopulationSpec, pilot: ModelParams, tol: float = 1e-12) -> OracleFit:
     """Large-sample limit of the estimator with the pilot frozen.
 
-    Solves the tilted population score equation in the shifted
-    parameterization (soft labels sigmoid(f(x) - lam'xt) under x-masses
-    proportional to the marginal acceptance), then shifts back by the
-    pilot.  pilot=0 gives the plain population minimizer.  The target is
-    not linear in p(x), so a Gaussian population needs the caller's grid.
+    E[zw | x, y] = c*a_y, and c scales out, so this is population_limit at
+    the pilot.  pilot = 0 gives theta*.
     """
-    grid = grid or integration_grid(spec)
-    lam_vec = pilot.as_array()
-    design, _, _, _, accept = _acceptance(grid, lam_vec, 1.0)
-    masses = grid.masses * accept
-    masses = masses / masses.sum()
-    f_x = true_log_odds(spec, grid.points)
-    target = K.sigmoid(f_x - design @ lam_vec)
-    fit = newton_logistic(design, masses, target, config=FitConfig(grad_tol=tol))
-    return OracleFit(ModelParams.from_array(fit.params.as_array() + lam_vec), fit.grad_norm)
+    return population_limit(spec, pilot.as_array(), tol)
 
 
 def lcc_variance(report: AsymptoticsReport, pilot_variance=None) -> np.ndarray:

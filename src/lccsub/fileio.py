@@ -330,14 +330,12 @@ def _fork(task):
 
 
 def _receive(pid: int, read: int):
+    """(True, result) or (False, exception), as the worker sent it."""
     with open(read, "rb", closefd=False) as pipe:
         try:
-            ok, value = pickle.load(pipe)
+            return pickle.load(pipe)
         except (EOFError, pickle.UnpicklingError):
             raise RuntimeError(f"shard worker {pid} exited without a result") from None
-    if not ok:
-        raise value
-    return value
 
 
 def shard_plan(path: str):
@@ -354,8 +352,8 @@ def map_shards(path: str, scan, shards, labels_only: bool = False):
     `first` the position (from 0) of its first row, so each chunk holds the
     rows a one-shard pass gives it.  The caller scans shard 0 and forked workers
     the others.  A file whose records need not end at newlines is one shard.
-    The first exception in file order is raised, and every worker is
-    reaped before this returns or raises.
+    The first exception in file order is raised.  Workers whose result was
+    not read are killed; every worker is reaped before this returns or raises.
     """
     with open(path, newline="") as handle:
         header = _read_header(handle)
@@ -368,16 +366,23 @@ def map_shards(path: str, scan, shards, labels_only: bool = False):
         return scan(chunks, first_row - 1)
 
     workers = []  # (pid, read end) per forked shard, in file order
+    sent = 0  # how many of them, from the first, had their result read
     try:
         for shard in shards[1:]:
             workers.append(_fork(partial(run, shard)))
         results = [run(shards[0])]
-        results += [_receive(pid, read) for pid, read in workers]
+        for pid, read in workers:
+            ok, value = _receive(pid, read)
+            sent += 1
+            if not ok:
+                raise value
+            results.append(value)
         return header, results
     finally:
-        for pid, read in workers:
+        for i, (pid, read) in enumerate(workers):
             os.close(read)
-            os.kill(pid, signal.SIGKILL)  # a no-op once it has sent its result
+            if i >= sent:  # unread; one that was read is bound for os._exit
+                os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
 
 

@@ -5,25 +5,24 @@ Three population kinds:
   TwoClassGaussian    class prior + per-class Gaussian features
   StepLogit           scalar X ~ U(0,1) with a jump in the log-odds
 
-Population risk minimizers (the large-sample limits of the estimators) are
-solved by damped Newton on an exact integration rule: cell sums for
-discrete populations, two-panel Gauss-Legendre quadrature for the step
-population (the integrand is smooth on each side of the jump), and for
-Gaussian populations a rule that integration_grid builds along the linear
-predictors the integrand depends on (for the logit risk, the iterate's).
+Each large-sample limit of the estimators (theta*, the case-control and the
+pilot-frozen limits) minimizes one tilted logit risk, which population_limit
+solves by damped Newton on an exact integration rule: cell sums for discrete
+populations, Gauss-Legendre panels split at the jump for the step population,
+and for Gaussian populations a rule integration_grid builds along the linear
+predictors the integrand depends on (for the tilted risk, shift and iterate).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cache, cached_property
 from typing import Union
 
 import numpy as np
 
 from . import _kernels as K
-from .glm import FitConfig, ModelParams, ObservationSet, Separation
-from .glm import logistic_risk, minimize_risk, newton_logistic
+from .glm import FitConfig, ModelParams, ObservationSet, logistic_risk, minimize_risk
 from .sampling import LocalCaseControl, accept_rows
 
 __all__ = [
@@ -42,6 +41,7 @@ __all__ = [
     "equal_class_bias",
     "integration_grid",
     "population_score",
+    "population_limit",
     "population_theta_star",
     "theta_cc_limit",
     "marginal_odds_ratio",
@@ -396,8 +396,14 @@ _NORMAL_RANGE = 10.0
 _PANEL_WIDTH = 2.0
 
 
+@cache
+def _legendre(n: int):
+    """Nodes and weights on [-1, 1]; a population solver builds its grid at every iterate."""
+    return np.polynomial.legendre.leggauss(n)  # numpy.polynomial loads on first access
+
+
 def _gauss_legendre(a, b, n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = _legendre(n)
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
@@ -487,22 +493,6 @@ def _gaussian_grid(spec: TwoClassGaussian, along, c: float) -> Grid:
     return Grid(np.concatenate(points), np.concatenate(masses), np.concatenate(prob1))
 
 
-def _gaussian_risk(spec: TwoClassGaussian):
-    """The population logit risk of a Gaussian spec, as minimize_risk takes it.
-
-    The risk, its score and its Hessian depend on x through u = theta'(1, x)
-    and are linear in p(x) and at most quadratic in x given u, so at each
-    iterate theta the grid along theta integrates all three exactly (at
-    theta = 0, where u is constant, its simplex points alone do).
-    """
-
-    def risk(theta):
-        grid = integration_grid(spec, along=(theta,))
-        return logistic_risk(grid.design, grid.masses, grid.prob1)(theta)
-
-    return risk
-
-
 @dataclass(frozen=True)
 class OracleFit:
     """Population solver output: coefficients and the final normalized score."""
@@ -517,54 +507,52 @@ class OracleFit:
         return np.zeros(self.params.slopes.size + 1)
 
 
-def population_score(spec: PopulationSpec, theta: ModelParams, grid: Grid | None = None):
+def population_score(spec: PopulationSpec, theta: ModelParams):
     """Population score E[(p(X) - p_theta(X)) (1,X)'] on the spec's grid."""
-    grid = grid or integration_grid(spec, along=(theta.as_array(),))
+    grid = integration_grid(spec, along=(theta.as_array(),))
     return logistic_risk(grid.design, grid.masses, grid.prob1)(theta.as_array())[1]
 
 
-def population_theta_star(spec: PopulationSpec, tol: float = 1e-12) -> OracleFit:
-    """Best linear log-odds approximation under the population logit risk.
+def population_limit(spec: PopulationSpec, shift, tol: float = 1e-12) -> OracleFit:
+    """Large-sample limit of the local case-control estimate with the pilot frozen at shift.
 
-    A correctly specified Gaussian population (equal covariances) returns
-    its exact coefficients; other Gaussians minimize _gaussian_risk.
+    Minimizes the tilted risk E[w_Y(X) logloss(Y, sigmoid((theta - shift)'xt))]
+    with acceptance weights w_1 = sigmoid(-u), w_0 = sigmoid(u) at u = shift'xt:
+    the tilt adds -u to the log-odds and the offset takes it back, so a
+    correctly specified Gaussian population returns its exact coefficients.
+    At each iterate theta, logistic_risk on integration_grid(spec,
+    along=(shift, theta - shift)) with x-weights w = w_0 + p (w_1 - w_0) and
+    targets p w_1 / w (0 where w underflows) is exact.  Newton starts at shift.
+    shift = 0 gives theta*; the constant shift -b e_0 keeps cases e^b times as
+    often as controls with offset b, the adjusted case-control limit.
     """
+    if isinstance(spec, TwoClassGaussian) and spec.correctly_specified:
+        return OracleFit(spec.linear_params(), 0.0)
+
+    def tilted(theta):
+        grid = integration_grid(spec, along=(shift, theta - shift))
+        design = grid.design
+        u = design @ shift
+        w1, w0 = K.sigmoid(-u), K.sigmoid(u)
+        w = w0 + grid.prob1 * (w1 - w0)
+        targets = np.divide(grid.prob1 * w1, w, out=np.zeros_like(w), where=w > 0)
+        return design, grid.masses * w, targets, -u
+
+    total = float(np.sum(tilted(shift)[1]))
     config = FitConfig(grad_tol=tol)
-    if isinstance(spec, TwoClassGaussian):
-        if spec.correctly_specified:
-            return OracleFit(spec.linear_params(), 0.0)
-        fit = minimize_risk(_gaussian_risk(spec), spec.p + 1, 1.0, config)
-    else:
-        grid = integration_grid(spec)
-        fit = newton_logistic(grid.design, grid.masses, grid.prob1, config=config)
+    fit = minimize_risk(lambda t: logistic_risk(*tilted(t))(t), shift.size, total, config, shift)
     return OracleFit(fit.params, fit.grad_norm)
+
+
+def population_theta_star(spec: PopulationSpec, tol: float = 1e-12) -> OracleFit:
+    """Best linear log-odds approximation under the population logit risk."""
+    return population_limit(spec, np.zeros(spec.p + 1), tol)
 
 
 def theta_cc_limit(spec: PopulationSpec, b: float, tol: float = 1e-12) -> OracleFit:
-    """Large-sample limit of the adjusted case-control estimate with bias b.
-
-    The subsampled feature measure reweights x by the marginal acceptance
-    e^b p(x) + (1-p(x)) (up to scale), labels follow sigmoid(f(x)+b), and
-    the fit carries offset b; the resulting coefficients are already
-    adjusted.  b=0 recovers the plain population minimizer.  For a Gaussian
-    population that measure is the same Gaussian with its prior odds times
-    e^b, whose theta* less b in the intercept is the limit.
-    """
-    if isinstance(spec, TwoClassGaussian):
-        odds = spec.prior1 * np.exp(b)
-        prior1 = odds / (odds + 1.0 - spec.prior1)
-        if not 0.0 < prior1 < 1.0:
-            raise Separation(f"bias {b:.6g} leaves one class without mass")
-        star = population_theta_star(replace(spec, prior1=prior1), tol)
-        params = ModelParams(star.params.intercept - b, star.params.slopes)
-        return replace(star, params=params)
-    grid = integration_grid(spec)
-    accept_x = np.exp(b) * grid.prob1 + (1.0 - grid.prob1)
-    masses = grid.masses * accept_x
-    masses = masses / masses.sum()
-    target = K.sigmoid(true_log_odds(spec, grid.points) + b)
-    fit = newton_logistic(grid.design, masses, target, b, FitConfig(grad_tol=tol))
-    return OracleFit(fit.params, fit.grad_norm)
+    """Large-sample limit of the adjusted case-control estimate with bias b:
+    cases kept e^b times as often as controls, offset b.  b = 0 gives theta*."""
+    return population_limit(spec, np.concatenate([[-b], np.zeros(spec.p)]), tol)
 
 
 def marginal_odds_ratio(spec: DiscretePopulation, coordinate: int) -> float:

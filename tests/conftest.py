@@ -6,12 +6,13 @@ import pytest
 from lccsub import presets
 from lccsub._kernels import sigmoid
 from lccsub.asymptotics import _node_moments
-from lccsub.glm import FitConfig, newton_logistic
+from lccsub.glm import FitConfig, ModelParams, newton_logistic
 from lccsub.populations import (
     Grid,
     TwoClassGaussian,
     _gaussian_features,
     conditional_probability,
+    population_theta_star,
 )
 from lccsub.sampling import CHUNK_ROWS, RateCalibration, accept_rows, acceptance_probabilities
 
@@ -135,6 +136,21 @@ _GAUSSIAN_SPECS = {
 def misspecified_gaussian(request):
     """(name, spec) of each misspecified Gaussian population."""
     return request.param, _GAUSSIAN_SPECS[request.param]()
+
+
+def _quadrature_points(spec):
+    """(theta, pilot, c) of the quadrature checks: (theta*, theta*) at c = 1,
+    2 and 5 (one predictor), and theta* under a pilot moved off it (two)."""
+    star = population_theta_star(spec).params
+    k = spec.p + 1
+    step = 0.3 * np.random.default_rng(5).standard_normal(k) / np.sqrt(k)
+    moved = ModelParams.from_array(star.as_array() + step)
+    return [(star, star, c) for c in (1.0, 2.0, 5.0)] + [(star, moved, 2.0)]
+
+
+@pytest.fixture(scope="session")
+def quadrature_points():
+    return _quadrature_points
 
 
 def _lcc_reference(data, scheme, target, uniforms):

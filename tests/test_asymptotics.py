@@ -205,6 +205,22 @@ class TestWeightedVarianceLaw:
             eval_matrices(spec, theta0, theta0, c=0.5)
 
 
+def _check_first_order(spec, star, slope, directions):
+    """The pilot-frozen limit at star + eps*d is star + eps*slope@d + o(eps),
+    along unit directions d."""
+    rng = np.random.default_rng(2)
+    star = star.as_array()
+    for _ in range(directions):
+        d = rng.standard_normal(star.size)
+        d /= np.linalg.norm(d)
+        resid = {}
+        for eps in (1e-2, 1e-3):
+            bt = eval_bar_theta(spec, ModelParams.from_array(star + eps * d)).params.as_array()
+            resid[eps] = np.linalg.norm(bt - star - eps * (slope @ d))
+        # o(eps): dividing eps by 10 shrinks the residual at least 5x
+        assert resid[1e-3] <= resid[1e-2] / 5, resid
+
+
 class TestConditionalBiasSlope:
     def test_zero_under_correct_spec(self, correct_report):
         _, _, rep = correct_report
@@ -213,19 +229,15 @@ class TestConditionalBiasSlope:
     def test_directional_derivative_on_oatmeal(self, oatmeal, oatmeal_star, oatmeal_report):
         slope = conditional_bias_slope(oatmeal_report)
         assert np.linalg.norm(slope) > 0.01
-        rng = np.random.default_rng(2)
-        star = oatmeal_star.as_array()
-        for _ in range(5):
-            d = rng.standard_normal(3)
-            d /= np.linalg.norm(d)
-            resid = {}
-            for eps in (1e-2, 1e-3):
-                bt = eval_bar_theta(
-                    oatmeal, ModelParams.from_array(star + eps * d)
-                ).params.as_array()
-                resid[eps] = np.linalg.norm(bt - star - eps * (slope @ d))
-            # o(eps): halving eps by 10 shrinks the residual at least 5x
-            assert resid[1e-3] <= resid[1e-2] / 5
+        _check_first_order(oatmeal, oatmeal_star, slope, directions=5)
+
+    def test_directional_derivative_on_gaussian(self, misspecified_gaussian):
+        # the closed-form C on the projected grid against the exact limit
+        _, spec = misspecified_gaussian
+        star = population_theta_star(spec).params
+        slope = conditional_bias_slope(eval_matrices(spec, star, star))
+        assert np.linalg.norm(slope) > 0.01
+        _check_first_order(spec, star, slope, directions=3)
 
 
 class TestVarianceAgainstReplication:
@@ -264,16 +276,6 @@ class TestVarianceAgainstReplication:
         assert np.trace(emp) / np.trace(theory) == pytest.approx(1.0, abs=0.15)
 
 
-def _quadrature_points(spec):
-    """(theta, pilot, c) of the quadrature checks: (theta*, theta*) at c = 1,
-    2 and 5 (one predictor), and theta* under a pilot moved off it (two)."""
-    star = population_theta_star(spec).params
-    k = spec.p + 1
-    step = 0.3 * np.random.default_rng(5).standard_normal(k) / np.sqrt(k)
-    moved = ModelParams.from_array(star.as_array() + step)
-    return [(star, star, c) for c in (1.0, 2.0, 5.0)] + [(star, moved, 2.0)]
-
-
 @pytest.fixture(scope="module")
 def gaussian_oracle(misspecified_gaussian, mc_grid):
     """(spec, 1M-node Monte-Carlo grid) for each misspecified Gaussian."""
@@ -284,9 +286,9 @@ def gaussian_oracle(misspecified_gaussian, mc_grid):
 class TestProjectedQuadrature:
     """The Gaussian grid built along the integrand's linear predictors."""
 
-    def test_within_monte_carlo_error(self, gaussian_oracle, mc_se, batch_se):
+    def test_within_monte_carlo_error(self, gaussian_oracle, mc_se, batch_se, quadrature_points):
         spec, grid = gaussian_oracle
-        points = _quadrature_points(spec)
+        points = quadrature_points(spec)
         star = points[0][0]
         for theta, pilot, c in points:
             exact = eval_matrices(spec, theta, pilot, c=c)
@@ -301,9 +303,11 @@ class TestProjectedQuadrature:
         z = (exact.SigmaFull - oracle.SigmaFull) / se
         assert np.all(np.abs(z) < 3.0), z
 
-    def test_doubling_the_nodes_moves_nothing(self, misspecified_gaussian, monkeypatch):
+    def test_doubling_the_nodes_moves_nothing(
+        self, misspecified_gaussian, monkeypatch, quadrature_points
+    ):
         _, spec = misspecified_gaussian
-        for theta, pilot, c in _quadrature_points(spec):
+        for theta, pilot, c in quadrature_points(spec):
             base = eval_matrices(spec, theta, pilot, c=c)
             with monkeypatch.context() as patch:
                 patch.setattr(populations, "_PANEL_NODES", 2 * populations._PANEL_NODES)
@@ -333,5 +337,6 @@ class TestProjectedQuadrature:
         assert eval_abar(spec, star) == pytest.approx(direct, rel=1e-12)
 
     def test_gaussian_grid_needs_predictors(self):
+        # a rule along no predictor is exact only for integrands quadratic in x
         with pytest.raises(ValueError, match="linear predictors"):
-            eval_bar_theta(presets.example2(), ModelParams.zeros(2))
+            integration_grid(presets.example2())

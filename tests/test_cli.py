@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -649,6 +650,36 @@ class TestSample:
         assert list(tmp_path.iterdir()) == [bad]
         with pytest.raises(ChildProcessError):  # every worker was reaped
             os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("worker_fails", [False, True])
+    def test_worker_whose_result_was_read_is_not_killed(
+        self, gauss_csv, monkeypatch, worker_fails
+    ):
+        _, _, raw, _, _ = gauss_csv
+        self.set_workers(monkeypatch, 2)
+        # the worker lingers on its way to os._exit, after its result was sent
+        real_exit, real_waitpid = os._exit, os.waitpid
+        monkeypatch.setattr(os, "_exit", lambda code: (time.sleep(0.2), real_exit(code)))
+        exits = []
+
+        def waitpid(pid, options):
+            reaped = real_waitpid(pid, options)
+            exits.append(os.waitstatus_to_exitcode(reaped[1]))
+            return reaped
+
+        monkeypatch.setattr(os, "waitpid", waitpid)
+
+        def scan(chunks, first):
+            if worker_fails and first > 0:
+                raise ValueError(f"shard from row {first + 1}")
+            return sum(labels.size for _, _, _, labels, _, _ in chunks)
+
+        if worker_fails:
+            with pytest.raises(ValueError, match="shard from row 8193"):
+                map_shards(raw, scan, shard_plan(raw))
+        else:
+            assert sum(map_shards(raw, scan, shard_plan(raw))[1]) == 20000
+        assert exits == [0]  # exited by itself, not -SIGKILL
 
     @pytest.mark.parametrize("layout, shards", [("quoted", 1), ("\r", 1), ("\r\n", 3)])
     def test_records_off_newlines_keep_one_shard(

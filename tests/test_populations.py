@@ -3,21 +3,21 @@ import pytest
 
 from lccsub import presets
 from lccsub import populations
+from lccsub.asymptotics import eval_bar_theta
 from lccsub.glm import (
     FitConfig,
     ModelParams,
     ObservationSet,
     Separation,
     fit_logistic,
-    minimize_risk,
     newton_logistic,
 )
 from lccsub.populations import (
     AcceptanceTooLow,
     DiscretePopulation,
     StepLogit,
+    TwoClassGaussian,
     _gaussian_features,
-    _gaussian_risk,
     conditional_probability,
     equal_class_bias,
     integration_grid,
@@ -46,8 +46,6 @@ class TestTrueLogOdds:
             true_log_odds(oatmeal, [[2.0, 0.0]])
 
     def test_symmetric_gaussian_is_zero(self):
-        from lccsub.populations import TwoClassGaussian
-
         spec = TwoClassGaussian(0.5, np.zeros(2), np.zeros(2), np.eye(2), np.eye(2))
         x = np.random.default_rng(0).standard_normal((10, 2))
         assert np.allclose(true_log_odds(spec, x), 0.0)
@@ -242,12 +240,29 @@ class TestGaussianClosedForm:
         z = (cc.params.as_array() - oracle) / se
         assert np.all(np.abs(z) < 4.0), z
 
-    def test_doubling_panel_nodes_moves_nothing(self, misspecified_gaussian, monkeypatch):
+    def test_bar_theta_within_mc_error(self, gaussian_mc, mc_fit, quadrature_points):
+        spec, grid = gaussian_mc
+        pilot = quadrature_points(spec)[-1][1]
+        # the pilot-frozen measure on the grid: x-masses times the marginal
+        # acceptance p (1 - ptilde) + (1 - p) ptilde, labels the accepted
+        # cases' share of it, offset -pilot'xt
+        lam = grid.design @ pilot.as_array()
+        ptilde, p = 1.0 / (1.0 + np.exp(-lam)), grid.prob1
+        accept = p * (1.0 - ptilde) + (1.0 - p) * ptilde
+        oracle, se = mc_fit(grid, grid.masses * accept, p * (1.0 - ptilde) / accept, offsets=-lam)
+        bar = eval_bar_theta(spec, pilot)
+        z = (bar.params.as_array() - oracle) / se
+        assert np.all(np.abs(z) < 3.0), z
+
+    def test_doubling_panel_nodes_moves_nothing(
+        self, misspecified_gaussian, monkeypatch, quadrature_points
+    ):
         _, spec = misspecified_gaussian
         b = equal_class_bias(spec)
+        pilot = quadrature_points(spec)[-1][1]
 
         def limits():
-            fits = (population_theta_star(spec), theta_cc_limit(spec, b))
+            fits = (population_theta_star(spec), theta_cc_limit(spec, b), eval_bar_theta(spec, pilot))
             return [fit.params.as_array() for fit in fits]
 
         base = limits()
@@ -272,11 +287,14 @@ class TestGaussianClosedForm:
         with pytest.raises(Separation):
             theta_cc_limit(presets.example2(), 50.0)
 
-    def test_correct_spec_risk_recovers_linear_params(self):
+    def test_correct_spec_risk_recovers_linear_params(self, monkeypatch):
+        # every limit is linear_params() here; solve all three on the grid anyway
         spec = presets.correct_gaussian()
-        fit = minimize_risk(_gaussian_risk(spec), spec.p + 1, 1.0)
-        exact = spec.linear_params().as_array()
-        assert np.allclose(fit.params.as_array(), exact, rtol=0.0, atol=1e-9)
+        exact = spec.linear_params()
+        pilot = ModelParams.from_array(exact.as_array() + 0.3)
+        monkeypatch.setattr(TwoClassGaussian, "correctly_specified", False)
+        for fit in (population_theta_star(spec), theta_cc_limit(spec, 2.0), eval_bar_theta(spec, pilot)):
+            assert np.allclose(fit.params.as_array(), exact.as_array(), rtol=0.0, atol=1e-9)
 
 
 class TestMarginalOddsRatio:
