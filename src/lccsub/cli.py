@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
-import secrets
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
@@ -30,6 +29,7 @@ from .fileio import (
     CsvFormatError,
     OFFSET_COLUMN,
     WEIGHT_COLUMN,
+    _require_keys,
     convert_records,
     format_value,
     load_config_file,
@@ -86,6 +86,7 @@ class _Parser(argparse.ArgumentParser):
 def _resolve_seed(args) -> int:
     seed = getattr(args, "seed", None)
     if seed is None:
+        import secrets  # here: a run given --seed never needs it
         seed = secrets.randbits(63)
     print(f"seed: {seed}", file=sys.stderr)
     return seed
@@ -480,13 +481,10 @@ def _print_failures(failures):
 
 
 def cmd_simulate(args) -> int:
+    if args.threads < 1:
+        raise _UsageError("--threads must be at least 1")
     raw = load_config_file(args.config)
-    for key in ("population", "experiment"):
-        if key not in raw:
-            raise ConfigError(f"{args.config}: missing key {key!r}")
-    unknown = set(raw) - {"population", "experiment"}
-    if unknown:
-        raise ConfigError(f"{args.config}: unknown key {sorted(unknown)[0]!r}")
+    _require_keys(raw, {"population", "experiment"}, {"population", "experiment"}, args.config)
     spec = parse_population(raw["population"])
     config = parse_experiment(raw["experiment"], spec)
     if args.seed is not None:
@@ -500,7 +498,7 @@ def cmd_simulate(args) -> int:
     blas = report.blas_threads
     per_worker = "not pinned" if blas is None else f"{blas[0]} (was {blas[1]})"
     print(
-        f"runtime: {report.runtime_seconds:.3f} s, workers: {max(args.threads, 1)}, "
+        f"runtime: {report.runtime_seconds:.3f} s, workers: {report.workers}, "
         f"BLAS threads per worker: {per_worker}",
         file=sys.stderr,
     )
@@ -600,7 +598,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run a replication study config")
     p.add_argument("--config", required=True)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help="worker processes, one per core at most")
     common(p)
     p.set_defaults(func=cmd_simulate)
 

@@ -16,6 +16,7 @@ so reports are bit-identical for a given config regardless of worker count.
 from __future__ import annotations
 
 import ctypes
+import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -23,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._workers import fork_map
 from .glm import FitConfig, GlmError, ModelParams, ObservationSet, fit_logistic
 from .populations import (
     OracleFit,
@@ -58,15 +60,7 @@ __all__ = [
 ]
 
 _METHODS = ("lcc", "wcc", "cc", "uniform", "full")
-_STAGES = {
-    "data": 0,
-    "pilot": 1,
-    "uniforms": 2,
-    "lcc": 3,
-    "cc": 4,
-    "wcc": 5,
-    "bootstrap": 6,
-}
+_STAGES = ("data", "pilot", "uniforms", "lcc", "cc", "wcc", "bootstrap")  # position = spawn key
 _FAILURE_KINDS = (GlmError, EmptySubsample, TooFewCases)
 
 
@@ -83,7 +77,7 @@ class TooManyFailures(Exception):
 
 def derived_rng(master_seed: int, replication: int, stage: str) -> np.random.Generator:
     """Deterministic per-(replication, stage) stream."""
-    seq = np.random.SeedSequence(master_seed, spawn_key=(replication, _STAGES[stage]))
+    seq = np.random.SeedSequence(master_seed, spawn_key=(replication, _STAGES.index(stage)))
     return np.random.default_rng(seq)
 
 
@@ -147,6 +141,7 @@ class ExperimentReport:
     lcc_acceptance_rates: np.ndarray | None
     runtime_seconds: float
     blas_threads: tuple[int, int] | None = None  # (while replicating, before)
+    workers: int = 1  # processes the replications ran on
 
 
 def summarize(draws: np.ndarray, truth: ModelParams) -> tuple[float, float]:
@@ -310,10 +305,14 @@ def run_experiment(
 ) -> ExperimentReport:
     """Run the replication study and summarize bias/variance per method.
 
+    The replications run in contiguous blocks on min(threads, replications,
+    usable cores) processes: this one runs the first, forked workers the rest.
     Failed replications (separation, empty subsamples) are recorded and
     excluded; more than max_failure_fraction of them, or fewer than two
     successes, abort the study.
     """
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
     t0 = time.monotonic()
     truth = theta_star or population_theta_star(config.spec)
     replicate = _replicate_implicit if config.implicit_full else _replicate_explicit
@@ -324,18 +323,13 @@ def run_experiment(
         except _FAILURE_KINDS as exc:
             return (rep, type(exc).__name__, str(exc))
 
-    reps = range(config.replications)
-    # One BLAS thread per worker at every worker count: OpenBLAS's own
-    # threads would oversubscribe the cores the workers use.
+    workers = min(threads, config.replications, len(os.sched_getaffinity(0)))
+    blocks = [range(w * config.replications // workers, (w + 1) * config.replications // workers)
+              for w in range(workers)]
+    # One BLAS thread per worker at every worker count, inherited by the forked
+    # ones: OpenBLAS's own threads would oversubscribe the cores the workers use.
     with one_blas_thread() as blas:
-        if threads > 1:
-            # imported here: importing lccsub.cli, every command's set-up, skips it
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(one, reps))
-        else:
-            results = [one(rep) for rep in reps]
+        results = [r for block in fork_map(lambda reps: list(map(one, reps)), blocks) for r in block]
 
     failures = tuple(r for r in results if isinstance(r, tuple))
     successes = [r for r in results if isinstance(r, dict)]
@@ -374,6 +368,7 @@ def run_experiment(
         lcc_acceptance_rates=accept_rates,
         runtime_seconds=time.monotonic() - t0,
         blas_threads=blas,
+        workers=workers,
     )
 
 

@@ -13,18 +13,15 @@ import csv
 import io
 import json
 import os
-import pickle
-import signal
 import sys
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from functools import partial
 from itertools import chain, islice
 
 import numpy as np
-import yaml
 
+from ._workers import fork_map
 from .experiments import ExperimentConfig
 from .glm import FitConfig, ModelParams, ObservationSet
 from .populations import (
@@ -308,36 +305,6 @@ def _shards(path: str, workers: int):
     return [(offset, first + 1, n) for offset, first, n in zip(offsets, firsts, rows)]
 
 
-def _fork(task):
-    """(pid, read end of a pipe) of a forked worker that runs task() and
-    sends back (True, its result) or (False, its exception), pickled."""
-    read, write = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        # the worker never returns or unwinds into its caller's frames
-        try:
-            os.close(read)
-            try:
-                payload = (True, task())
-            except BaseException as exc:  # raised again by the parent
-                payload = (False, exc)
-            with open(write, "wb") as pipe:
-                pickle.dump(payload, pipe, pickle.HIGHEST_PROTOCOL)
-        finally:
-            os._exit(0)
-    os.close(write)
-    return pid, read
-
-
-def _receive(pid: int, read: int):
-    """(True, result) or (False, exception), as the worker sent it."""
-    with open(read, "rb", closefd=False) as pipe:
-        try:
-            return pickle.load(pipe)
-        except (EOFError, pickle.UnpicklingError):
-            raise RuntimeError(f"shard worker {pid} exited without a result") from None
-
-
 def shard_plan(path: str):
     """The shards of a pass over `path`, one per usable core at most (see _shards)."""
     return _shards(path, len(os.sched_getaffinity(0)))
@@ -350,10 +317,10 @@ def map_shards(path: str, scan, shards, labels_only: bool = False):
     one file computes once: contiguous runs of CHUNK_ROWS-line chunks, one
     per usable core at most.  `chunks` is stream_rows over a shard and
     `first` the position (from 0) of its first row, so each chunk holds the
-    rows a one-shard pass gives it.  The caller scans shard 0 and forked workers
-    the others.  A file whose records need not end at newlines is one shard.
-    The first exception in file order is raised.  Workers whose result was
-    not read are killed; every worker is reaped before this returns or raises.
+    rows a one-shard pass gives it.  The shards run through fork_map: the
+    caller scans shard 0 and forked workers the others, and the first
+    exception in file order is raised.  A file whose records need not end
+    at newlines is one shard.
     """
     with open(path, newline="") as handle:
         header = _read_header(handle)
@@ -365,25 +332,7 @@ def map_shards(path: str, scan, shards, labels_only: bool = False):
         )
         return scan(chunks, first_row - 1)
 
-    workers = []  # (pid, read end) per forked shard, in file order
-    sent = 0  # how many of them, from the first, had their result read
-    try:
-        for shard in shards[1:]:
-            workers.append(_fork(partial(run, shard)))
-        results = [run(shards[0])]
-        for pid, read in workers:
-            ok, value = _receive(pid, read)
-            sent += 1
-            if not ok:
-                raise value
-            results.append(value)
-        return header, results
-    finally:
-        for i, (pid, read) in enumerate(workers):
-            os.close(read)
-            if i >= sent:  # unread; one that was read is bound for os._exit
-                os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+    return header, fork_map(run, shards)
 
 
 def read_observations_csv(path: str):
@@ -544,6 +493,7 @@ def parse_experiment(mapping, spec: PopulationSpec) -> ExperimentConfig:
 
 def load_config_file(path: str) -> dict:
     """Parse a YAML config file into a raw mapping with diagnostics."""
+    import yaml  # here: sample and fit read no config
     with open(path) as handle:
         try:
             raw = yaml.safe_load(handle)

@@ -827,7 +827,8 @@ def test_cli_import_leaves_scipy_unloaded():
 
 def test_cli_import_starts_no_process_pool():
     """Importing lccsub.cli is every command's set-up: it loads neither
-    multiprocessing nor concurrent.futures, which cost milliseconds."""
+    multiprocessing nor concurrent.futures, which cost milliseconds, nor
+    yaml and secrets, which only simulate and a run without --seed need."""
     import lccsub
 
     env = dict(os.environ)
@@ -835,7 +836,8 @@ def test_cli_import_starts_no_process_pool():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = (
         "import sys, lccsub.cli\n"
-        "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+        "loaded = {'multiprocessing', 'concurrent.futures', 'yaml', 'secrets'} & set(sys.modules)\n"
+        "print(sorted(loaded))"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr
@@ -1031,21 +1033,49 @@ experiment:
         cfg = tmp_path / "study.cfg"
         cfg.write_text(_FRAGILE_STUDY + "  max_failure_fraction: 0.5\n")
         outs = []
-        for threads in ("1", "2"):
+        for threads in (1, 2):
             out = tmp_path / f"study{threads}.csv"
-            assert main(["simulate", "--config", str(cfg), "--threads", threads,
+            assert main(["simulate", "--config", str(cfg), "--threads", str(threads),
                          "--out", str(out)]) == 0
             outs.append(out.read_bytes())
             err = capsys.readouterr().err
-            assert f", workers: {threads}, BLAS threads per worker: " in err
+            workers = min(threads, len(os.sched_getaffinity(0)))  # one per usable core at most
+            assert f", workers: {workers}, BLAS threads per worker: " in err
             if experiments._openblas() is not None:
                 was = experiments._openblas()[0]()
                 assert f"BLAS threads per worker: 1 (was {was})\n" in err
         monkeypatch.setattr(experiments, "_openblas", lambda: None)
         out = tmp_path / "unpinned.csv"
         assert main(["simulate", "--config", str(cfg), "--threads", "2", "--out", str(out)]) == 0
-        assert ", workers: 2, BLAS threads per worker: not pinned\n" in capsys.readouterr().err
+        assert f", workers: {workers}, BLAS threads per worker: not pinned\n" in capsys.readouterr().err
         assert out.read_bytes() == outs[0] == outs[1]
+
+    def test_workers_capped_at_usable_cores(self, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text(_FRAGILE_STUDY + "  max_failure_fraction: 0.5\n")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        real_fork, forks = os.fork, []
+
+        def fork():
+            pid = real_fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)
+        out = tmp_path / "study.csv"
+        assert main(["simulate", "--config", str(cfg), "--threads", "64", "--out", str(out)]) == 0
+        assert ", workers: 2, BLAS threads per worker: " in capsys.readouterr().err
+        assert len(forks) == 1  # the caller is the other worker
+        with pytest.raises(ChildProcessError):  # every worker was reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one_is_a_usage_error(self, tmp_path, capsys, threads):
+        # refused before the config is read: this one does not exist
+        cfg = tmp_path / "absent.cfg"
+        assert main(["simulate", "--config", str(cfg), "--threads", threads]) == 1
+        assert capsys.readouterr().err == "error: --threads must be at least 1\n"
 
     def test_failed_replications_on_stderr(self, tmp_path, capsys):
         cfg = tmp_path / "fragile.cfg"

@@ -1,3 +1,6 @@
+import os
+import time
+
 import numpy as np
 import pytest
 
@@ -11,7 +14,7 @@ from lccsub.experiments import (
     run_experiment,
     summarize,
 )
-from lccsub.glm import ModelParams
+from lccsub.glm import ModelParams, Singular
 from lccsub.populations import population_theta_star
 
 
@@ -133,18 +136,22 @@ class TestRunExperiment:
             assert np.array_equal(r1.methods[m].draws, r2.methods[m].draws)
             assert r1.methods[m].bias_sq_se == r2.methods[m].bias_sq_se
 
-    def test_replications_run_on_one_blas_thread(self, small_config, small_truth, monkeypatch):
+    def test_replications_run_on_one_blas_thread(
+        self, small_config, small_truth, monkeypatch, tmp_path
+    ):
         blas = experiments._openblas()
         if blas is None:
             pytest.skip("numpy's bundled OpenBLAS not found")
         get, set_ = blas
-        seen = []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         replicate = experiments._replicate_explicit
-        monkeypatch.setattr(
-            experiments,
-            "_replicate_explicit",
-            lambda config, rep: seen.append(get()) or replicate(config, rep),
-        )
+
+        def counted(config, rep):
+            # a file per replication: a forked worker's memory does not reach this test
+            (tmp_path / f"{rep:03d}").write_text(str(get()))
+            return replicate(config, rep)
+
+        monkeypatch.setattr(experiments, "_replicate_explicit", counted)
         before = get()
         set_(2)
         try:
@@ -152,9 +159,13 @@ class TestRunExperiment:
                 report = run_experiment(small_config, threads=threads, theta_star=small_truth)
                 assert get() == 2, threads
                 assert report.blas_threads == (1, 2)
+                assert report.workers == threads
+                seen = [int(path.read_text()) for path in sorted(tmp_path.iterdir())]
+                assert seen == [1] * small_config.replications, threads
+                for path in tmp_path.iterdir():
+                    path.unlink()
         finally:
             set_(before)
-        assert seen == [1] * (2 * small_config.replications)
 
     def test_missing_blas_library_changes_nothing(self, small_config, small_truth, monkeypatch):
         pinned = run_experiment(small_config, threads=2, theta_star=small_truth)
@@ -169,6 +180,64 @@ class TestRunExperiment:
         for m in small_config.methods:
             assert np.array_equal(report.methods[m].draws, pinned.methods[m].draws)
             assert report.methods[m].var_se == pinned.methods[m].var_se
+
+    @staticmethod
+    def record_exits(monkeypatch):
+        """Exit codes of the reaped workers, each of which lingers on its way
+        to os._exit after its result was sent."""
+        real_exit, real_waitpid = os._exit, os.waitpid
+        monkeypatch.setattr(os, "_exit", lambda code: (time.sleep(0.2), real_exit(code)))
+        exits = []
+
+        def waitpid(pid, options):
+            reaped = real_waitpid(pid, options)
+            exits.append(os.waitstatus_to_exitcode(reaped[1]))
+            return reaped
+
+        monkeypatch.setattr(os, "waitpid", waitpid)
+        return exits
+
+    def test_worker_error_reaches_the_caller(self, small_config, small_truth, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        replicate = experiments._replicate_explicit
+
+        def failing(config, rep):
+            if rep == 8:  # in the forked worker's block, 6..11
+                raise KeyError(f"replication {rep}")
+            return replicate(config, rep)
+
+        monkeypatch.setattr(experiments, "_replicate_explicit", failing)
+        exits = self.record_exits(monkeypatch)
+        with pytest.raises(KeyError, match="replication 8"):
+            run_experiment(small_config, threads=2, theta_star=small_truth)
+        assert exits == [0]  # exited by itself, and was reaped
+
+    def test_failures_recorded_alike_at_every_worker_count(
+        self, small_config, small_truth, monkeypatch
+    ):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        replicate = experiments._replicate_explicit
+
+        def singular(config, rep):
+            if rep in (2, 9):  # one in each block
+                raise Singular(f"replication {rep}")
+            return replicate(config, rep)
+
+        monkeypatch.setattr(experiments, "_replicate_explicit", singular)
+        exits = self.record_exits(monkeypatch)
+        reports = [
+            run_experiment(small_config, threads=threads, theta_star=small_truth)
+            for threads in (1, 2)
+        ]
+        want = ((2, "Singular", "replication 2"), (9, "Singular", "replication 9"))
+        assert reports[0].failures == reports[1].failures == want
+        for m in small_config.methods:
+            assert np.array_equal(reports[0].methods[m].draws, reports[1].methods[m].draws)
+        assert exits == [0]
+
+    def test_threads_below_one_rejected(self, small_config, small_truth):
+        with pytest.raises(ValueError, match="threads must be at least 1"):
+            run_experiment(small_config, threads=0, theta_star=small_truth)
 
     def test_budget_accounting(self, small_config, small_truth):
         rep = run_experiment(small_config, theta_star=small_truth)
