@@ -6,6 +6,10 @@ step population, and for Gaussian populations an exact quadrature rule
 built along the linear predictors each integrand depends on (the pilot and
 theta - pilot, or theta_star).  A caller may pass its own grid to all but
 eval_bar_theta, which, like theta*, is a population_limit on every spec.
+G and H are c times the score and Hessian of the risk that
+population_limit minimizes, tilted_risk at the pilot, so the limit is G's
+root; SigmaFull is the sandwich at pilot 0 and c = 2, where nothing is
+subsampled.  Any c > 0 is accepted.
 
 Conventions (row x, pilot lam, evaluation point theta, rate multiplier c,
 xt = (1, x), m = sigmoid((theta - lam)'xt), a_y the acceptance probability
@@ -29,8 +33,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as K
-from .glm import ModelParams
-from .populations import Grid, OracleFit, PopulationSpec, integration_grid, population_limit
+from .glm import ModelParams, logistic_risk
+from .populations import (
+    Grid,
+    OracleFit,
+    PopulationSpec,
+    integration_grid,
+    population_limit,
+    tilted_risk,
+)
 
 __all__ = [
     "AsymptoticsReport",
@@ -59,47 +70,31 @@ class AsymptoticsReport:
     SigmaFull: np.ndarray
 
 
-def _acceptance(grid: Grid, lam_vec, c):
-    """The design, ptilde, E[zw | x, y] for y = 1 and 0, and E[z | x].
-
-    The weight max(c*a, 1) undoes the clipping of the acceptance
-    min(c*a, 1), so E[zw | x, y] = c*a exactly, with a = |y - ptilde|.
-    """
-    design = grid.design
-    ptilde = K.sigmoid(design @ lam_vec)
-    zw1 = c * (1.0 - ptilde)
-    zw0 = c * ptilde
-    p = grid.prob1
-    accept = p * np.minimum(zw1, 1.0) + (1 - p) * np.minimum(zw0, 1.0)
-    return design, ptilde, zw1, zw0, accept
-
-
 def _node_moments(grid: Grid, theta_vec, lam_vec, c):
-    """Per-node integrands, labels integrated out.
+    """G, abar*H, abar*C, and the per-node integrands of abar and J.
 
-    Returns dict of arrays keyed by quantity; each integrates against
-    grid.masses.  "c" is the pilot derivative of "g": ptilde moves the
-    weights c*a and m = sigmoid((theta - lam)'xt) moves the residuals.
+    tilted_risk(grid, lam) weighs class y by w_y = a_y; the weight
+    max(c*a, 1) undoes the clipping of the acceptance min(c*a, 1), so
+    E[zw | x, y] = c*a_y and G and abar*H are c times that risk's score and
+    Hessian at theta.  G's integrand c*w*(target - m) moves with the pilot
+    by (m - ptilde) times itself, which gives abar*C.  Against grid.masses,
+    "abar" integrates to abar and "j" to abar*J + G G'/abar.
     """
-    design, ptilde, zw1, zw0, accept = _acceptance(grid, lam_vec, c)
+    design, weights, targets, offsets = risk = tilted_risk(grid, lam_vec)
+    _, score, hessian = logistic_risk(*risk)(theta_vec)
     p = grid.prob1
-    m = K.sigmoid(design @ (theta_vec - lam_vec))
-    # E[z w^2 | x, y] = c*a * max(c*a, 1)
-    zww1 = zw1 * np.maximum(zw1, 1.0)
-    zww0 = zw0 * np.maximum(zw0, 1.0)
-    h = (p * zw1 + (1 - p) * zw0) * m * (1.0 - m)
+    zw1, zw0 = c * K.sigmoid(offsets), c * K.sigmoid(-offsets)  # the offsets are -u
+    m = K.sigmoid(design @ theta_vec + offsets)
     return {
         "design": design,
-        "abar": accept,
-        "g": (p * zw1 * (1.0 - m) - (1 - p) * zw0 * m),
-        "h": h,
-        "j": p * zww1 * (1.0 - m) ** 2 + (1 - p) * zww0 * m**2,
-        "c": h - c * ptilde * (1.0 - ptilde) * (p * (1.0 - m) + (1 - p) * m),
+        "G": c * score,
+        "curvature": c * hessian,
+        "slope": _weighted_mat(design, weights, (targets - m) * (c * m - zw0)),
+        "abar": p * np.minimum(zw1, 1.0) + (1 - p) * np.minimum(zw0, 1.0),
+        # E[z w^2 | x, y] = c*a * max(c*a, 1)
+        "j": p * zw1 * np.maximum(zw1, 1.0) * (1.0 - m) ** 2
+        + (1 - p) * zw0 * np.maximum(zw0, 1.0) * m**2,
     }
-
-
-def _weighted_vec(design, masses, scalars):
-    return design.T @ (masses * scalars)
 
 
 def _weighted_mat(design, masses, scalars):
@@ -113,8 +108,9 @@ def eval_abar(
     grid: Grid | None = None,
 ) -> float:
     """Marginal acceptance probability E[min(c*a(X,Y), 1)]."""
-    grid = grid or integration_grid(spec, along=(pilot.as_array(),), c=c)
-    return float(np.sum(grid.masses * _acceptance(grid, pilot.as_array(), c)[-1]))
+    lam_vec = pilot.as_array()
+    grid = grid or integration_grid(spec, along=(lam_vec,), c=c)
+    return float(np.sum(grid.masses * _node_moments(grid, lam_vec, lam_vec, c)["abar"]))
 
 
 def eval_matrices(
@@ -127,13 +123,14 @@ def eval_matrices(
 ) -> AsymptoticsReport:
     """Evaluate abar, G, H, J, C, Sigma and SigmaFull at (theta, pilot, c).
 
-    SigmaFull is the no-subsampling sandwich at theta_star (defaults to
-    theta).  C integrates the pilot derivative of G's integrand in closed
-    form on the same grid.  Without a grid, SigmaFull gets its own along
-    theta_star.
+    Any c > 0: below 1 every c*a_y is below 1, so abar scales with c and
+    the weights c*a cancel it from H, J, C and Sigma.  SigmaFull is the
+    no-subsampling sandwich at theta_star (defaults to theta).  C
+    integrates the pilot derivative of G's integrand in closed form on the
+    same grid.  Without a grid, SigmaFull gets its own along theta_star.
     """
-    if c < 1.0:
-        raise ValueError("c must be at least 1 for the weighted moments")
+    if not c > 0:
+        raise ValueError("c must be positive")
     theta_vec = theta.as_array()
     lam_vec = pilot.as_array()
     given = grid
@@ -144,16 +141,12 @@ def eval_matrices(
     design = mom["design"]
     masses = grid.masses
     abar = float(np.sum(masses * mom["abar"]))
-    G = _weighted_vec(design, masses, mom["g"])
-    H = _weighted_mat(design, masses, mom["h"]) / abar
-    J_raw = _weighted_mat(design, masses, mom["j"]) / abar
-    Gn = G / abar
-    J = J_raw - np.outer(Gn, Gn)
+    H = mom["curvature"] / abar
+    Gn = mom["G"] / abar
+    J = _weighted_mat(design, masses, mom["j"]) / abar - np.outer(Gn, Gn)
     if not np.allclose(H, H.T, atol=1e-10) or not np.allclose(J, J.T, atol=1e-10):
         raise ValueError("H/J not symmetric: numerical failure")
     np.linalg.cholesky(H + 1e-300 * np.eye(k))  # SPD check
-
-    C = _weighted_mat(design, masses, mom["c"]) / abar
 
     Sigma = np.linalg.solve(H, np.linalg.solve(H, J).T)
 
@@ -163,10 +156,10 @@ def eval_matrices(
         pilot=pilot,
         c=float(c),
         abar=abar,
-        G=G,
+        G=mom["G"],
         H=H,
         J=J,
-        C=C,
+        C=mom["slope"] / abar,
         Sigma=Sigma,
         SigmaFull=sigma_full(spec, theta_star or theta, grid=given),
     )
@@ -175,18 +168,15 @@ def eval_matrices(
 def sigma_full(spec: PopulationSpec, theta_star: ModelParams, grid: Grid | None = None):
     """Full-sample sandwich covariance of sqrt(n)(MLE - theta_star).
 
-    H_full^-1 J_full H_full^-1 under the original population; collapses to
-    the inverse Fisher information under correct specification.
+    The uncentred sandwich of the moments at pilot 0 and c = 2, where every
+    c*a_y is 1: nothing is subsampled or reweighted.  Collapses to the
+    inverse Fisher information under correct specification.
     """
-    grid = grid or integration_grid(spec, along=(theta_star.as_array(),))
-    design = grid.design
-    p = grid.prob1
-    mstar = K.sigmoid(design @ theta_star.as_array())
-    j_x = p * (1 - mstar) ** 2 + (1 - p) * mstar**2
-    h_full = _weighted_mat(design, grid.masses, mstar * (1 - mstar))
-    j_full = _weighted_mat(design, grid.masses, j_x)
-    h_inv = np.linalg.inv(h_full)
-    return h_inv @ j_full @ h_inv
+    theta_vec = theta_star.as_array()
+    grid = grid or integration_grid(spec, along=(theta_vec,))
+    mom = _node_moments(grid, theta_vec, np.zeros(theta_vec.size), 2.0)
+    h_inv = np.linalg.inv(mom["curvature"])
+    return h_inv @ _weighted_mat(mom["design"], grid.masses, mom["j"]) @ h_inv
 
 
 def eval_bar_theta(spec: PopulationSpec, pilot: ModelParams, tol: float = 1e-12) -> OracleFit:

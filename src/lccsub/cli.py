@@ -107,7 +107,7 @@ def _load_population(path):
 def _coef_rows(label, params: ModelParams, names):
     values = [params.intercept, *(float(v) for v in params.slopes)]
     return [
-        {"quantity": label, "coefficient": name, "value": value, "mc_se": 0.0}
+        {"quantity": label, "coefficient": name, "value": value}
         for name, value in zip(["intercept", *names], values)
     ]
 
@@ -123,9 +123,7 @@ def cmd_oracle(args) -> int:
     star = population_theta_star(spec, tol=args.tol)
     b_eq = equal_class_bias(spec)
     rows = _coef_rows("theta_star", star.params, names)
-    rows.append(
-        {"quantity": "equal_class_bias", "coefficient": "", "value": b_eq, "mc_se": 0.0}
-    )
+    rows.append({"quantity": "equal_class_bias", "coefficient": "", "value": b_eq})
     b_values = [b_eq, *(args.b or [])]
     for b in b_values:
         cc = theta_cc_limit(spec, b, tol=args.tol)
@@ -139,7 +137,6 @@ def cmd_oracle(args) -> int:
                         "quantity": "marginal_odds_ratio",
                         "coefficient": names[j],
                         "value": marginal_odds_ratio(spec, j),
-                        "mc_se": 0.0,
                     }
                 )
     if isinstance(spec, StepLogit):
@@ -415,7 +412,7 @@ def cmd_fit(args) -> int:
         write_coefficients(args.out, params, names)
     rows = _coef_rows("coefficients", params, names)
     for quantity, value in (("grad_norm", result.grad_norm), ("iterations", result.iterations)):
-        rows.append({"quantity": quantity, "coefficient": "", "value": float(value), "mc_se": 0.0})
+        rows.append({"quantity": quantity, "coefficient": "", "value": float(value)})
     # the coefficient file goes to --out; the report always to stdout
     _emit(
         rows,
@@ -444,8 +441,7 @@ def cmd_asymptotics(args) -> int:
     report = eval_matrices(spec, theta, pilot, c=args.c)
     variance = lcc_variance(report)
     slope = conditional_bias_slope(report)
-    # every population's rule is exact, so no value carries a Monte-Carlo error
-    rows = [{"quantity": "abar", "row": 0, "col": 0, "value": report.abar, "mc_se": 0.0}]
+    rows = [{"quantity": "abar", "row": 0, "col": 0, "value": report.abar}]
     for name, mat in (
         ("G", report.G[:, None]),
         ("H", report.H),
@@ -457,9 +453,7 @@ def cmd_asymptotics(args) -> int:
         ("bias_slope", slope),
     ):
         for (i, j), value in np.ndenumerate(mat):
-            rows.append(
-                {"quantity": name, "row": i, "col": j, "value": float(value), "mc_se": 0.0}
-            )
+            rows.append({"quantity": name, "row": i, "col": j, "value": float(value)})
     extra = {
         "seed": seed,
         "c": report.c,

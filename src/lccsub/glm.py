@@ -190,26 +190,25 @@ def _design(data: ObservationSet) -> np.ndarray:
     return np.column_stack([np.ones(data.n), data.features])
 
 
-def _eta(theta: ModelParams, data: ObservationSet) -> np.ndarray:
-    return theta.linear_predictor(data.features, data.offsets)
+def _data_risk(theta: ModelParams, data: ObservationSet):
+    """logistic_risk of the data's rows, evaluated at theta."""
+    risk = logistic_risk(_design(data), data.weights, data.labels, data.offsets)
+    return risk(theta.as_array())
 
 
 def neg_log_likelihood(theta: ModelParams, data: ObservationSet) -> float:
     """Weighted negative log-likelihood, overflow-safe for any offsets."""
-    return K.nll_sum(_eta(theta, data), data.labels, data.weights)
+    return _data_risk(theta, data)[0]
 
 
 def score(theta: ModelParams, data: ObservationSet) -> np.ndarray:
     """Gradient of the log-likelihood: sum_i w_i (y_i - p_i) (1, x_i)'."""
-    resid = data.weights * (data.labels - K.sigmoid(_eta(theta, data)))
-    return _design(data).T @ resid
+    return _data_risk(theta, data)[1]
 
 
 def hessian(theta: ModelParams, data: ObservationSet) -> np.ndarray:
     """Negative-log-likelihood Hessian: sum_i w_i p_i (1-p_i) (1,x_i)(1,x_i)'."""
-    mu = K.sigmoid(_eta(theta, data))
-    design = _design(data)
-    return (design * (data.weights * mu * (1.0 - mu))[:, None]).T @ design
+    return _data_risk(theta, data)[2]
 
 
 def _solve_newton_step(H: np.ndarray, s: np.ndarray) -> np.ndarray:

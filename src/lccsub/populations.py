@@ -6,11 +6,13 @@ Three population kinds:
   StepLogit           scalar X ~ U(0,1) with a jump in the log-odds
 
 Each large-sample limit of the estimators (theta*, the case-control and the
-pilot-frozen limits) minimizes one tilted logit risk, which population_limit
-solves by damped Newton on an exact integration rule: cell sums for discrete
-populations, Gauss-Legendre panels split at the jump for the step population,
-and for Gaussian populations a rule integration_grid builds along the linear
-predictors the integrand depends on (for the tilted risk, shift and iterate).
+pilot-frozen limits) minimizes one tilted logit risk, written once by
+tilted_risk; asymptotics takes the variance law off the same risk.
+population_limit solves it by damped Newton on an exact integration rule:
+cell sums for discrete populations, Gauss-Legendre panels split at the jump
+for the step population, and for Gaussian populations a rule
+integration_grid builds along the linear predictors the integrand depends
+on (for the tilted risk, shift and iterate).
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ __all__ = [
     "equal_class_bias",
     "integration_grid",
     "population_score",
+    "tilted_risk",
     "population_limit",
     "population_theta_star",
     "theta_cc_limit",
@@ -502,8 +505,8 @@ class OracleFit:
 
     @property
     def mc_se(self) -> np.ndarray:
-        """Zero: every rule is exact.  It feeds only the reports' mc_se column
-        and simulate's theta_star_mc_se key, and goes with them."""
+        """Zero: every rule is exact.  Kept for simulate's theta_star_mc_se key
+        and the benchmark's tracer, which read it."""
         return np.zeros(self.params.slopes.size + 1)
 
 
@@ -513,16 +516,30 @@ def population_score(spec: PopulationSpec, theta: ModelParams):
     return logistic_risk(grid.design, grid.masses, grid.prob1)(theta.as_array())[1]
 
 
+def tilted_risk(grid: Grid, shift):
+    """logistic_risk's (design, weights, targets, offsets) for the risk tilted at shift.
+
+    Class y is weighted by its acceptance probability at shift, w_1 =
+    sigmoid(-u) and w_0 = sigmoid(u) with u = shift'xt: the x-weights are
+    masses * w with w = w_0 + p (w_1 - w_0), the targets p w_1 / w (0 where
+    w underflows), and the offsets -u take the tilt back off the log-odds.
+    """
+    design = grid.design
+    u = design @ shift
+    w1, w0 = K.sigmoid(-u), K.sigmoid(u)
+    w = w0 + grid.prob1 * (w1 - w0)
+    targets = np.divide(grid.prob1 * w1, w, out=np.zeros_like(w), where=w > 0)
+    return design, grid.masses * w, targets, -u
+
+
 def population_limit(spec: PopulationSpec, shift, tol: float = 1e-12) -> OracleFit:
     """Large-sample limit of the local case-control estimate with the pilot frozen at shift.
 
     Minimizes the tilted risk E[w_Y(X) logloss(Y, sigmoid((theta - shift)'xt))]
-    with acceptance weights w_1 = sigmoid(-u), w_0 = sigmoid(u) at u = shift'xt:
-    the tilt adds -u to the log-odds and the offset takes it back, so a
-    correctly specified Gaussian population returns its exact coefficients.
-    At each iterate theta, logistic_risk on integration_grid(spec,
-    along=(shift, theta - shift)) with x-weights w = w_0 + p (w_1 - w_0) and
-    targets p w_1 / w (0 where w underflows) is exact.  Newton starts at shift.
+    of tilted_risk: the tilt adds -u to the log-odds and the offset takes it
+    back, so a correctly specified Gaussian population returns its exact
+    coefficients.  At each iterate theta the risk on integration_grid(spec,
+    along=(shift, theta - shift)) is exact.  Newton starts at shift.
     shift = 0 gives theta*; the constant shift -b e_0 keeps cases e^b times as
     often as controls with offset b, the adjusted case-control limit.
     """
@@ -530,13 +547,7 @@ def population_limit(spec: PopulationSpec, shift, tol: float = 1e-12) -> OracleF
         return OracleFit(spec.linear_params(), 0.0)
 
     def tilted(theta):
-        grid = integration_grid(spec, along=(shift, theta - shift))
-        design = grid.design
-        u = design @ shift
-        w1, w0 = K.sigmoid(-u), K.sigmoid(u)
-        w = w0 + grid.prob1 * (w1 - w0)
-        targets = np.divide(grid.prob1 * w1, w, out=np.zeros_like(w), where=w > 0)
-        return design, grid.masses * w, targets, -u
+        return tilted_risk(integration_grid(spec, along=(shift, theta - shift)), shift)
 
     total = float(np.sum(tilted(shift)[1]))
     config = FitConfig(grad_tol=tol)

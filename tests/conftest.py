@@ -13,6 +13,7 @@ from lccsub.populations import (
     _gaussian_features,
     conditional_probability,
     population_theta_star,
+    tilted_risk,
 )
 from lccsub.sampling import CHUNK_ROWS, RateCalibration, accept_rows, acceptance_probabilities
 
@@ -75,18 +76,20 @@ def _se_mat(design, masses, scalars):
 
 def _mc_se(grid: Grid, theta, pilot, c) -> dict:
     """Per-entry standard errors of eval_matrices' abar, G, H and J on a
-    Monte-Carlo grid, from the spread of the per-node terms.  H's and J's
-    divide each node's term by the estimated abar, leaving out abar's own
-    error and its correlation with the numerator, so they can overstate
+    Monte-Carlo grid, from the spread of the per-node terms.  G's and H's
+    are c times the tilted risk's per-node score and curvature.  H's and
+    J's divide each node's term by the estimated abar, leaving out abar's
+    own error and its correlation with the numerator, so they can overstate
     the SE of the ratio."""
     mom = _node_moments(grid, theta.as_array(), pilot.as_array(), c)
-    design = mom["design"]
+    design, weights, targets, offsets = tilted_risk(grid, pilot.as_array())
+    m = sigmoid(design @ theta.as_array() + offsets)
     masses = grid.masses
     abar = float(np.sum(masses * mom["abar"]))
     return {
         "abar": float(mom["abar"].std(ddof=1) / np.sqrt(len(masses))),
-        "G": _se_vec(design, masses, mom["g"]),
-        "H": _se_mat(design, masses, mom["h"] / abar),
+        "G": _se_vec(design, masses, c * weights * (targets - m) / masses),
+        "H": _se_mat(design, masses, c * weights * m * (1.0 - m) / masses / abar),
         "J": _se_mat(design, masses, mom["j"] / abar),
     }
 

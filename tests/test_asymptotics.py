@@ -90,6 +90,20 @@ class TestFixedPointIdentities:
         fit = eval_bar_theta(oatmeal, ModelParams.zeros(2))
         assert np.allclose(fit.params.as_array(), oatmeal_star.as_array(), atol=1e-10)
 
+    @pytest.mark.parametrize("name", ["oatmeal", "steplogit", "example2", "simulation1"])
+    def test_bar_theta_is_the_root_of_G(self, name, quadrature_points):
+        # the limits and the matrices integrate one tilted risk: at the
+        # pilot-frozen limit, G is c times that risk's score, which the
+        # solve brings below tol times its total weight, abar at c = 1
+        spec = getattr(presets, name)()
+        pilot = quadrature_points(spec)[-1][1]
+        tol = 1e-12
+        bar = eval_bar_theta(spec, pilot, tol).params
+        total = eval_abar(spec, pilot)
+        for c in (1.0, 2.0, 5.0):
+            G = eval_matrices(spec, bar, pilot, c=c).G
+            assert np.max(np.abs(G)) <= c * tol * total, (c, G)
+
     def test_bar_theta_constant_under_correct_spec(self, correct_report):
         spec, theta0, _ = correct_report
         for seed in range(3):
@@ -198,11 +212,23 @@ class TestWeightedVarianceLaw:
         eigs = np.linalg.eigvals(np.linalg.solve(rep.SigmaFull, avar))
         assert np.max(eigs.real) <= 1.2 + 0.05
 
-    def test_c_below_one_rejected(self):
-        spec = presets.correct_discrete()
-        theta0 = population_theta_star(spec).params
-        with pytest.raises(ValueError):
-            eval_matrices(spec, theta0, theta0, c=0.5)
+    @pytest.mark.parametrize("name", ["oatmeal", "example2", "simulation1", "steplogit"])
+    def test_c_below_one_halves_abar_only(self, name, quadrature_points):
+        # below c = 1 no c*a_y reaches 1: halving c halves abar and the
+        # weights c*a alike, which cancel from H, J, C and Sigma bit for bit
+        spec = getattr(presets, name)()
+        star, moved = quadrature_points(spec)[-1][:2]
+        for pilot in (star, moved):
+            half = eval_matrices(spec, star, pilot, c=0.5)
+            one = eval_matrices(spec, star, pilot, c=1.0)
+            assert half.abar == one.abar / 2
+            for attr in ("H", "J", "C", "Sigma"):
+                assert np.array_equal(getattr(half, attr), getattr(one, attr)), attr
+
+    @pytest.mark.parametrize("c", [0.0, -1.0])
+    def test_c_must_be_positive(self, oatmeal, oatmeal_star, c):
+        with pytest.raises(ValueError, match="positive"):
+            eval_matrices(oatmeal, oatmeal_star, oatmeal_star, c=c)
 
 
 def _check_first_order(spec, star, slope, directions):

@@ -138,6 +138,7 @@ class TestOracle:
         assert rc == 0
         with open(out) as handle:
             rows = list(csv.DictReader(line for line in handle if not line.startswith("#")))
+        assert list(rows[0]) == ["quantity", "coefficient", "value"]
         value = {(r["quantity"], r["coefficient"]): r["value"] for r in rows}
         spec = parse_population(load_config_file(f"{CONFIGS}/oatmeal.cfg")["population"])
         names = ("intercept", "x1", "x2")
@@ -852,6 +853,9 @@ class TestFit:
         assert rc == 0
         params, _ = read_coefficients(coef)
         assert params.intercept == pytest.approx(math.log(3), abs=1e-8)
+        # the report has no Monte-Carlo error column: no fit path has one
+        header = [line for line in capsys.readouterr().out.splitlines() if line[0] != "#"][0]
+        assert header == "quantity,coefficient,value"
 
     def test_weighted_oatmeal_cells(self, tmp_path):
         oat = presets.oatmeal()
@@ -977,6 +981,13 @@ experiment:
         assert outs[0] == outs[1]
         assert b"runtime_seconds" not in outs[0]
         assert "runtime: " in capsys.readouterr().err
+        # perfbench/workloads.py's ReplicationStudy._check_study reads these
+        # keys, theta_star_mc_se among them, from this report
+        report = json.loads(outs[0])
+        assert report["theta_star_mc_se"] == [0.0, 0.0]
+        assert isinstance(report["n_failures"], int)
+        for row in report["rows"]:
+            assert {"method", "bias_sq", "var", "mean_subsample_size"} <= set(row)
 
     def test_threads_do_not_change_output(self, tmp_path):
         tiny = """
@@ -1184,19 +1195,24 @@ class TestAsymptotics:
         assert np.array_equal(C, eval_matrices(spec, star, star).C)
         assert "c_fd_relerr" not in payload
 
-    def test_rows_without_se_are_null_only_on_monte_carlo_grids(self, tmp_path):
-        # the command builds no Monte-Carlo grid: a Gaussian spec's rule is
-        # exact too, so no row is null and every SE is 0, as on oatmeal
-        se = {}
-        for name, extra in (("example2", ["--mc-nodes", "20000"]), ("oatmeal", [])):
-            out = tmp_path / f"{name}.json"
-            rc = main(["asymptotics", "--spec", f"{CONFIGS}/{name}.cfg", "--seed", "1",
-                       "--c", "2", "--format", "json", "--out", str(out), *extra])
+    def test_c_below_one_accepted(self, tmp_path):
+        values = {}
+        for c in ("0.5", "1"):
+            out = tmp_path / f"c{c}.json"
+            rc = main(["asymptotics", "--spec", f"{CONFIGS}/oatmeal.cfg", "--seed", "1",
+                       "--c", c, "--format", "json", "--out", str(out)])
             assert rc == 0
-            for r in json.loads(out.read_text())["rows"]:
-                se.setdefault((name, r["quantity"]), []).append(r["mc_se"])
-        assert se[("example2", "abar")] == [0.0] and se[("example2", "H")] == [0.0] * 9
-        assert all(v == 0.0 for vs in se.values() for v in vs)
+            rows = json.loads(out.read_text())["rows"]
+            # every rule is exact: no row carries a Monte-Carlo error column
+            assert all(set(r) == {"quantity", "row", "col", "value"} for r in rows)
+            values[c] = {(r["quantity"], r["row"], r["col"]): r["value"] for r in rows}
+        assert values["0.5"][("abar", 0, 0)] == values["1"][("abar", 0, 0)] / 2
+        for key, value in values["1"].items():
+            if key[0] in ("H", "J", "C", "Sigma"):
+                assert values["0.5"][key] == value, key
+            elif key[0] == "variance":
+                # half the acceptance doubles the full-sample-scale variance
+                assert values["0.5"][key] == pytest.approx(2 * value, rel=1e-12), key
 
     def test_gaussian_output_ignores_seed_and_mc_nodes(self, tmp_path):
         outputs = set()
