@@ -7,7 +7,8 @@ import signal
 
 def _fork(task):
     """(pid, read end of a pipe) of a forked worker that runs task() and
-    sends back (True, its result) or (False, its exception), pickled."""
+    sends back (True, its result) or (False, its exception), pickled; an
+    exception that unpickling cannot rebuild goes as a RuntimeError naming it."""
     read, write = os.pipe()
     pid = os.fork()
     if pid == 0:
@@ -18,6 +19,10 @@ def _fork(task):
                 payload = (True, task())
             except BaseException as exc:  # raised again by the parent
                 payload = (False, exc)
+                try:
+                    pickle.loads(pickle.dumps(exc, pickle.HIGHEST_PROTOCOL))
+                except Exception:
+                    payload = (False, RuntimeError(f"{type(exc).__name__}: {exc}"))
             with open(write, "wb") as pipe:
                 pickle.dump(payload, pipe, pickle.HIGHEST_PROTOCOL)
         finally:

@@ -1,12 +1,13 @@
 """Seeded Monte-Carlo replication harness comparing the subsampling methods.
 
-Protocol per replication: draw fresh data, fit a weighted case-control
-pilot of the requested expected size, take the local case-control sample,
-and give the comparison estimators (cc, wcc, uniform) the combined
-pilot-plus-second-stage budget so the pilot cost is paid for.  With
-implicit_full the full sample is never materialized: the pilot comes from
-class-balanced draws and the second stage samples the tilted measure by
-rejection.
+Protocol per replication: draw fresh data; for the local method fit a
+weighted case-control pilot of the requested expected size and take the
+local case-control sample; give the comparison estimators (cc, wcc,
+uniform) the combined pilot-plus-second-stage budget so the pilot cost is
+paid for.  Every draw is one WeightedSubsample, fitted by fit_subsample.
+With implicit_full the full sample is never materialized: the pilot, cc
+and wcc are class-balanced draws and the local sample comes from
+sample_tilted.  convergence_study runs the explicit replication.
 
 Determinism: every stage of every replication derives its generator from
 (master_seed, replication, stage), and reduction is in replication order,
@@ -29,7 +30,6 @@ from .glm import FitConfig, GlmError, ModelParams, ObservationSet, fit_logistic
 from .populations import (
     OracleFit,
     PopulationSpec,
-    equal_class_bias,
     population_theta_star,
     positive_rate,
     sample_conditional,
@@ -37,10 +37,13 @@ from .populations import (
     sample_tilted,
 )
 from .sampling import (
+    CaseControl,
     EmptySubsample,
     LocalCaseControl,
     TooFewCases,
     Uniform,
+    WeightedCaseControl,
+    WeightedSubsample,
     class_balanced_scheme,
     class_counts,
     draw_subsample,
@@ -213,28 +216,28 @@ def one_blas_thread():
         set_(_PINNED.pop())
 
 
-def _wcc_weights(labels: np.ndarray, prior1: float) -> np.ndarray:
-    # Horvitz-Thompson weights for equal-expected-class draws: 1/a(y)
-    # with a1/a0 = (1-prior1)/prior1, up to an irrelevant common scale.
-    return np.where(labels == 1.0, prior1, 1.0 - prior1)
+def _balanced_draw(spec: PopulationSpec, n: int, rng, weighted: bool) -> WeightedSubsample:
+    """n rows with Bernoulli(1/2) labels and features from X | Y: the
+    case-control draw at rates a0 = P(Y=1), a1 = P(Y=0) of an unbounded sample.
+
+    Unweighted, it carries that scheme's offset; weighted, the
+    Horvitz-Thompson weights 1/a(y) up to a common scale, P(Y=y) for class y.
+    """
+    prior1 = positive_rate(spec)
+    labels = (rng.random(n) < 0.5).astype(np.float64)
+    features = sample_conditional(spec, labels, rng)
+    scheme = (WeightedCaseControl if weighted else CaseControl)(a0=prior1, a1=1.0 - prior1)
+    weights = np.where(labels == 1.0, prior1, 1.0 - prior1) if weighted else np.ones(n)
+    offsets = np.full(n, 0.0 if weighted else scheme.bias)
+    rows = np.arange(n)
+    return WeightedSubsample(scheme, n, float(n), 0.0, rows, labels, features, weights, offsets)
 
 
 def _replicate_explicit(config: ExperimentConfig, rep: int) -> dict:
     data = sample_population(
         config.spec, config.n_full, derived_rng(config.master_seed, rep, "data")
     )
-    pilot_fit = fit_pilot_wcc(
-        data, config.n_pilot, derived_rng(config.master_seed, rep, "pilot"), config.fit
-    )
-    pilot = pilot_fit.params
     uniforms = derived_rng(config.master_seed, rep, "uniforms").random(config.n_full)
-    if config.recycle_pilot:
-        second, second_uniforms = data, uniforms
-    else:
-        mask = np.ones(config.n_full, dtype=bool)
-        mask[pilot_fit.subsample.rows] = False
-        second = ObservationSet(data.features[mask], data.labels[mask])
-        second_uniforms = uniforms[mask]
 
     out = {}
     for method in config.methods:
@@ -243,9 +246,16 @@ def _replicate_explicit(config: ExperimentConfig, rep: int) -> dict:
             continue
         source, source_uniforms, target = data, uniforms, None
         if method == "lcc":
+            pilot_fit = fit_pilot_wcc(
+                data, config.n_pilot, derived_rng(config.master_seed, rep, "pilot"), config.fit
+            )
+            if not config.recycle_pilot:
+                mask = np.ones(config.n_full, dtype=bool)
+                mask[pilot_fit.subsample.rows] = False
+                source = ObservationSet(data.features[mask], data.labels[mask])
+                source_uniforms = uniforms[mask]
             c = 1.0 if config.c is None else config.c
-            scheme = LocalCaseControl(pilot, c=c, retain_cases=config.retain_cases)
-            source, source_uniforms = second, second_uniforms
+            scheme = LocalCaseControl(pilot_fit.params, c=c, retain_cases=config.retain_cases)
             target = config.n_lcc if config.c is None else None
         elif method == "uniform":
             scheme = Uniform(min(1.0, config.comparison_budget / config.n_full))
@@ -259,42 +269,21 @@ def _replicate_explicit(config: ExperimentConfig, rep: int) -> dict:
 
 
 def _replicate_implicit(config: ExperimentConfig, rep: int) -> dict:
-    spec = config.spec
-    prior1 = positive_rate(spec)
-    bias = equal_class_bias(spec)
-
-    rng_pilot = derived_rng(config.master_seed, rep, "pilot")
-    labels = (rng_pilot.random(config.n_pilot) < 0.5).astype(np.float64)
-    feats = sample_conditional(spec, labels, rng_pilot)
-    pilot_obs = ObservationSet(feats, labels, weights=_wcc_weights(labels, prior1))
-    pilot = fit_logistic(pilot_obs, config.fit).params
-
     out = {}
     for method in config.methods:
+        rng = derived_rng(config.master_seed, rep, method)
         if method == "lcc":
-            rng = derived_rng(config.master_seed, rep, "lcc")
-            tilt = sample_tilted(spec, pilot, config.n_lcc, rng)
-            obs = tilt.observations
-            fitted = fit_logistic(
-                ObservationSet(
-                    obs.features,
-                    obs.labels,
-                    offsets=-pilot.linear_predictor(obs.features),
-                ),
-                config.fit,
+            pilot_rng = derived_rng(config.master_seed, rep, "pilot")
+            pilot_sub = _balanced_draw(config.spec, config.n_pilot, pilot_rng, weighted=True)
+            pilot = fit_subsample(pilot_sub, config.fit).params
+            scheme = LocalCaseControl(pilot, retain_cases=config.retain_cases)
+            sub = sample_tilted(config.spec, scheme, config.n_lcc, rng)
+        else:
+            sub = _balanced_draw(
+                config.spec, config.comparison_budget, rng, weighted=(method == "wcc")
             )
-            out[method] = (fitted.params.as_array(), obs.n, tilt.acceptance_rate)
-        elif method in ("cc", "wcc"):
-            rng = derived_rng(config.master_seed, rep, method)
-            n = config.comparison_budget
-            labels = (rng.random(n) < 0.5).astype(np.float64)
-            feats = sample_conditional(spec, labels, rng)
-            if method == "cc":
-                obs = ObservationSet(feats, labels, offsets=np.full(n, bias))
-            else:
-                obs = ObservationSet(feats, labels, weights=_wcc_weights(labels, prior1))
-            fitted = fit_logistic(obs, config.fit)
-            out[method] = (fitted.params.as_array(), n)
+        fitted = fit_subsample(sub, config.fit).params.as_array()
+        out[method] = (fitted, sub.realized_size, sub.realized_size / sub.rows_read)
     return out
 
 
@@ -384,40 +373,32 @@ def convergence_study(
 ):
     """Error quantiles of each method along an increasing sample-size grid.
 
-    Per seed and n: fresh data, WCC pilot of expected size pilot_fraction*n,
-    LCC at c=1 over all rows; cc/wcc take all of the rarer class with
-    matched counts from the other.  Errors are ||estimate - theta*|| over
-    the full coefficient vector.  Returns one row per (n, method) with
-    median and quartiles.
+    Each seed and n runs the explicit replication on n rows, one method at
+    a time so that a failure drops only that method's error: LCC at c=1
+    with a WCC pilot of expected size pilot_fraction*n (at least p + 2),
+    cc/wcc at budget n.  Errors are ||estimate - theta*|| over the full
+    coefficient vector.  Returns one row per (n, method) with median and
+    quartiles.
     """
+    if seeds < 2:
+        raise ValueError("need at least 2 seeds")
     n_grid = sorted(int(n) for n in n_grid)
     fit = fit or FitConfig()
     truth = (theta_star or population_theta_star(spec)).params.as_array()
     errors = {(n, m): [] for n in n_grid for m in methods}
     for seed in range(seeds):
         for idx, n in enumerate(n_grid):
-            rep = seed * len(n_grid) + idx
-            data = sample_population(spec, n, derived_rng(master_seed, rep, "data"))
-            uniforms = derived_rng(master_seed, rep, "uniforms").random(n)
+            n_pilot = max(int(pilot_fraction * n), spec.p + 2)
             for method in methods:
+                config = ExperimentConfig(
+                    spec, n, n_pilot, n - n_pilot, replications=seeds, methods=(method,),
+                    c=1.0, master_seed=master_seed, fit=fit,
+                )
                 try:
-                    if method == "lcc":
-                        pilot = fit_pilot_wcc(
-                            data,
-                            max(int(pilot_fraction * n), data.p + 2),
-                            derived_rng(master_seed, rep, "pilot"),
-                            fit,
-                        ).params
-                        sub = draw_subsample(data, LocalCaseControl(pilot), uniforms)
-                    else:
-                        scheme = class_balanced_scheme(
-                            class_counts(data.labels), n, weighted=(method == "wcc")
-                        )
-                        sub = draw_subsample(data, scheme, uniforms)
-                    vec = fit_subsample(sub, fit).params.as_array()
-                    errors[(n, method)].append(float(np.linalg.norm(vec - truth)))
+                    vec = _replicate_explicit(config, seed * len(n_grid) + idx)[method][0]
                 except _FAILURE_KINDS:
                     continue
+                errors[(n, method)].append(float(np.linalg.norm(vec - truth)))
     rows = []
     for n in n_grid:
         for method in methods:

@@ -5,6 +5,10 @@ Three population kinds:
   TwoClassGaussian    class prior + per-class Gaussian features
   StepLogit           scalar X ~ U(0,1) with a jump in the log-odds
 
+sample_population draws from a population and sample_conditional from
+X | Y; sample_tilted draws through a local case-control scheme into the
+WeightedSubsample that every accept-reject pass returns.
+
 Each large-sample limit of the estimators (theta*, the case-control and the
 pilot-frozen limits) minimizes one tilted logit risk, written once by
 tilted_risk; asymptotics takes the variance law off the same risk.
@@ -25,7 +29,7 @@ import numpy as np
 
 from . import _kernels as K
 from .glm import FitConfig, ModelParams, ObservationSet, logistic_risk, minimize_risk
-from .sampling import LocalCaseControl, accept_rows
+from .sampling import LocalCaseControl, WeightedSubsample, accept_rows
 
 __all__ = [
     "DiscretePopulation",
@@ -35,7 +39,6 @@ __all__ = [
     "AcceptanceTooLow",
     "Grid",
     "OracleFit",
-    "TiltedSample",
     "PrecisionRecallCurve",
     "true_log_odds",
     "conditional_probability",
@@ -270,80 +273,47 @@ def _gaussian_features(spec: TwoClassGaussian, labels, rng) -> np.ndarray:
 
 
 def sample_conditional(spec: PopulationSpec, labels, rng) -> np.ndarray:
-    """Features drawn from X | Y=label, one row per entry of labels."""
+    """Features drawn from X | Y=label, one row per entry of labels.
+
+    A Gaussian population draws each class's features directly; any other
+    keeps, in order, its own draws whose label matches, which is exact.
+    """
     labels = np.asarray(labels, dtype=np.float64)
     if isinstance(spec, TwoClassGaussian):
         return _gaussian_features(spec, labels, rng)
-    if isinstance(spec, DiscretePopulation):
-        p = K.sigmoid(spec.logodds)
-        out = np.empty((labels.shape[0], spec.p))
-        for label, cond in ((1.0, p), (0.0, 1.0 - p)):
-            sel = labels == label
-            if not np.any(sel):
-                continue
-            w = spec.masses * cond
-            w = w / w.sum()
-            idx = rng.choice(spec.points.shape[0], size=int(sel.sum()), p=w)
-            out[sel] = spec.points[idx]
-        return out
-    if isinstance(spec, StepLogit):
-        # rejection from U(0,1) against the class-conditional density
-        out = np.empty((labels.shape[0], 1))
-        for label in (0.0, 1.0):
-            sel = np.flatnonzero(labels == label)
-            need = sel.size
-            if need == 0:
-                continue
-            grid = np.linspace(0.0, 1.0, 4097).reshape(-1, 1)
-            dens = conditional_probability(spec, grid)
-            bound = float(dens.max() if label == 1.0 else (1.0 - dens).min() + 1.0)
-            got = []
-            while need > 0:
-                m = max(4 * need, 1024)
-                x = rng.random(m)
-                px = conditional_probability(spec, x.reshape(-1, 1))
-                target = px if label == 1.0 else 1.0 - px
-                acc = x[rng.random(m) * bound < target]
-                got.append(acc[:need])
-                need -= len(got[-1])
-            out[sel, 0] = np.concatenate(got)
-        return out
-    raise TypeError(f"unknown population spec {type(spec)!r}")
-
-
-@dataclass(frozen=True)
-class TiltedSample:
-    """Accepted draws from the pilot-tilted measure plus the proposal count."""
-
-    observations: ObservationSet
-    proposals: int
-
-    @property
-    def acceptance_rate(self) -> float:
-        return self.observations.n / self.proposals
+    out = np.empty((labels.shape[0], spec.p))
+    prior1 = positive_rate(spec)
+    for label, rate in ((0.0, 1.0 - prior1), (1.0, prior1)):
+        rows = np.flatnonzero(labels == label)
+        while rows.size:
+            draw = sample_population(spec, int(min(max(1024, 1.2 * rows.size / rate), 2**20)), rng)
+            match = draw.features[draw.labels == label][: rows.size]
+            out[rows[: len(match)]] = match
+            rows = rows[len(match):]
+    return out
 
 
 def sample_tilted(
     spec: PopulationSpec,
-    pilot: ModelParams,
+    scheme: LocalCaseControl,
     n_accept: int,
     rng,
     proposal_cap: int = 10**9,
-) -> TiltedSample:
-    """Rejection-sample the measure tilted by a(x,y) = |y - ptilde(x)|.
+) -> WeightedSubsample:
+    """Rejection-sample the population through a local case-control scheme.
 
-    Proposes from the population and accepts each row with probability
-    a(x,y), stopping at exactly n_accept acceptances.  The proposal count
-    (through the accepting row) supports estimating the marginal acceptance
-    probability.
+    Proposes from the population in batches and keeps each row as
+    accept_rows does, stopping at exactly n_accept acceptances.  rows are
+    the kept positions in the proposal stream and rows_read the proposals
+    through the accepting row, so realized_size / rows_read estimates the
+    marginal acceptance probability.
     """
     if n_accept < 1:
         raise ValueError("n_accept must be at least 1")
-    feats_parts, label_parts = [], []
+    parts = []
     accepted = 0
     proposals = 0
     batch = max(4096, 2 * n_accept)
-    scheme = LocalCaseControl(pilot)
     while accepted < n_accept:
         if proposals >= proposal_cap:
             raise AcceptanceTooLow(
@@ -351,23 +321,17 @@ def sample_tilted(
             )
         batch = int(min(batch, proposal_cap - proposals, 2**20))
         obs = sample_population(spec, batch, rng)
-        keep = accept_rows(scheme, obs.features, obs.labels, rng.random(batch))[0]
-        hits = np.flatnonzero(keep)
-        if accepted + hits.size >= n_accept:
-            last = hits[n_accept - accepted - 1]
-            proposals += int(last) + 1
-            hits = hits[: n_accept - accepted]
-        else:
-            proposals += batch
-        feats_parts.append(obs.features[hits])
-        label_parts.append(obs.labels[hits])
+        keep, weights, offsets, _ = accept_rows(scheme, obs.features, obs.labels, rng.random(batch))
+        hits = np.flatnonzero(keep)[: n_accept - accepted]
+        columns = (obs.labels, obs.features, weights, offsets)
+        parts.append((hits + proposals, *(a[hits] for a in columns)))
         accepted += hits.size
         # every batch before the last counts in full toward proposals
+        proposals += int(hits[-1]) + 1 if accepted == n_accept else batch
         rate = max(accepted / proposals, 1e-6)
         batch = int(min(max(4096, 1.2 * (n_accept - accepted) / rate), 2**20))
-    return TiltedSample(
-        ObservationSet(np.vstack(feats_parts), np.concatenate(label_parts)),
-        proposals,
+    return WeightedSubsample(
+        scheme, proposals, float(n_accept), 0.0, *map(np.concatenate, zip(*parts))
     )
 
 

@@ -905,7 +905,8 @@ class TestFit:
         assert p2.slopes[0] == pytest.approx(p1.slopes[0] - 2)
 
 
-# pilots of 12 rows separate in replications 0, 5 and 6
+# pilots of 12 rows separate in replications 0, 5 and 6; only a study
+# with lcc fits a pilot
 _FRAGILE_STUDY = """
 population:
   kind: gaussian2
@@ -917,9 +918,9 @@ population:
 experiment:
   n_full: 200
   n_pilot: 12
-  n_lcc: 12
+  n_lcc: 24
   replications: 8
-  methods: [cc]
+  methods: [lcc]
   bootstrap_B: 150
   master_seed: 1
 """

@@ -1,10 +1,12 @@
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from lccsub import experiments, presets
+from lccsub._workers import fork_map
 from lccsub.experiments import (
     ExperimentConfig,
     TooManyFailures,
@@ -235,6 +237,38 @@ class TestRunExperiment:
             assert np.array_equal(reports[0].methods[m].draws, reports[1].methods[m].draws)
         assert exits == [0]
 
+    def test_unpicklable_worker_error_reaches_the_caller(self, monkeypatch):
+        # TooManyFailures needs its failures to be built again: a pickle
+        # round trip, which passes args alone, cannot
+        def task(item):
+            if item == 1:
+                raise TooManyFailures("two failed", ((1, "Singular", "x"), (3, "Singular", "y")))
+            return item
+
+        exits = self.record_exits(monkeypatch)
+        with pytest.raises(RuntimeError, match="^TooManyFailures: two failed$"):
+            fork_map(task, [0, 1])
+        assert exits == [0]
+
+    def test_study_without_lcc_fits_no_pilot(self, small_config, small_truth, monkeypatch):
+        pinned = run_experiment(small_config, theta_star=small_truth)
+        fit_pilot_wcc = experiments.fit_pilot_wcc
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return fit_pilot_wcc(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "fit_pilot_wcc", counted)
+        report = run_experiment(
+            replace(small_config, methods=("wcc", "cc", "uniform")), theta_star=small_truth
+        )
+        assert calls == []
+        for m in ("wcc", "cc", "uniform"):  # the pilot's own stream moves no other draw
+            assert np.array_equal(report.methods[m].draws, pinned.methods[m].draws)
+        run_experiment(replace(small_config, methods=("lcc",)), theta_star=small_truth)
+        assert len(calls) == small_config.replications
+
     def test_threads_below_one_rejected(self, small_config, small_truth):
         with pytest.raises(ValueError, match="threads must be at least 1"):
             run_experiment(small_config, threads=0, theta_star=small_truth)
@@ -274,6 +308,28 @@ class TestRunExperiment:
         truth = rep.theta_star.params.slopes
         draws = rep.methods["lcc"].draws[:, 1:]
         assert np.linalg.norm(draws.mean(axis=0) - truth) < 1.0
+
+    def test_implicit_lcc_honours_retain_cases(self):
+        cfg = ExperimentConfig(
+            spec=presets.simulation2(p=4),
+            n_full=10**6,
+            n_pilot=300,
+            n_lcc=300,
+            replications=3,
+            methods=("lcc", "cc", "wcc"),
+            implicit_full=True,
+            bootstrap_B=100,
+            master_seed=6,
+        )
+        star = population_theta_star(cfg.spec)
+        kept, dropped = (
+            run_experiment(replace(cfg, retain_cases=retain), theta_star=star)
+            for retain in (True, False)
+        )
+        assert not np.array_equal(kept.methods["lcc"].draws, dropped.methods["lcc"].draws)
+        assert np.all(kept.lcc_acceptance_rates > dropped.lcc_acceptance_rates)
+        for m in ("cc", "wcc"):
+            assert np.array_equal(kept.methods[m].draws, dropped.methods[m].draws)
 
     def test_config_validation(self):
         spec = presets.correct_gaussian(p=2)
@@ -335,3 +391,8 @@ class TestConvergenceStudy:
             - star.params.as_array()
         )
         assert med[(64000, "cc")] == pytest.approx(plateau, rel=0.2)
+
+    def test_one_seed_refused(self):
+        # a quantile over fewer than two seeds is no study, as in run_experiment
+        with pytest.raises(ValueError, match="at least 2 seeds"):
+            convergence_study(presets.oatmeal(), n_grid=[4000], seeds=1)

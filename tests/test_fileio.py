@@ -3,9 +3,11 @@ float(), quoted records, line endings, and the row/column diagnostics of
 bad cells past the first chunk; the experiment config schema."""
 
 import csv
+import dataclasses
 import os
 import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lccsub import presets
-from lccsub.fileio import CsvFormatError, convert_records, parse_experiment, stream_rows
+from lccsub.fileio import (
+    CsvFormatError,
+    convert_records,
+    load_config_file,
+    parse_experiment,
+    parse_population,
+    stream_rows,
+)
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 cells = st.one_of(
@@ -160,3 +169,30 @@ def test_experiment_config_accepts_every_key():
         owner = config.fit if key in fit_keys else config
         expected = tuple(value) if key == "methods" else value
         assert getattr(owner, key) == expected, key
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+_CONFIG_PRESETS = {
+    "correct_spec": presets.correct_gaussian,
+    "example2": presets.example2,
+    "oatmeal": presets.oatmeal,
+    "sim1": presets.simulation1,
+    "sim1_desk": presets.simulation1,
+    "sim2_desk": lambda: presets.simulation2(20),
+    "steplogit": presets.steplogit,
+}
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda path: path.stem)
+def test_bundled_config_parses(path):
+    raw = load_config_file(str(path))
+    spec = parse_population(raw["population"])
+    preset = _CONFIG_PRESETS[path.stem]()
+    assert type(spec) is type(preset)
+    for field in dataclasses.fields(spec):
+        assert np.array_equal(getattr(spec, field.name), getattr(preset, field.name)), field.name
+    if "experiment" in raw:
+        config = parse_experiment(raw["experiment"], spec)
+        for key, value in raw["experiment"].items():
+            expected = tuple(value) if key == "methods" else value
+            assert getattr(config, key) == expected, key

@@ -25,11 +25,13 @@ from lccsub.populations import (
     population_score,
     population_theta_star,
     precision_recall,
+    sample_conditional,
     sample_population,
     sample_tilted,
     theta_cc_limit,
     true_log_odds,
 )
+from lccsub.sampling import LocalCaseControl, acceptance_probabilities
 
 
 @pytest.fixture(scope="module")
@@ -113,9 +115,9 @@ class TestSampleTilted:
     def test_balanced_pilot_accepts_half(self):
         spec = presets.steplogit()
         pilot = ModelParams(0.0, [0.0])  # ptilde = 1/2 everywhere
-        ts = sample_tilted(spec, pilot, 20000, np.random.default_rng(3))
-        assert ts.observations.n == 20000
-        assert ts.acceptance_rate == pytest.approx(0.5, abs=0.02)
+        ts = sample_tilted(spec, LocalCaseControl(pilot), 20000, np.random.default_rng(3))
+        assert ts.realized_size == 20000
+        assert ts.realized_size / ts.rows_read == pytest.approx(0.5, abs=0.02)
 
     def test_tilted_logit_slopes_vanish_with_offset(self):
         # under the tilted measure, logit P(Y=1|x) = f(x) - pilot'(1,x); with
@@ -123,29 +125,88 @@ class TestSampleTilted:
         # pilot offsets recovers theta0, i.e. zero coefficients pre-shift
         spec = presets.correct_gaussian(p=3, mu_scale=0.8)
         theta0 = spec.linear_params()
-        ts = sample_tilted(spec, theta0, 40000, np.random.default_rng(4))
-        obs = ts.observations
-        tilted = ObservationSet(
-            obs.features,
-            obs.labels,
-            offsets=-theta0.linear_predictor(obs.features),
-        )
+        ts = sample_tilted(spec, LocalCaseControl(theta0), 40000, np.random.default_rng(4))
+        tilted = ts.to_observation_set()
+        assert np.array_equal(tilted.offsets, -theta0.linear_predictor(tilted.features))
         res = fit_logistic(tilted)
         delta = res.params.as_array() - theta0.as_array()
         # crude SE: 2/sqrt(n per coordinate curvature ~ n/4)
-        assert np.all(np.abs(delta) < 4 * np.sqrt(4.0 / obs.n) + 0.05)
+        assert np.all(np.abs(delta) < 4 * np.sqrt(4.0 / tilted.n) + 0.05)
 
     def test_simulation2_acceptance_rate(self):
         spec = presets.simulation2(p=50)
         theta0 = spec.linear_params()
-        ts = sample_tilted(spec, theta0, 5000, np.random.default_rng(5))
-        assert ts.acceptance_rate == pytest.approx(0.005, abs=0.001)
+        ts = sample_tilted(spec, LocalCaseControl(theta0), 5000, np.random.default_rng(5))
+        assert ts.realized_size / ts.rows_read == pytest.approx(0.005, abs=0.001)
 
     def test_proposal_cap(self):
         spec = presets.simulation2(p=10)
         theta0 = spec.linear_params()
         with pytest.raises(AcceptanceTooLow):
-            sample_tilted(spec, theta0, 10**6, np.random.default_rng(6), proposal_cap=10**4)
+            sample_tilted(
+                spec, LocalCaseControl(theta0), 10**6, np.random.default_rng(6), proposal_cap=10**4
+            )
+
+    def test_rows_are_proposal_positions(self):
+        # one batch of 4096 proposals: the kept rows replay from the
+        # population's draws, then the batch's uniforms
+        spec = presets.steplogit()
+        scheme = LocalCaseControl(ModelParams(0.0, [0.0]))
+        ts = sample_tilted(spec, scheme, 1000, np.random.default_rng(8))
+        rng = np.random.default_rng(8)
+        obs = sample_population(spec, 4096, rng)
+        keep = rng.random(4096) <= acceptance_probabilities(scheme, obs.features, obs.labels)[0]
+        rows = np.flatnonzero(keep)[:1000]
+        assert ts.rows_read == rows[-1] + 1
+        assert np.array_equal(ts.rows, rows)
+        assert np.array_equal(ts.features, obs.features[rows])
+        assert ts.expected_size == 1000 and ts.size_variance == 0.0
+
+    def test_rows_count_across_batches(self):
+        spec = presets.steplogit()
+        ts = sample_tilted(
+            spec, LocalCaseControl(ModelParams(-4.0, [3.0])), 3000, np.random.default_rng(8)
+        )
+        assert ts.rows_read > 2 * 4096  # several batches
+        assert np.all(np.diff(ts.rows) > 0)
+        assert ts.rows[-1] + 1 == ts.rows_read
+
+
+class TestSampleConditional:
+    N = 200_000
+
+    def test_oatmeal_cells_per_class(self, oatmeal):
+        p = conditional_probability(oatmeal, oatmeal.points)
+        prior1 = float(np.sum(oatmeal.masses * p))
+        labels = np.tile([0.0, 1.0], self.N // 2)
+        feats = sample_conditional(oatmeal, labels, np.random.default_rng(11))
+        for label, cond in ((0.0, oatmeal.masses * (1 - p) / (1 - prior1)),
+                            (1.0, oatmeal.masses * p / prior1)):
+            rows = feats[labels == label]
+            for point, want in zip(oatmeal.points, cond):
+                freq = np.mean(np.all(rows == point, axis=1))
+                assert abs(freq - want) < 4 * np.sqrt(want * (1 - want) / rows.shape[0])
+
+    def test_steplogit_class_means(self):
+        spec = presets.steplogit()
+        grid = integration_grid(spec)
+        labels = np.tile([0.0, 1.0], self.N // 2)
+        x = sample_conditional(spec, labels, np.random.default_rng(12))[:, 0]
+        for label, dens in ((0.0, grid.masses * (1 - grid.prob1)), (1.0, grid.masses * grid.prob1)):
+            dens = dens / dens.sum()
+            mean = float(np.sum(dens * grid.points[:, 0]))
+            sd = np.sqrt(np.sum(dens * (grid.points[:, 0] - mean) ** 2))
+            rows = x[labels == label]
+            assert abs(rows.mean() - mean) < 4 * sd / np.sqrt(rows.size)
+
+    def test_gaussian_class_means(self):
+        spec = presets.example2()
+        labels = np.tile([0.0, 1.0], self.N // 2)
+        feats = sample_conditional(spec, labels, np.random.default_rng(13))
+        for label, mu, sigma in ((0.0, spec.mu0, spec.sigma0), (1.0, spec.mu1, spec.sigma1)):
+            rows = feats[labels == label]
+            se = np.sqrt(np.diag(sigma) / rows.shape[0])
+            assert np.all(np.abs(rows.mean(axis=0) - mu) < 4 * se)
 
 
 class TestThetaStar:
