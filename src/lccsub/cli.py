@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Commands: oracle (population limits), sample (subsample a CSV), fit
-(logistic fit of a CSV), asymptotics (population matrices/variance),
-simulate (replication studies).
+Commands: oracle (population limits), sample (subsample a CSV by the
+library's pilot rule and accept pass), fit (logistic fit of a CSV),
+asymptotics (population matrices/variance), simulate (replication studies).
 
 Every run resolves one seed (explicit --seed or a fresh random one),
 prints it on stderr, and records it in the outputs, so identical
@@ -66,6 +66,9 @@ from .sampling import (
     accept_scan,
     class_balanced_scheme,
     class_counts,
+    fit_subsample,
+    pilot_rows,
+    pilot_subsample,
 )
 
 EXIT_OK = 0
@@ -187,62 +190,31 @@ def _generator_at(rng, row: int):
     return rng
 
 
-def _keep_smallest(keys, records, size):
-    """The `size` smallest keys and their records."""
-    if keys.size <= size:
-        return keys, records
-    top = np.argpartition(keys, size - 1)[:size]
-    return keys[top], [records[i] for i in top]
+def _pilot_pass(path, per_class, rng, plan):
+    """`sample`'s pilot: sampling.pilot_rows on one key per row in file order, as
+    fit_pilot_wcc.  Each chunk and then the shards feed the positions, labels,
+    keys and raw records kept so far to pilot_rows, and only the records kept
+    at the end are converted.  rng ends where one draw per row leaves it."""
 
-
-def _reservoir_balanced_pass(path, per_class, rng, plan):
-    """One-pass per-class uniform sample; returns a WCC-weighted pilot set.
-
-    Every row draws one uniform key in file order and each class keeps the
-    rows with its per_class smallest keys: a uniform sample without
-    replacement that does not depend on the chunking or the shards.  The
-    keys ignore row content, so only the labels are converted; each shard
-    holds the raw records of rows still among their class's smallest keys,
-    and the kept ones are converted at the end.  rng ends where one draw
-    per row leaves it.
-    """
+    def keep(columns):
+        pick = pilot_rows(columns[1], columns[2], per_class)
+        return tuple(column[pick] for column in columns)
 
     def scan(chunks, first):
-        keys_rng = _generator_at(rng, first)
-        seen, keys, kept = [0, 0], [np.empty(0), np.empty(0)], [[], []]
-        for _, _, records, labels, _, _ in chunks:
-            chunk_keys = keys_rng.random(labels.shape[0])
-            for y in (0, 1):
-                rows = np.flatnonzero(labels == y)
-                seen[y] += rows.size
-                if keys[y].size == per_class:
-                    rows = rows[chunk_keys[rows] < keys[y].max()]
-                keys[y], kept[y] = _keep_smallest(
-                    np.concatenate([keys[y], chunk_keys[rows]]),
-                    kept[y] + [records[i] for i in rows],
-                    per_class,
-                )
-        return seen, keys, kept
+        keys_rng, seen = _generator_at(rng, first), np.zeros(2, dtype=np.int64)
+        kept = (np.empty(0, dtype=np.int64), np.empty(0), np.empty(0), np.empty(0, dtype=object))
+        for _, start, records, labels, _, _ in chunks:
+            seen += class_counts(labels)
+            chunk = (np.arange(start - 1, start - 1 + labels.shape[0]), labels,
+                     keys_rng.random(labels.shape[0]), np.fromiter(records, object, len(records)))
+            kept = keep(tuple(map(np.concatenate, zip(kept, chunk))))
+        return seen, kept
 
     header, shards = map_shards(path, scan, plan, labels_only=True)
-    seen = [sum(shard[0][y] for shard in shards) for y in (0, 1)]
-    if not (seen[0] and seen[1]):
-        raise TooFewCases("pilot needs both classes present")
-    rng.bit_generator.advance(seen[0] + seen[1])
-    records, sizes = [], []
-    for y in (0, 1):
-        keys, kept = _keep_smallest(
-            np.concatenate([shard[1][y] for shard in shards]),
-            [record for shard in shards for record in shard[2][y]],
-            per_class,
-        )
-        records += [kept[i] for i in np.argsort(keys)]
-        sizes.append(keys.size)
-    return ObservationSet(
-        convert_records(header, records)[2],
-        np.repeat([0.0, 1.0], sizes),
-        weights=np.repeat([seen[0] / sizes[0], seen[1] / sizes[1]], sizes),
-    )
+    seen = [int(n) for n in sum(shard[0] for shard in shards)]
+    rng.bit_generator.advance(sum(seen))
+    rows, labels, _, records = keep(tuple(map(np.concatenate, zip(*(s[1] for s in shards)))))
+    return pilot_subsample(seen, rows, labels, convert_records(header, records)[2])
 
 
 def _read_through(chunks, first):
@@ -269,7 +241,7 @@ _SCHEME_OPTIONS = {
     "lcc": ("pilot", "pilot_size", "c", "target_size", "retain_cases"),
 }
 _OVERRIDES = (("target_size", "a0"), ("target_size", "a1"), ("pilot", "pilot_size"))
-# the smallest sizes: the pilot reservoir keeps pilot_size // 2 rows of each class
+# the smallest sizes: the pilot keeps pilot_size // 2 rows of each class
 _LEAST_SIZES = (("pilot_size", 4), ("target_size", 1))
 
 
@@ -318,8 +290,7 @@ def _build_scheme(args, seed, plan, pilot):
         pilot_size = 1000 if args.pilot_size is None else args.pilot_size
         rng_pilot = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
         with _file_errors_first(args.data, plan):
-            pilot_obs = _reservoir_balanced_pass(args.data, pilot_size // 2, rng_pilot, plan)
-            pilot = fit_logistic(pilot_obs).params
+            pilot = fit_subsample(_pilot_pass(args.data, pilot_size // 2, rng_pilot, plan)).params
         pilot_source = f"wcc reservoir (size {pilot_size})"
     scheme = LocalCaseControl(
         pilot, c=1.0 if args.c is None else args.c, retain_cases=args.retain_cases
@@ -481,8 +452,10 @@ def cmd_simulate(args) -> int:
     _require_keys(raw, {"population", "experiment"}, {"population", "experiment"}, args.config)
     spec = parse_population(raw["population"])
     config = parse_experiment(raw["experiment"], spec)
+    echo = dict(raw["experiment"])  # the config the study runs with
     if args.seed is not None:
         config = replace(config, master_seed=args.seed)
+        echo["master_seed"] = args.seed
     print(f"seed: {config.master_seed}", file=sys.stderr)
     try:
         report = run_experiment(config, threads=args.threads)
@@ -510,7 +483,6 @@ def cmd_simulate(args) -> int:
                 "n_failures": summary.n_failures,
             }
         )
-    echo = dict(raw["experiment"])
     extra = {
         "seed": config.master_seed,
         "config": echo,

@@ -1,13 +1,13 @@
 """Seeded Monte-Carlo replication harness comparing the subsampling methods.
 
-Protocol per replication: draw fresh data; for the local method fit a
-weighted case-control pilot of the requested expected size and take the
-local case-control sample; give the comparison estimators (cc, wcc,
-uniform) the combined pilot-plus-second-stage budget so the pilot cost is
-paid for.  Every draw is one WeightedSubsample, fitted by fit_subsample.
-With implicit_full the full sample is never materialized: the pilot, cc
-and wcc are class-balanced draws and the local sample comes from
-sample_tilted.  convergence_study runs the explicit replication.
+Protocol per replication: draw fresh data; for the local method fit
+`sample`'s pilot, n_pilot // 2 uniform rows per class (fit_pilot_wcc), and
+take the local sample; give the comparison estimators (cc, wcc, uniform)
+the combined pilot-plus-second-stage budget so the pilot cost is paid for.
+Every draw is one WeightedSubsample, fitted by fit_subsample.  With
+implicit_full the full sample is never materialized: the pilot holds
+n_pilot // 2 rows per class, cc and wcc Bernoulli(1/2) labels, and the local
+sample comes from sample_tilted.  convergence_study runs the explicit one.
 
 Determinism: every stage of every replication derives its generator from
 (master_seed, replication, stage), and reduction is in replication order,
@@ -40,6 +40,7 @@ from .sampling import (
     CaseControl,
     EmptySubsample,
     LocalCaseControl,
+    PilotFit,
     TooFewCases,
     Uniform,
     WeightedCaseControl,
@@ -216,15 +217,14 @@ def one_blas_thread():
         set_(_PINNED.pop())
 
 
-def _balanced_draw(spec: PopulationSpec, n: int, rng, weighted: bool) -> WeightedSubsample:
-    """n rows with Bernoulli(1/2) labels and features from X | Y: the
+def _balanced_draw(spec: PopulationSpec, labels, rng, weighted: bool) -> WeightedSubsample:
+    """Rows of the given labels with features from X | Y; on Bernoulli(1/2) labels, the
     case-control draw at rates a0 = P(Y=1), a1 = P(Y=0) of an unbounded sample.
 
     Unweighted, it carries that scheme's offset; weighted, the
     Horvitz-Thompson weights 1/a(y) up to a common scale, P(Y=y) for class y.
     """
-    prior1 = positive_rate(spec)
-    labels = (rng.random(n) < 0.5).astype(np.float64)
+    prior1, n = positive_rate(spec), labels.shape[0]
     features = sample_conditional(spec, labels, rng)
     scheme = (WeightedCaseControl if weighted else CaseControl)(a0=prior1, a1=1.0 - prior1)
     weights = np.where(labels == 1.0, prior1, 1.0 - prior1) if weighted else np.ones(n)
@@ -233,7 +233,17 @@ def _balanced_draw(spec: PopulationSpec, n: int, rng, weighted: bool) -> Weighte
     return WeightedSubsample(scheme, n, float(n), 0.0, rows, labels, features, weights, offsets)
 
 
+def _implicit_pilot(config: ExperimentConfig, rep: int) -> PilotFit:
+    """What pilot_rows keeps of an unbounded sample: n_pilot // 2 rows per class."""
+    labels = np.repeat([0.0, 1.0], config.n_pilot // 2)
+    rng = derived_rng(config.master_seed, rep, "pilot")
+    sub = _balanced_draw(config.spec, labels, rng, weighted=True)
+    return PilotFit(fit_subsample(sub, config.fit).params, sub)
+
+
 def _replicate_explicit(config: ExperimentConfig, rep: int) -> dict:
+    """Each method's (estimate, subsample size) on one draw of data, or the
+    failure it raised in its place."""
     data = sample_population(
         config.spec, config.n_full, derived_rng(config.master_seed, rep, "data")
     )
@@ -241,30 +251,32 @@ def _replicate_explicit(config: ExperimentConfig, rep: int) -> dict:
 
     out = {}
     for method in config.methods:
-        if method == "full":
-            out[method] = (fit_logistic(data, config.fit).params.as_array(), data.n)
-            continue
-        source, source_uniforms, target = data, uniforms, None
-        if method == "lcc":
-            pilot_fit = fit_pilot_wcc(
-                data, config.n_pilot, derived_rng(config.master_seed, rep, "pilot"), config.fit
-            )
-            if not config.recycle_pilot:
-                mask = np.ones(config.n_full, dtype=bool)
-                mask[pilot_fit.subsample.rows] = False
-                source = ObservationSet(data.features[mask], data.labels[mask])
-                source_uniforms = uniforms[mask]
-            c = 1.0 if config.c is None else config.c
-            scheme = LocalCaseControl(pilot_fit.params, c=c, retain_cases=config.retain_cases)
-            target = config.n_lcc if config.c is None else None
-        elif method == "uniform":
-            scheme = Uniform(min(1.0, config.comparison_budget / config.n_full))
-        else:
-            scheme = class_balanced_scheme(
-                class_counts(data.labels), config.comparison_budget, weighted=(method == "wcc")
-            )
-        sub = draw_subsample(source, scheme, source_uniforms, target)
-        out[method] = (fit_subsample(sub, config.fit).params.as_array(), sub.realized_size)
+        try:
+            if method == "full":
+                out[method] = (fit_logistic(data, config.fit).params.as_array(), data.n)
+                continue
+            source, source_uniforms, target = data, uniforms, None
+            if method == "lcc":
+                pilot_fit = fit_pilot_wcc(
+                    data, config.n_pilot, derived_rng(config.master_seed, rep, "pilot"), config.fit
+                )
+                if not config.recycle_pilot:
+                    mask = np.ones(config.n_full, dtype=bool)
+                    mask[pilot_fit.subsample.rows] = False
+                    source = ObservationSet(data.features[mask], data.labels[mask])
+                    source_uniforms = uniforms[mask]
+                c = 1.0 if config.c is None else config.c
+                scheme = LocalCaseControl(pilot_fit.params, c=c, retain_cases=config.retain_cases)
+                target = config.n_lcc if config.c is None else None
+            elif method == "uniform":
+                scheme = Uniform(min(1.0, config.comparison_budget / config.n_full))
+            else:
+                budget, weighted = config.comparison_budget, method == "wcc"
+                scheme = class_balanced_scheme(class_counts(data.labels), budget, weighted)
+            sub = draw_subsample(source, scheme, source_uniforms, target)
+            out[method] = (fit_subsample(sub, config.fit).params.as_array(), sub.realized_size)
+        except _FAILURE_KINDS as exc:
+            out[method] = exc
     return out
 
 
@@ -273,15 +285,12 @@ def _replicate_implicit(config: ExperimentConfig, rep: int) -> dict:
     for method in config.methods:
         rng = derived_rng(config.master_seed, rep, method)
         if method == "lcc":
-            pilot_rng = derived_rng(config.master_seed, rep, "pilot")
-            pilot_sub = _balanced_draw(config.spec, config.n_pilot, pilot_rng, weighted=True)
-            pilot = fit_subsample(pilot_sub, config.fit).params
+            pilot = _implicit_pilot(config, rep).params
             scheme = LocalCaseControl(pilot, retain_cases=config.retain_cases)
             sub = sample_tilted(config.spec, scheme, config.n_lcc, rng)
         else:
-            sub = _balanced_draw(
-                config.spec, config.comparison_budget, rng, weighted=(method == "wcc")
-            )
+            labels = (rng.random(config.comparison_budget) < 0.5).astype(np.float64)
+            sub = _balanced_draw(config.spec, labels, rng, weighted=(method == "wcc"))
         fitted = fit_subsample(sub, config.fit).params.as_array()
         out[method] = (fitted, sub.realized_size, sub.realized_size / sub.rows_read)
     return out
@@ -308,7 +317,11 @@ def run_experiment(
 
     def one(rep: int):
         try:
-            return replicate(config, rep)
+            out = replicate(config, rep)
+            for result in out.values():  # the first failed method drops the replication
+                if isinstance(result, Exception):
+                    raise result
+            return out
         except _FAILURE_KINDS as exc:
             return (rep, type(exc).__name__, str(exc))
 
@@ -373,10 +386,10 @@ def convergence_study(
 ):
     """Error quantiles of each method along an increasing sample-size grid.
 
-    Each seed and n runs the explicit replication on n rows, one method at
-    a time so that a failure drops only that method's error: LCC at c=1
-    with a WCC pilot of expected size pilot_fraction*n (at least p + 2),
-    cc/wcc at budget n.  Errors are ||estimate - theta*|| over the full
+    Each seed and n runs the explicit replication once on n rows, and a
+    method that fails drops only its own error: LCC at c=1 with a pilot of
+    pilot_fraction*n rows (at least p + 2, rounded up to even), cc/wcc at
+    budget n.  Errors are ||estimate - theta*|| over the full
     coefficient vector.  Returns one row per (n, method) with median and
     quartiles.
     """
@@ -389,16 +402,14 @@ def convergence_study(
     for seed in range(seeds):
         for idx, n in enumerate(n_grid):
             n_pilot = max(int(pilot_fraction * n), spec.p + 2)
-            for method in methods:
-                config = ExperimentConfig(
-                    spec, n, n_pilot, n - n_pilot, replications=seeds, methods=(method,),
-                    c=1.0, master_seed=master_seed, fit=fit,
-                )
-                try:
-                    vec = _replicate_explicit(config, seed * len(n_grid) + idx)[method][0]
-                except _FAILURE_KINDS:
-                    continue
-                errors[(n, method)].append(float(np.linalg.norm(vec - truth)))
+            n_pilot += n_pilot % 2  # even: the pilot keeps n_pilot // 2 rows per class
+            config = ExperimentConfig(
+                spec, n, n_pilot, n - n_pilot, replications=seeds, methods=methods,
+                c=1.0, master_seed=master_seed, fit=fit,
+            )
+            for method, result in _replicate_explicit(config, seed * len(n_grid) + idx).items():
+                if not isinstance(result, Exception):
+                    errors[(n, method)].append(float(np.linalg.norm(result[0] - truth)))
     rows = []
     for n in n_grid:
         for method in methods:

@@ -8,7 +8,7 @@ directly.  The equivalent two-step form (plain fit, then add the derived
 
 Acceptance uses the coupling z_i = 1{u_i <= prob_i} against caller-supplied
 uniforms, so one shared uniform stream makes draws comparable across
-schemes and pilots.
+schemes and pilots.  Every pilot keeps its rows by one rule, pilot_rows.
 """
 
 from __future__ import annotations
@@ -37,6 +37,8 @@ __all__ = [
     "fit_subsample",
     "estimate",
     "fit_pilot_wcc",
+    "pilot_rows",
+    "pilot_subsample",
     "thin_uniform",
     "class_balanced_scheme",
     "class_counts",
@@ -167,7 +169,7 @@ def acceptance_probability(scheme: SamplingScheme, x, y) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class WeightedSubsample:
-    """The rows one accept-reject pass kept, in read order, ready to fit.
+    """The rows a draw kept, in read order (a pilot's by class, then key), ready to fit.
 
     rows are their positions; offsets are the per-row additions that make
     the subsample fit report original-population coefficients directly.
@@ -295,21 +297,46 @@ class PilotFit:
     subsample: WeightedSubsample
 
 
+def pilot_rows(labels, keys, per_class: int) -> np.ndarray:
+    """The one pilot rule: each class keeps its rows with the per_class
+    smallest keys (all if fewer), class 0's then class 1's, in key order.
+    On uniform keys, a uniform sample per class; applied to parts of the
+    rows and then to their kept rows together, it keeps the same rows."""
+    picked = []
+    for y in (0.0, 1.0):
+        rows = np.flatnonzero(labels == y)
+        if rows.size > per_class:
+            rows = rows[np.argpartition(keys[rows], per_class - 1)[:per_class]]
+        picked.append(rows[np.argsort(keys[rows])])
+    return np.concatenate(picked)
+
+
+def pilot_subsample(seen, rows, labels, features) -> WeightedSubsample:
+    """The WeightedSubsample of the rows pilot_rows kept of seen = (n0, n1):
+    wcc at the realized rates kept/seen, each row weighing seen/kept of its
+    class (so computed, not as 1/a, whose last bits differ)."""
+    if not (seen[0] and seen[1]):
+        raise TooFewCases("pilot needs both classes present")
+    kept, n = class_counts(labels), labels.shape[0]
+    scheme = WeightedCaseControl(a0=kept[0] / seen[0], a1=kept[1] / seen[1])
+    weights = np.repeat([seen[0] / kept[0], seen[1] / kept[1]], kept)
+    return WeightedSubsample(scheme, sum(seen), float(n), 0.0, rows, labels, features, weights,
+                             np.zeros(n))
+
+
 def fit_pilot_wcc(
     data: ObservationSet,
     target_size: int,
     rng,
     config: FitConfig | None = None,
 ) -> PilotFit:
-    """Pilot via one pass of weighted case-control sampling.
-
-    Expected class counts are equal and the expected total is target_size,
-    capped at the available counts.
-    """
-    if target_size < data.p + 2:
+    """Pilot of target_size // 2 uniform rows per class, or all of a smaller
+    class, weighted seen/kept: pilot_rows on one rng.random() key per row."""
+    if 2 * (target_size // 2) < data.p + 2:
         raise ValueError("target_size too small to fit the model")
-    scheme = class_balanced_scheme(class_counts(data.labels), target_size, weighted=True)
-    sub = draw_subsample(data, scheme, rng.random(data.n))
+    rows = pilot_rows(data.labels, rng.random(data.n), target_size // 2)
+    sub = pilot_subsample(class_counts(data.labels), rows, data.labels[rows], data.features[rows])
+    sub = replace(sub, weights=data.weights[rows] * sub.weights, offsets=data.offsets[rows])
     return PilotFit(params=fit_subsample(sub, config).params, subsample=sub)
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from lccsub import fileio, presets
-from lccsub.cli import _reservoir_balanced_pass, main
+from lccsub.cli import _pilot_pass, main
 from lccsub.asymptotics import eval_matrices
 from lccsub.fileio import (
     format_value,
@@ -23,13 +23,16 @@ from lccsub.fileio import (
     shard_plan,
     stream_rows,
     write_coefficients,
+    write_observations_csv,
 )
 from lccsub.populations import population_theta_star, sample_population, theta_cc_limit
 from lccsub.sampling import (
     LocalCaseControl,
     TooFewCases,
     acceptance_probabilities,
+    draw_subsample,
     estimate,
+    fit_pilot_wcc,
 )
 
 CONFIGS = "configs"
@@ -713,7 +716,7 @@ class TestSample:
 class TestPilotSample:
     @staticmethod
     def balanced_pass(path, per_class, rng):
-        return _reservoir_balanced_pass(path, per_class, rng, shard_plan(path))
+        return _pilot_pass(path, per_class, rng, shard_plan(path))
 
     @staticmethod
     def write(path, labels):
@@ -784,6 +787,35 @@ class TestPilotSample:
             counts[obs.features[obs.labels == 0.0, 0].astype(int)] += 1
         # each row is kept with probability 5/20; 0.1 is over 4.5 sd
         assert np.all(np.abs(counts / reps - 0.25) < 0.1)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize(
+        "options",
+        [["--target-size", "3000"], ["--c", "2"], ["--target-size", "2500", "--retain-cases"]],
+    )
+    def test_sample_equals_library(self, gauss_csv, tmp_path, monkeypatch, options, workers):
+        """`sample`'s on-the-fly pilot is fit_pilot_wcc on the pilot stream's
+        keys; with it, draw_subsample writes the same file byte for byte."""
+        _, obs, raw, _, _ = gauss_csv
+        assert len(fileio._shards(raw, 3)) == 3
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
+        out, summary = tmp_path / "sub.csv", tmp_path / "summary.json"
+        argv = ["sample", "--data", raw, "--scheme", "lcc", "--pilot-size", "401", *options,
+                "--seed", "8", "--out", str(out), "--summary", str(summary), "--format", "json"]
+        assert main(argv) == 0
+        pilot_rng = np.random.default_rng(np.random.SeedSequence(8, spawn_key=(1,)))
+        pilot = fit_pilot_wcc(obs, 401, pilot_rng)
+        assert pilot.subsample.realized_size == 400
+        c = float(options[1]) if options[0] == "--c" else 1.0
+        target = int(options[1]) if options[0] == "--target-size" else None
+        scheme = LocalCaseControl(pilot.params, c=c, retain_cases="--retain-cases" in options)
+        sub = draw_subsample(obs, scheme, np.random.default_rng(8).random(obs.n), target)
+        want = tmp_path / "want.csv"
+        write_observations_csv(str(want), sub.to_observation_set(), ["x1", "x2", "x3"])
+        assert out.read_bytes() == want.read_bytes()
+        values = {r["key"]: r["value"] for r in json.loads(summary.read_text())["rows"]}
+        assert values["adjustment"] == " ".join(format_value(v) for v in pilot.params.as_array())
+        assert values["expected_size"] == sub.expected_size
 
     def test_absent_class_raises(self, tmp_path):
         path = self.write(tmp_path / "d.csv", [0] * 12)
@@ -905,8 +937,8 @@ class TestFit:
         assert p2.slopes[0] == pytest.approx(p1.slopes[0] - 2)
 
 
-# pilots of 12 rows separate in replications 0, 5 and 6; only a study
-# with lcc fits a pilot
+# pilots of 12 rows (6 per class) separate in replications 0 and 6; only
+# a study with lcc fits a pilot
 _FRAGILE_STUDY = """
 population:
   kind: gaussian2
@@ -989,6 +1021,40 @@ experiment:
         assert isinstance(report["n_failures"], int)
         for row in report["rows"]:
             assert {"method", "bias_sq", "var", "mean_subsample_size"} <= set(row)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_seed_option_is_echoed(self, tmp_path, fmt):
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text(
+            """
+population:
+  kind: gaussian2
+  prior1: 0.2
+  mu0: [0, 0]
+  mu1: [1, 1]
+  sigma0: [[1, 0], [0, 1]]
+  sigma1: [[1, 0], [0, 1]]
+experiment:
+  n_full: 2000
+  n_pilot: 200
+  n_lcc: 200
+  replications: 3
+  methods: [cc]
+  bootstrap_B: 100
+  master_seed: 1
+"""
+        )
+        out = tmp_path / f"study.{fmt}"
+        argv = ["simulate", "--config", str(cfg), "--seed", "11", "--format", fmt]
+        assert main([*argv, "--out", str(out)]) == 0
+        if fmt == "json":
+            report = json.loads(out.read_text())
+            assert report["seed"] == report["config"]["master_seed"] == 11
+        else:
+            comments = [line for line in out.read_text().splitlines() if line.startswith("#")]
+            assert "# seed 11" in comments
+            echo = next(line for line in comments if "config echo: " in line)
+            assert "master_seed=11," in echo and "master_seed=1," not in echo
 
     def test_threads_do_not_change_output(self, tmp_path):
         tiny = """
@@ -1095,23 +1161,23 @@ experiment:
         out = tmp_path / "study.csv"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
         err = capsys.readouterr().err
-        assert "failed replications: 3\n" in err
-        for rep in (0, 5, 6):
+        assert "failed replications: 2\n" in err
+        for rep in (0, 6):
             assert f"  replication {rep}: Separation: " in err
         report = out.read_text()
-        assert "failures 3" in report and "Separation" not in report
+        assert "failures 2" in report and "Separation" not in report
 
     def test_aborted_study_lists_every_failure(self, tmp_path, capsys):
-        # 3 of 8 failures exceed the default tolerated fraction of 0.2
+        # 2 of 8 failures exceed the default tolerated fraction of 0.2
         cfg = tmp_path / "fragile.cfg"
         cfg.write_text(_FRAGILE_STUDY)
         out = tmp_path / "study.csv"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 3
         err = capsys.readouterr().err
-        assert "failed replications: 3\n" in err
-        for rep in (0, 5, 6):
+        assert "failed replications: 2\n" in err
+        for rep in (0, 6):
             assert f"  replication {rep}: Separation: " in err
-        assert "budget exceeded: 3/8 replications failed" in err
+        assert "budget exceeded: 2/8 replications failed" in err
         assert not out.exists()
 
     def test_fewer_than_two_successes_is_a_budget_failure(self, tmp_path, capsys):

@@ -269,6 +269,33 @@ class TestRunExperiment:
         run_experiment(replace(small_config, methods=("lcc",)), theta_star=small_truth)
         assert len(calls) == small_config.replications
 
+    def test_recorded_method_failure_drops_the_replication(
+        self, small_config, small_truth, monkeypatch
+    ):
+        replicate = experiments._replicate_explicit
+
+        def one_failed(config, rep):
+            out = replicate(config, rep)
+            if rep == 4:  # a later method's failure is not the one reported
+                out["wcc"], out["uniform"] = Singular("wcc at 4"), Singular("uniform at 4")
+            return out
+
+        monkeypatch.setattr(experiments, "_replicate_explicit", one_failed)
+        report = run_experiment(small_config, theta_star=small_truth)
+        assert report.failures == ((4, "Singular", "wcc at 4"),)
+        for m in small_config.methods:
+            assert report.methods[m].draws.shape[0] == small_config.replications - 1
+
+    def test_implicit_pilot_keeps_half_per_class(self):
+        cfg = ExperimentConfig(
+            spec=presets.simulation2(p=4), n_full=10**6, n_pilot=301, n_lcc=300,
+            replications=2, implicit_full=True, master_seed=6,
+        )
+        sub = experiments._implicit_pilot(cfg, 1).subsample
+        assert sub.labels.tolist() == [0.0] * 150 + [1.0] * 150
+        prior1 = cfg.spec.prior1
+        assert sub.weights.tolist() == [1.0 - prior1] * 150 + [prior1] * 150
+
     def test_threads_below_one_rejected(self, small_config, small_truth):
         with pytest.raises(ValueError, match="threads must be at least 1"):
             run_experiment(small_config, threads=0, theta_star=small_truth)
@@ -391,6 +418,23 @@ class TestConvergenceStudy:
             - star.params.as_array()
         )
         assert med[(64000, "cc")] == pytest.approx(plateau, rel=0.2)
+
+    def test_one_data_draw_per_seed_and_n(self, monkeypatch):
+        # p + 2 = 5 is the pilot floor here, rounded up to 6: 3 rows per class
+        spec = presets.correct_gaussian(p=3, mu_scale=0.8, prior1=0.3)
+        draw = experiments.sample_population
+        calls = []
+        monkeypatch.setattr(
+            experiments, "sample_population", lambda *a: calls.append(a[1]) or draw(*a)
+        )
+        rows = convergence_study(
+            spec, n_grid=[400, 800], methods=("lcc", "cc", "wcc"), seeds=3,
+            pilot_fraction=0.001, theta_star=population_theta_star(spec),
+        )
+        assert sorted(calls) == [400] * 3 + [800] * 3
+        assert {(r["n"], r["method"]) for r in rows} == {
+            (n, m) for n in (400, 800) for m in ("lcc", "cc", "wcc")
+        }
 
     def test_one_seed_refused(self):
         # a quantile over fewer than two seeds is no study, as in run_experiment

@@ -34,6 +34,8 @@ from lccsub.sampling import (
     estimate,
     fit_pilot_wcc,
     fit_subsample,
+    pilot_rows,
+    pilot_subsample,
     thin_uniform,
 )
 
@@ -282,8 +284,70 @@ class TestPilot:
         spec = presets.correct_gaussian(p=3, mu_scale=0.8)
         data = sample_population(spec, 20000, np.random.default_rng(13))
         pf = fit_pilot_wcc(data, 500, np.random.default_rng(14))
-        assert pf.subsample.realized_size == len(pf.subsample.rows)
-        assert np.all(np.diff(pf.subsample.rows) > 0)
+        rows = pf.subsample.rows
+        assert pf.subsample.realized_size == len(rows) == np.unique(rows).size
+        assert np.array_equal(data.features[rows], pf.subsample.features)
+
+    @pytest.mark.parametrize("n_pilot", [500, 501, 4000])
+    def test_keeps_half_per_class_weighted_seen_over_kept(self, n_pilot):
+        # about 1,000 cases: at 4,000 every case is kept
+        spec = presets.correct_gaussian(p=3, mu_scale=0.8)
+        data = sample_population(spec, 20000, np.random.default_rng(13))
+        seen = class_counts(data.labels)
+        sub = fit_pilot_wcc(data, n_pilot, np.random.default_rng(14)).subsample
+        kept = [min(n_pilot // 2, n) for n in seen]
+        assert class_counts(sub.labels) == tuple(kept)
+        assert sub.labels.tolist() == [0.0] * kept[0] + [1.0] * kept[1]
+        assert sub.weights.tolist() == [seen[0] / kept[0]] * kept[0] + [seen[1] / kept[1]] * kept[1]
+        assert sub.scheme == WeightedCaseControl(a0=kept[0] / seen[0], a1=kept[1] / seen[1])
+        assert (sub.rows_read, sub.expected_size, sub.size_variance) == (data.n, sum(kept), 0.0)
+        for name in ("labels", "features"):
+            assert np.array_equal(getattr(data, name)[sub.rows], getattr(sub, name))
+        assert np.all(sub.offsets == 0.0)
+
+    def test_pilot_size_checked_per_class(self):
+        data = sample_population(presets.correct_gaussian(p=3), 2000, np.random.default_rng(1))
+        with pytest.raises(ValueError, match="too small"):
+            fit_pilot_wcc(data, 5, np.random.default_rng(2))  # 2 rows per class, under p + 2
+
+    def test_single_class_pilot_raises(self):
+        data = ObservationSet(np.arange(20.0)[:, None], np.zeros(20))
+        with pytest.raises(TooFewCases):
+            fit_pilot_wcc(data, 10, np.random.default_rng(0))
+
+
+class TestPilotRows:
+    def test_smallest_keys_per_class_in_key_order(self):
+        labels = np.array([0, 1, 0, 0, 1, 0, 1, 0], dtype=float)
+        keys = np.array([0.9, 0.5, 0.1, 0.7, 0.2, 0.3, 0.8, 0.05])
+        assert pilot_rows(labels, keys, 2).tolist() == [7, 2, 4, 1]
+        assert pilot_rows(labels, keys, 9).tolist() == [7, 2, 5, 3, 0, 4, 1, 6]
+        assert pilot_rows(labels[labels == 0], keys[labels == 0], 2).tolist() == [4, 1]
+
+    def test_rule_over_parts_keeps_the_whole_rule(self):
+        rng = np.random.default_rng(3)
+        labels = (rng.random(5000) < 0.1).astype(float)
+        keys = rng.random(5000)
+        want = pilot_rows(labels, keys, 60)
+        kept = np.empty(0, dtype=np.int64)
+        for part in np.array_split(np.arange(5000), 7):
+            rows = np.concatenate([kept, part])
+            kept = rows[pilot_rows(labels[rows], keys[rows], 60)]
+        assert np.array_equal(kept, want)
+
+    def test_record_weighs_seen_over_kept(self):
+        # 1 / (2/49) rounds to 24.500000000000004: each weight is seen/kept itself
+        labels = np.array([0.0, 0.0, 1.0, 1.0])
+        sub = pilot_subsample((49, 93), np.arange(4), labels, np.zeros((4, 1)))
+        assert sub.weights.tolist() == [24.5, 24.5, 46.5, 46.5]
+        assert sub.scheme == WeightedCaseControl(a0=2 / 49, a1=2 / 93)
+        assert (sub.rows_read, sub.realized_size) == (142, 4)
+
+    def test_absent_class_raises_in_the_record(self):
+        rows = pilot_rows(np.zeros(6), np.linspace(0, 1, 6), 2)
+        assert rows.tolist() == [0, 1]
+        with pytest.raises(TooFewCases):
+            pilot_subsample((6, 0), rows, np.zeros(2), np.zeros((2, 1)))
 
 
 class TestThinUniform:
