@@ -409,7 +409,7 @@ def cmd_asymptotics(args) -> int:
         star if value == "star" else read_coefficients(value)[0]
         for value in (args.theta, args.pilot)
     )
-    report = eval_matrices(spec, theta, pilot, c=args.c)
+    report = eval_matrices(spec, theta, LocalCaseControl(pilot, args.c))
     variance = lcc_variance(report)
     slope = conditional_bias_slope(report)
     rows = [{"quantity": "abar", "row": 0, "col": 0, "value": report.abar}]
@@ -427,9 +427,9 @@ def cmd_asymptotics(args) -> int:
             rows.append({"quantity": name, "row": i, "col": j, "value": float(value)})
     extra = {
         "seed": seed,
-        "c": report.c,
+        "c": report.scheme.c,
         "theta": report.theta.as_array(),
-        "pilot": report.pilot.as_array(),
+        "pilot": report.scheme.pilot.as_array(),
     }
     _emit(rows, args, comments=[f"seed {seed}", f"spec {args.spec}"], json_extra=extra)
     return EXIT_OK

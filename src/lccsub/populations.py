@@ -9,14 +9,14 @@ sample_population draws from a population and sample_conditional from
 X | Y; sample_tilted draws through a local case-control scheme into the
 WeightedSubsample that every accept-reject pass returns.
 
-Each large-sample limit of the estimators (theta*, the case-control and the
-pilot-frozen limits) minimizes one tilted logit risk, written once by
-tilted_risk; asymptotics takes the variance law off the same risk.
-population_limit solves it by damped Newton on an exact integration rule:
-cell sums for discrete populations, Gauss-Legendre panels split at the jump
-for the step population, and for Gaussian populations a rule
-integration_grid builds along the linear predictors the integrand depends
-on (for the tilted risk, shift and iterate).
+Each scheme's large-sample limit minimizes one risk, scheme_risk, built
+from what sampling.accept_rows returns at each node for each label, the
+formula the data path uses; theta* is Uniform()'s limit, and asymptotics
+takes every variance law off the same risk.  population_limit solves it
+by damped Newton on an exact integration rule: cell sums for discrete
+populations, Gauss-Legendre panels split at the jump for the step
+population, and for Gaussian populations a rule integration_grid builds
+along the linear predictors the integrand depends on.
 """
 
 from __future__ import annotations
@@ -29,7 +29,15 @@ import numpy as np
 
 from . import _kernels as K
 from .glm import FitConfig, ModelParams, ObservationSet, logistic_risk, minimize_risk
-from .sampling import LocalCaseControl, WeightedSubsample, accept_rows
+from .sampling import (
+    CaseControl,
+    LocalCaseControl,
+    SamplingScheme,
+    Uniform,
+    WeightedSubsample,
+    accept_rows,
+    scheme_adjustment,
+)
 
 __all__ = [
     "DiscretePopulation",
@@ -46,7 +54,7 @@ __all__ = [
     "equal_class_bias",
     "integration_grid",
     "population_score",
-    "tilted_risk",
+    "scheme_risk",
     "population_limit",
     "population_theta_star",
     "theta_cc_limit",
@@ -480,54 +488,58 @@ def population_score(spec: PopulationSpec, theta: ModelParams):
     return logistic_risk(grid.design, grid.masses, grid.prob1)(theta.as_array())[1]
 
 
-def tilted_risk(grid: Grid, shift):
-    """logistic_risk's (design, weights, targets, offsets) for the risk tilted at shift.
+def scheme_risk(grid: Grid, scheme: SamplingScheme):
+    """logistic_risk's (design, weights, targets, offsets) for the scheme's limit,
+    and accept_rows' ((prob_0, weight_0), (prob_1, weight_1)) at the nodes.
 
-    Class y is weighted by its acceptance probability at shift, w_1 =
-    sigmoid(-u) and w_0 = sigmoid(u) with u = shift'xt: the x-weights are
-    masses * w with w = w_0 + p (w_1 - w_0), the targets p w_1 / w (0 where
-    w underflows), and the offsets -u take the tilt back off the log-odds.
+    accept_rows runs once with every label 0 and once with every label 1.
+    Class y weighs zw_y = prob_y weight_y = E[zw | x, y]: the x-weights are
+    masses * w with w = zw_0 + p (zw_1 - zw_0), the targets p zw_1 / w (0
+    where w underflows), and the offsets accept_rows', alike for both labels.
     """
-    design = grid.design
-    u = design @ shift
-    w1, w0 = K.sigmoid(-u), K.sigmoid(u)
-    w = w0 + grid.prob1 * (w1 - w0)
-    targets = np.divide(grid.prob1 * w1, w, out=np.zeros_like(w), where=w > 0)
-    return design, grid.masses * w, targets, -u
+    n = grid.masses.size
+    (_, weight0, offsets, prob0), (_, weight1, _, prob1) = (
+        accept_rows(scheme, grid.points, np.full(n, y), np.ones(n)) for y in (0.0, 1.0)
+    )
+    zw0, zw1 = prob0 * weight0, prob1 * weight1
+    w = zw0 + grid.prob1 * (zw1 - zw0)
+    targets = np.divide(grid.prob1 * zw1, w, out=np.zeros_like(w), where=w > 0)
+    return (grid.design, grid.masses * w, targets, offsets), ((prob0, weight0), (prob1, weight1))
 
 
-def population_limit(spec: PopulationSpec, shift, tol: float = 1e-12) -> OracleFit:
-    """Large-sample limit of the local case-control estimate with the pilot frozen at shift.
+def population_limit(spec: PopulationSpec, scheme: SamplingScheme, tol: float = 1e-12) -> OracleFit:
+    """Large-sample limit of the scheme's estimate, a pilot held fixed.
 
-    Minimizes the tilted risk E[w_Y(X) logloss(Y, sigmoid((theta - shift)'xt))]
-    of tilted_risk: the tilt adds -u to the log-odds and the offset takes it
-    back, so a correctly specified Gaussian population returns its exact
-    coefficients.  At each iterate theta the risk on integration_grid(spec,
-    along=(shift, theta - shift)) is exact.  Newton starts at shift.
-    shift = 0 gives theta*; the constant shift -b e_0 keeps cases e^b times as
-    often as controls with offset b, the adjusted case-control limit.
+    Minimizes scheme_risk: the acceptance tilts the log-odds by
+    log(zw_1 / zw_0) and the offsets take it back, so a correctly specified
+    Gaussian population returns its exact coefficients.  At each iterate
+    theta the risk on integration_grid(spec, along=(shift, theta - shift))
+    is exact; Newton starts at shift, the scheme's adjustment.
     """
     if isinstance(spec, TwoClassGaussian) and spec.correctly_specified:
         return OracleFit(spec.linear_params(), 0.0)
+    shift = scheme_adjustment(scheme, spec.p)
 
-    def tilted(theta):
-        return tilted_risk(integration_grid(spec, along=(shift, theta - shift)), shift)
+    def risk(theta):
+        return scheme_risk(integration_grid(spec, along=(shift, theta - shift)), scheme)[0]
 
-    total = float(np.sum(tilted(shift)[1]))
+    total = float(np.sum(risk(shift)[1]))
     config = FitConfig(grad_tol=tol)
-    fit = minimize_risk(lambda t: logistic_risk(*tilted(t))(t), shift.size, total, config, shift)
+    fit = minimize_risk(lambda t: logistic_risk(*risk(t))(t), shift.size, total, config, shift)
     return OracleFit(fit.params, fit.grad_norm)
 
 
 def population_theta_star(spec: PopulationSpec, tol: float = 1e-12) -> OracleFit:
-    """Best linear log-odds approximation under the population logit risk."""
-    return population_limit(spec, np.zeros(spec.p + 1), tol)
+    """Best linear log-odds approximation under the population logit risk:
+    the limit of Uniform()."""
+    return population_limit(spec, Uniform(), tol)
 
 
 def theta_cc_limit(spec: PopulationSpec, b: float, tol: float = 1e-12) -> OracleFit:
     """Large-sample limit of the adjusted case-control estimate with bias b:
     cases kept e^b times as often as controls, offset b.  b = 0 gives theta*."""
-    return population_limit(spec, np.concatenate([[-b], np.zeros(spec.p)]), tol)
+    scheme = CaseControl(a0=min(1.0, np.exp(-b)), a1=min(1.0, np.exp(b)))
+    return population_limit(spec, scheme, tol)
 
 
 def marginal_odds_ratio(spec: DiscretePopulation, coordinate: int) -> float:

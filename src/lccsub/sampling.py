@@ -31,6 +31,7 @@ __all__ = [
     "TooFewCases",
     "PilotFit",
     "accept_rows",
+    "scheme_adjustment",
     "acceptance_probability",
     "acceptance_probabilities",
     "draw_subsample",
@@ -150,6 +151,16 @@ def accept_rows(scheme: SamplingScheme, features, labels, uniforms, eta=None):
     return uniforms <= prob, weight, offset, prob
 
 
+def scheme_adjustment(scheme: SamplingScheme, p: int) -> np.ndarray:
+    """The scheme's coefficient adjustment for p features: offset_i = -adjustment'(1, x_i)."""
+    if isinstance(scheme, LocalCaseControl):
+        return scheme.pilot.as_array()
+    adj = np.zeros(p + 1)
+    if isinstance(scheme, CaseControl):
+        adj[0] = -scheme.bias
+    return adj
+
+
 def acceptance_probabilities(scheme: SamplingScheme, features, labels, eta=None):
     """Vectorized (prob, weight) for every row."""
     features = np.asarray(features, dtype=np.float64)
@@ -195,12 +206,7 @@ class WeightedSubsample:
     @property
     def adjustment(self) -> np.ndarray:
         """Coefficient vector to add to a plain (offset-free) fit of the subsample."""
-        if isinstance(self.scheme, LocalCaseControl):
-            return self.scheme.pilot.as_array()
-        adj = np.zeros(self.features.shape[1] + 1)
-        if isinstance(self.scheme, CaseControl):
-            adj[0] = -self.scheme.bias
-        return adj
+        return scheme_adjustment(self.scheme, self.features.shape[1])
 
     def to_observation_set(self) -> ObservationSet:
         """The fit input: the kept rows with their weights and offsets."""

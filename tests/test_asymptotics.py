@@ -5,7 +5,6 @@ from lccsub import populations, presets
 from lccsub.asymptotics import (
     conditional_bias_slope,
     eval_abar,
-    eval_bar_theta,
     eval_matrices,
     lcc_variance,
     sigma_full,
@@ -14,10 +13,20 @@ from lccsub.glm import ModelParams
 from lccsub.populations import (
     Grid,
     integration_grid,
+    population_limit,
     population_theta_star,
+    positive_rate,
     sample_population,
 )
-from lccsub.sampling import LocalCaseControl, estimate
+from lccsub.sampling import (
+    CaseControl,
+    LocalCaseControl,
+    Uniform,
+    WeightedCaseControl,
+    draw_subsample,
+    estimate,
+    fit_subsample,
+)
 
 
 @pytest.fixture(scope="module")
@@ -32,23 +41,23 @@ def oatmeal_star(oatmeal):
 
 @pytest.fixture(scope="module")
 def oatmeal_report(oatmeal, oatmeal_star):
-    return eval_matrices(oatmeal, oatmeal_star, oatmeal_star)
+    return eval_matrices(oatmeal, oatmeal_star, LocalCaseControl(oatmeal_star))
 
 
 @pytest.fixture(scope="module")
 def correct_report():
     spec = presets.correct_discrete()
     theta0 = population_theta_star(spec).params
-    return spec, theta0, eval_matrices(spec, theta0, theta0)
+    return spec, theta0, eval_matrices(spec, theta0, LocalCaseControl(theta0))
 
 
 class TestAbar:
     def test_zero_pilot_gives_half(self, oatmeal):
-        value = eval_abar(oatmeal, ModelParams.zeros(2))
+        value = eval_abar(oatmeal, LocalCaseControl(ModelParams.zeros(2)))
         assert value == pytest.approx(0.5, abs=1e-14)
 
     def test_oatmeal_exact_cell_sum(self, oatmeal, oatmeal_star):
-        value = eval_abar(oatmeal, oatmeal_star)
+        value = eval_abar(oatmeal, LocalCaseControl(oatmeal_star))
         p = 1 / (1 + np.exp(-oatmeal.logodds))
         ptilde = 1 / (
             1
@@ -61,7 +70,7 @@ class TestAbar:
 
     def test_simulation2_pilot_rate(self):
         spec = presets.simulation2(p=50)
-        value = eval_abar(spec, spec.linear_params())
+        value = eval_abar(spec, LocalCaseControl(spec.linear_params()))
         assert value == pytest.approx(0.005, abs=0.001)
 
 
@@ -83,32 +92,32 @@ class TestFixedPointIdentities:
         assert np.max(np.abs(lhs)) < 1e-10
 
     def test_bar_theta_fixed_point(self, oatmeal, oatmeal_star):
-        fit = eval_bar_theta(oatmeal, oatmeal_star)
+        fit = population_limit(oatmeal, LocalCaseControl(oatmeal_star))
         assert np.allclose(fit.params.as_array(), oatmeal_star.as_array(), atol=1e-6)
 
     def test_bar_theta_at_zero_pilot(self, oatmeal, oatmeal_star):
-        fit = eval_bar_theta(oatmeal, ModelParams.zeros(2))
+        fit = population_limit(oatmeal, LocalCaseControl(ModelParams.zeros(2)))
         assert np.allclose(fit.params.as_array(), oatmeal_star.as_array(), atol=1e-10)
 
     @pytest.mark.parametrize("name", ["oatmeal", "steplogit", "example2", "simulation1"])
     def test_bar_theta_is_the_root_of_G(self, name, quadrature_points):
-        # the limits and the matrices integrate one tilted risk: at the
-        # pilot-frozen limit, G is c times that risk's score, which the
-        # solve brings below tol times its total weight, abar at c = 1
+        # the limits and the matrices integrate one risk: at the pilot-frozen
+        # limit, G at c is c times the c = 1 risk's score, which the solve
+        # brings below tol times its total weight, abar at c = 1
         spec = getattr(presets, name)()
         pilot = quadrature_points(spec)[-1][1]
         tol = 1e-12
-        bar = eval_bar_theta(spec, pilot, tol).params
-        total = eval_abar(spec, pilot)
+        bar = population_limit(spec, LocalCaseControl(pilot), tol).params
+        total = eval_abar(spec, LocalCaseControl(pilot))
         for c in (1.0, 2.0, 5.0):
-            G = eval_matrices(spec, bar, pilot, c=c).G
+            G = eval_matrices(spec, bar, LocalCaseControl(pilot, c)).G
             assert np.max(np.abs(G)) <= c * tol * total, (c, G)
 
     def test_bar_theta_constant_under_correct_spec(self, correct_report):
         spec, theta0, _ = correct_report
         for seed in range(3):
             lam_vec = theta0.as_array() + np.random.default_rng(seed).normal(0, 0.5, 3)
-            fit = eval_bar_theta(spec, ModelParams.from_array(lam_vec))
+            fit = population_limit(spec, LocalCaseControl(ModelParams.from_array(lam_vec)))
             assert np.allclose(fit.params.as_array(), theta0.as_array(), atol=1e-9)
 
 
@@ -137,7 +146,7 @@ class TestMatrixIdentities:
         spec = presets.correct_discrete()
         theta0 = population_theta_star(spec).params
         lam = ModelParams.from_array(theta0.as_array() + [0.3, -0.2, 0.4])
-        rep = eval_matrices(spec, theta0, lam)
+        rep = eval_matrices(spec, theta0, LocalCaseControl(lam))
         assert np.allclose(rep.J, rep.H, rtol=1e-10)
 
 
@@ -181,7 +190,7 @@ class TestClosedFormC:
     )
     def test_matches_finite_differences_of_G(self, name, c, mc_grid):
         spec, grid, theta, pilot = _c_case(name, mc_grid)
-        rep = eval_matrices(spec, theta, pilot, c=c, grid=grid)
+        rep = eval_matrices(spec, theta, LocalCaseControl(pilot, c), grid=grid)
         fd = _fd_c_matrix(grid, theta, pilot, c, rep.abar)
         assert np.max(np.abs(fd - rep.C)) <= 1e-7 * np.max(np.abs(rep.C))
 
@@ -195,7 +204,9 @@ def gauss_reports(mc_grid):
     spec = presets.correct_gaussian()
     theta0 = spec.linear_params()
     grid = mc_grid(spec, mc_nodes=10**6, rng=np.random.default_rng(1))
-    return {c: eval_matrices(spec, theta0, theta0, c=c, grid=grid) for c in (1, 2, 5)}
+    return {
+        c: eval_matrices(spec, theta0, LocalCaseControl(theta0, c), grid=grid) for c in (1, 2, 5)
+    }
 
 
 class TestWeightedVarianceLaw:
@@ -219,16 +230,16 @@ class TestWeightedVarianceLaw:
         spec = getattr(presets, name)()
         star, moved = quadrature_points(spec)[-1][:2]
         for pilot in (star, moved):
-            half = eval_matrices(spec, star, pilot, c=0.5)
-            one = eval_matrices(spec, star, pilot, c=1.0)
+            half = eval_matrices(spec, star, LocalCaseControl(pilot, 0.5))
+            one = eval_matrices(spec, star, LocalCaseControl(pilot, 1.0))
             assert half.abar == one.abar / 2
             for attr in ("H", "J", "C", "Sigma"):
                 assert np.array_equal(getattr(half, attr), getattr(one, attr)), attr
 
-    @pytest.mark.parametrize("c", [0.0, -1.0])
+    @pytest.mark.parametrize("c", [0.0, -1.0, float("nan")])
     def test_c_must_be_positive(self, oatmeal, oatmeal_star, c):
         with pytest.raises(ValueError, match="positive"):
-            eval_matrices(oatmeal, oatmeal_star, oatmeal_star, c=c)
+            eval_matrices(oatmeal, oatmeal_star, LocalCaseControl(oatmeal_star, c))
 
 
 def _check_first_order(spec, star, slope, directions):
@@ -241,7 +252,8 @@ def _check_first_order(spec, star, slope, directions):
         d /= np.linalg.norm(d)
         resid = {}
         for eps in (1e-2, 1e-3):
-            bt = eval_bar_theta(spec, ModelParams.from_array(star + eps * d)).params.as_array()
+            pilot = ModelParams.from_array(star + eps * d)
+            bt = population_limit(spec, LocalCaseControl(pilot)).params.as_array()
             resid[eps] = np.linalg.norm(bt - star - eps * (slope @ d))
         # o(eps): dividing eps by 10 shrinks the residual at least 5x
         assert resid[1e-3] <= resid[1e-2] / 5, resid
@@ -261,7 +273,7 @@ class TestConditionalBiasSlope:
         # the closed-form C on the projected grid against the exact limit
         _, spec = misspecified_gaussian
         star = population_theta_star(spec).params
-        slope = conditional_bias_slope(eval_matrices(spec, star, star))
+        slope = conditional_bias_slope(eval_matrices(spec, star, LocalCaseControl(star)))
         assert np.linalg.norm(slope) > 0.01
         _check_first_order(spec, star, slope, directions=3)
 
@@ -286,6 +298,39 @@ class TestVarianceAgainstReplication:
             if c == 1.0:
                 # replication covariance matches twice the full-sample one
                 assert 0.85 <= ratio / 2.0 <= 1.15
+
+    @pytest.mark.parametrize("name", ["uniform", "cc", "wcc", "lcc_retain_cases"])
+    def test_each_scheme_law_predicts_its_draws(self, oatmeal, oatmeal_star, name):
+        # every scheme's limit and variance law come from its own acceptance
+        # rule; at n = 200,000 the first-order law holds for each, where at
+        # 20,000 uniform's intercept carries the fit's finite-sample bias
+        ratio = positive_rate(oatmeal) / (1.0 - positive_rate(oatmeal))
+        pilot = ModelParams.from_array(oatmeal_star.as_array() + [0.3, -0.3, 0.3])
+        scheme = {
+            "uniform": Uniform(0.1),
+            "cc": CaseControl(a0=ratio, a1=1.0),
+            "wcc": WeightedCaseControl(a0=ratio, a1=1.0),
+            # at c >= 2 every case is capped already and the draws are plain
+            # lcc; at c = 1 the two laws' traces differ by 2% on this pilot,
+            # below what 200 draws resolve, and at c = 0.5 by a third
+            "lcc_retain_cases": LocalCaseControl(pilot, c=0.5, retain_cases=True),
+        }[name]
+        n, reps = 200_000, 200
+        limit = population_limit(oatmeal, scheme).params
+        law = lcc_variance(eval_matrices(oatmeal, limit, scheme)) / n
+        rng = np.random.default_rng(2014)
+
+        def fit_one():
+            sub = draw_subsample(sample_population(oatmeal, n, rng), scheme, rng.random(n))
+            return fit_subsample(sub).params.as_array()
+
+        draws = np.array([fit_one() for _ in range(reps)])
+        z = (draws.mean(axis=0) - limit.as_array()) / np.sqrt(np.diag(law) / reps)
+        assert np.all(np.abs(z) <= 3.0), z
+        # the trace of the covariance, its SE from the squared deviations' spread
+        spread = np.sum((draws - draws.mean(axis=0)) ** 2, axis=1) * reps / (reps - 1)
+        se = spread.std(ddof=1) / np.sqrt(reps)
+        assert abs(spread.mean() - np.trace(law)) <= 3.0 * se, (spread.mean(), np.trace(law))
 
     def test_oatmeal_fixed_pilot_covariance(self, oatmeal, oatmeal_star, oatmeal_report):
         n = 2 * 10**5
@@ -317,9 +362,9 @@ class TestProjectedQuadrature:
         points = quadrature_points(spec)
         star = points[0][0]
         for theta, pilot, c in points:
-            exact = eval_matrices(spec, theta, pilot, c=c)
-            oracle = eval_matrices(spec, theta, pilot, c=c, grid=grid)
-            se = mc_se(grid, theta, pilot, c)
+            exact = eval_matrices(spec, theta, LocalCaseControl(pilot, c))
+            oracle = eval_matrices(spec, theta, LocalCaseControl(pilot, c), grid=grid)
+            se = mc_se(grid, theta, LocalCaseControl(pilot, c))
             for name in ("abar", "G", "H", "J"):
                 z = (np.asarray(getattr(exact, name)) - getattr(oracle, name)) / se[name]
                 assert np.all(np.abs(z) < 3.0), (name, c, z)
@@ -334,10 +379,10 @@ class TestProjectedQuadrature:
     ):
         _, spec = misspecified_gaussian
         for theta, pilot, c in quadrature_points(spec):
-            base = eval_matrices(spec, theta, pilot, c=c)
+            base = eval_matrices(spec, theta, LocalCaseControl(pilot, c))
             with monkeypatch.context() as patch:
                 patch.setattr(populations, "_PANEL_NODES", 2 * populations._PANEL_NODES)
-                finer = eval_matrices(spec, theta, pilot, c=c)
+                finer = eval_matrices(spec, theta, LocalCaseControl(pilot, c))
             for name in ("abar", "G", "H", "J", "C", "Sigma", "SigmaFull"):
                 moved = np.abs(np.asarray(getattr(finer, name)) - getattr(base, name))
                 assert np.all(moved < 1e-10), (name, c, moved.max())
@@ -359,8 +404,8 @@ class TestProjectedQuadrature:
         for prior, mu, chol in ((0.99, spec.mu0, spec._chol[0]), (0.01, spec.mu1, spec._chol[1])):
             x = mu + z @ chol.T
             grid = Grid(x, prior * weights, populations.conditional_probability(spec, x))
-            direct += eval_abar(spec, star, grid=grid)
-        assert eval_abar(spec, star) == pytest.approx(direct, rel=1e-12)
+            direct += eval_abar(spec, LocalCaseControl(star), grid=grid)
+        assert eval_abar(spec, LocalCaseControl(star)) == pytest.approx(direct, rel=1e-12)
 
     def test_gaussian_grid_needs_predictors(self):
         # a rule along no predictor is exact only for integrands quadratic in x

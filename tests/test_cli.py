@@ -1181,8 +1181,9 @@ experiment:
         assert not out.exists()
 
     def test_fewer_than_two_successes_is_a_budget_failure(self, tmp_path, capsys):
-        # every 6-row pilot of these well-separated classes separates, so a
-        # tolerated failure fraction of 1 still leaves nothing to summarize
+        # a cc-only study fits no pilot; every cc subsample (about 12 rows)
+        # of these well-separated classes separates, so a tolerated failure
+        # fraction of 1 still leaves nothing to summarize
         cfg = tmp_path / "separable.cfg"
         cfg.write_text(
             """
@@ -1259,7 +1260,7 @@ class TestAsymptotics:
         spec = parse_population(load_config_file(f"{CONFIGS}/oatmeal.cfg")["population"])
         star = population_theta_star(spec, tol=1e-10).params
         C = np.array([[values[("C", i, j)] for j in range(3)] for i in range(3)])
-        assert np.array_equal(C, eval_matrices(spec, star, star).C)
+        assert np.array_equal(C, eval_matrices(spec, star, LocalCaseControl(star)).C)
         assert "c_fd_relerr" not in payload
 
     def test_c_below_one_accepted(self, tmp_path):
@@ -1280,6 +1281,16 @@ class TestAsymptotics:
             elif key[0] == "variance":
                 # half the acceptance doubles the full-sample-scale variance
                 assert values["0.5"][key] == pytest.approx(2 * value, rel=1e-12), key
+
+    @pytest.mark.parametrize("c", ["0", "-1", "nan"])
+    def test_c_must_be_positive(self, tmp_path, capsys, c):
+        # LocalCaseControl makes the check; nothing is written
+        out = tmp_path / "asym.csv"
+        rc = main(["asymptotics", "--spec", f"{CONFIGS}/oatmeal.cfg", "--seed", "1",
+                   "--c", c, "--out", str(out)])
+        assert rc == 1
+        assert "c must be positive" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_gaussian_output_ignores_seed_and_mc_nodes(self, tmp_path):
         outputs = set()

@@ -3,7 +3,6 @@ import pytest
 
 from lccsub import presets
 from lccsub import populations
-from lccsub.asymptotics import eval_bar_theta
 from lccsub.glm import (
     FitConfig,
     ModelParams,
@@ -22,6 +21,7 @@ from lccsub.populations import (
     equal_class_bias,
     integration_grid,
     marginal_odds_ratio,
+    population_limit,
     population_score,
     population_theta_star,
     precision_recall,
@@ -311,7 +311,7 @@ class TestGaussianClosedForm:
         ptilde, p = 1.0 / (1.0 + np.exp(-lam)), grid.prob1
         accept = p * (1.0 - ptilde) + (1.0 - p) * ptilde
         oracle, se = mc_fit(grid, grid.masses * accept, p * (1.0 - ptilde) / accept, offsets=-lam)
-        bar = eval_bar_theta(spec, pilot)
+        bar = population_limit(spec, LocalCaseControl(pilot))
         z = (bar.params.as_array() - oracle) / se
         assert np.all(np.abs(z) < 3.0), z
 
@@ -323,7 +323,8 @@ class TestGaussianClosedForm:
         pilot = quadrature_points(spec)[-1][1]
 
         def limits():
-            fits = (population_theta_star(spec), theta_cc_limit(spec, b), eval_bar_theta(spec, pilot))
+            bar = population_limit(spec, LocalCaseControl(pilot))
+            fits = (population_theta_star(spec), theta_cc_limit(spec, b), bar)
             return [fit.params.as_array() for fit in fits]
 
         base = limits()
@@ -354,7 +355,8 @@ class TestGaussianClosedForm:
         exact = spec.linear_params()
         pilot = ModelParams.from_array(exact.as_array() + 0.3)
         monkeypatch.setattr(TwoClassGaussian, "correctly_specified", False)
-        for fit in (population_theta_star(spec), theta_cc_limit(spec, 2.0), eval_bar_theta(spec, pilot)):
+        bar = population_limit(spec, LocalCaseControl(pilot))
+        for fit in (population_theta_star(spec), theta_cc_limit(spec, 2.0), bar):
             assert np.allclose(fit.params.as_array(), exact.as_array(), rtol=0.0, atol=1e-9)
 
 
