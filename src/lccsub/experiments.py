@@ -4,8 +4,22 @@ Protocol per replication: draw fresh data; for the local method fit
 `sample`'s pilot, n_pilot // 2 uniform rows per class (fit_pilot_wcc), and
 take the local sample; give the comparison estimators (cc, wcc, uniform)
 the combined pilot-plus-second-stage budget so the pilot cost is paid for.
-Every draw is one WeightedSubsample, fitted by fit_subsample.  With
-implicit_full the full sample is never materialized: the pilot holds
+Every draw is one WeightedSubsample, fitted by fit_subsample.
+
+A Gaussian replication draws features only for the rows a method keeps
+(_replication_rows, _lcc_subsample).  The data stream draws every row's
+label, then, in row order, the features of every row that a label-only
+scheme could keep (u <= max(a_y, uniform rate), a_y the class-balanced
+rates), then, for `full`, every other row's.  The local method draws on
+its own stream: features from X | Y for pilot rows that have none, the
+pilot predictor t for every row without features (a row with features
+has t = pilot'(1, x)), acceptance on t, and features from X | (Y, t) for
+the kept rows that have none.  So every row's (y, x) is a population
+draw, cc, wcc and uniform draw the same whichever methods run, and the
+local method's draws depend on whether `full` runs.  Other populations
+draw every row in full up front.
+
+With implicit_full the full sample is never materialized: the pilot holds
 n_pilot // 2 rows per class, cc and wcc Bernoulli(1/2) labels, and the local
 sample comes from sample_tilted.  convergence_study runs the explicit one.
 
@@ -20,7 +34,7 @@ import ctypes
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,10 +44,13 @@ from .glm import FitConfig, GlmError, ModelParams, ObservationSet, fit_logistic
 from .populations import (
     OracleFit,
     PopulationSpec,
+    TwoClassGaussian,
     population_theta_star,
     positive_rate,
     sample_conditional,
+    sample_labels,
     sample_population,
+    sample_predictor,
     sample_tilted,
 )
 from .sampling import (
@@ -241,39 +258,121 @@ def _implicit_pilot(config: ExperimentConfig, rep: int) -> PilotFit:
     return PilotFit(fit_subsample(sub, config.fit).params, sub)
 
 
-def _replicate_explicit(config: ExperimentConfig, rep: int) -> dict:
-    """Each method's (estimate, subsample size) on one draw of data, or the
-    failure it raised in its place."""
-    data = sample_population(
-        config.spec, config.n_full, derived_rng(config.master_seed, rep, "data")
-    )
-    uniforms = derived_rng(config.master_seed, rep, "uniforms").random(config.n_full)
+@dataclass(frozen=True)
+class _Rows:
+    """One replication's rows, as fit_pilot_wcc and draw_subsample read an
+    ObservationSet: labels and uniforms for every row, and features for the
+    rows marked drawn; draw() draws more."""
 
+    spec: PopulationSpec
+    labels: np.ndarray
+    uniforms: np.ndarray
+    features: np.ndarray
+    drawn: np.ndarray
+
+    n = property(lambda self: self.labels.shape[0])
+    p = property(lambda self: self.spec.p)
+    weights = property(lambda self: np.broadcast_to(1.0, (self.n,)))
+    offsets = property(lambda self: np.broadcast_to(0.0, (self.n,)))
+
+    def draw(self, rows, rng, pilot=None, t=None) -> None:
+        """Draw the features of those of rows that have none, in order, from
+        X | Y, or from X | (Y, t) given each row's pilot predictor t."""
+        new = ~self.drawn[rows]
+        if new.any():
+            t = None if t is None else t[new]
+            rows = rows[new]
+            self.features[rows] = sample_conditional(self.spec, self.labels[rows], rng, pilot, t)
+            self.drawn[rows] = True
+
+
+@dataclass(frozen=True)
+class _DrawOnRead:
+    """A _Rows record's features as fit_pilot_wcc reads them: the picked
+    rows that have none are drawn from X | Y first."""
+
+    rows: _Rows
+    rng: np.random.Generator
+
+    def __getitem__(self, picked):
+        self.rows.draw(picked, self.rng)
+        return self.rows.features[picked]
+
+
+def _replication_rows(config: ExperimentConfig, rep: int) -> _Rows:
+    """The replication's rows from the data stream: for a Gaussian population,
+    the labels, then the features of the rows a label-only scheme could keep."""
+    spec, n = config.spec, config.n_full
+    rng = derived_rng(config.master_seed, rep, "data")
+    uniforms = derived_rng(config.master_seed, rep, "uniforms").random(n)
+    if not isinstance(spec, TwoClassGaussian):
+        data = sample_population(spec, n, rng)
+        return _Rows(spec, data.labels, uniforms, data.features, np.ones(n, dtype=bool))
+    labels, rate = sample_labels(spec, n, rng), _uniform_rate(config)
+    reach, counts = (rate, rate), class_counts(labels)
+    if min(counts):  # else cc and wcc raise TooFewCases and keep no row
+        scheme = class_balanced_scheme(counts, config.comparison_budget, weighted=False)
+        reach = (max(scheme.a0, rate), max(scheme.a1, rate))
+    rows = _Rows(spec, labels, uniforms, np.empty((n, spec.p)), np.zeros(n, dtype=bool))
+    rows.draw(np.flatnonzero(uniforms <= np.where(labels == 1.0, reach[1], reach[0])), rng)
+    if "full" in config.methods:
+        rows.draw(np.arange(n), rng)
+    return rows
+
+
+def _uniform_rate(config: ExperimentConfig) -> float:
+    return min(1.0, config.comparison_budget / config.n_full)
+
+
+def _lcc_subsample(config: ExperimentConfig, rep: int, rows: _Rows) -> WeightedSubsample:
+    """lcc's draw on the replication's rows, accepting on each row's pilot
+    predictor t; every draw it adds comes from the lcc stream."""
+    rng = derived_rng(config.master_seed, rep, "lcc")
+    pilot_rng = derived_rng(config.master_seed, rep, "pilot")
+    pilot_fit = fit_pilot_wcc(
+        replace(rows, features=_DrawOnRead(rows, rng)), config.n_pilot, pilot_rng, config.fit
+    )
+    pilot = pilot_fit.params
+    if rows.drawn.all():
+        t = pilot.linear_predictor(rows.features)
+    else:
+        t = np.empty(rows.n)
+        t[rows.drawn] = pilot.linear_predictor(rows.features[rows.drawn])
+        t[~rows.drawn] = sample_predictor(rows.spec, pilot, rows.labels[~rows.drawn], rng)
+    source, at = rows, np.arange(rows.n)
+    if not config.recycle_pilot:
+        at = np.delete(at, pilot_fit.subsample.rows)
+        source = replace(rows, labels=rows.labels[at], uniforms=rows.uniforms[at],
+                         features=rows.features[at])
+    c = 1.0 if config.c is None else config.c
+    scheme = LocalCaseControl(pilot, c=c, retain_cases=config.retain_cases)
+    target = config.n_lcc if config.c is None else None
+    sub = draw_subsample(source, scheme, source.uniforms, target, t[at])
+    kept = at[sub.rows]
+    rows.draw(kept, rng, pilot, t[kept])
+    features = rows.features[kept]
+    return replace(sub, features=features, offsets=-pilot.linear_predictor(features))
+
+
+def _replicate_explicit(config: ExperimentConfig, rep: int) -> dict:
+    """Each method's (estimate, subsample size) on one draw of rows, or the
+    failure it raised in its place."""
+    rows = _replication_rows(config, rep)
     out = {}
     for method in config.methods:
         try:
             if method == "full":
+                data = ObservationSet(rows.features, rows.labels)
                 out[method] = (fit_logistic(data, config.fit).params.as_array(), data.n)
                 continue
-            source, source_uniforms, target = data, uniforms, None
             if method == "lcc":
-                pilot_fit = fit_pilot_wcc(
-                    data, config.n_pilot, derived_rng(config.master_seed, rep, "pilot"), config.fit
-                )
-                if not config.recycle_pilot:
-                    mask = np.ones(config.n_full, dtype=bool)
-                    mask[pilot_fit.subsample.rows] = False
-                    source = ObservationSet(data.features[mask], data.labels[mask])
-                    source_uniforms = uniforms[mask]
-                c = 1.0 if config.c is None else config.c
-                scheme = LocalCaseControl(pilot_fit.params, c=c, retain_cases=config.retain_cases)
-                target = config.n_lcc if config.c is None else None
+                sub = _lcc_subsample(config, rep, rows)
             elif method == "uniform":
-                scheme = Uniform(min(1.0, config.comparison_budget / config.n_full))
+                sub = draw_subsample(rows, Uniform(_uniform_rate(config)), rows.uniforms)
             else:
                 budget, weighted = config.comparison_budget, method == "wcc"
-                scheme = class_balanced_scheme(class_counts(data.labels), budget, weighted)
-            sub = draw_subsample(source, scheme, source_uniforms, target)
+                scheme = class_balanced_scheme(class_counts(rows.labels), budget, weighted)
+                sub = draw_subsample(rows, scheme, rows.uniforms)
             out[method] = (fit_subsample(sub, config.fit).params.as_array(), sub.realized_size)
         except _FAILURE_KINDS as exc:
             out[method] = exc

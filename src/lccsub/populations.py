@@ -60,6 +60,8 @@ __all__ = [
     "theta_cc_limit",
     "marginal_odds_ratio",
     "sample_population",
+    "sample_labels",
+    "sample_predictor",
     "sample_conditional",
     "sample_tilted",
     "precision_recall",
@@ -252,9 +254,8 @@ def sample_population(spec: PopulationSpec, n: int, rng) -> ObservationSet:
     if n < 1:
         raise ValueError("n must be at least 1")
     if isinstance(spec, TwoClassGaussian):
-        labels = (rng.random(n) < spec.prior1).astype(np.float64)
-        feats = _gaussian_features(spec, labels, rng)
-        return ObservationSet(feats, labels)
+        labels = sample_labels(spec, n, rng)
+        return ObservationSet(sample_conditional(spec, labels, rng), labels)
     if isinstance(spec, DiscretePopulation):
         idx = rng.choice(spec.points.shape[0], size=n, p=spec.masses)
         feats = spec.points[idx]
@@ -267,28 +268,58 @@ def sample_population(spec: PopulationSpec, n: int, rng) -> ObservationSet:
     raise TypeError(f"unknown population spec {type(spec)!r}")
 
 
-def _gaussian_features(spec: TwoClassGaussian, labels, rng) -> np.ndarray:
-    n = labels.shape[0]
-    z = rng.standard_normal((n, spec.p))
-    L0, L1 = spec._chol
-    # every row takes the class-0 factor, then the (rare) class-1 rows are
-    # redone, which copies only those rows through a mask
-    feats = z @ L0.T
-    feats += spec.mu0
-    ones = labels == 1.0
-    feats[ones] = spec.mu1 + z[ones] @ L1.T
-    return feats
+def sample_labels(spec: TwoClassGaussian, n: int, rng) -> np.ndarray:
+    """The labels of n draws of a Gaussian population, drawn as sample_population draws them."""
+    return (rng.random(n) < spec.prior1).astype(np.float64)
 
 
-def sample_conditional(spec: PopulationSpec, labels, rng) -> np.ndarray:
-    """Features drawn from X | Y=label, one row per entry of labels.
+def _given_class(spec: TwoClassGaussian, pilot: ModelParams):
+    """For y = 0, 1: the mean and variance of the pilot predictor
+    t = pilot'(1, x) given Y=y, and Cov(x, t) = Sigma_y pilot."""
+    lam = pilot.slopes
+    return [
+        (pilot.intercept + mu @ lam, lam @ sigma @ lam, sigma @ lam)
+        for mu, sigma in ((spec.mu0, spec.sigma0), (spec.mu1, spec.sigma1))
+    ]
 
-    A Gaussian population draws each class's features directly; any other
-    keeps, in order, its own draws whose label matches, which is exact.
+
+def sample_predictor(spec: TwoClassGaussian, pilot: ModelParams, labels, rng) -> np.ndarray:
+    """The pilot predictor t = pilot'(1, x) of one draw of X | Y=label per
+    entry of labels, drawn from its law given the class, a normal."""
+    (m0, v0, _), (m1, v1, _) = _given_class(spec, pilot)
+    ones = np.asarray(labels) == 1.0
+    z = rng.standard_normal(ones.shape[0])
+    return np.where(ones, m1, m0) + np.where(ones, np.sqrt(v1), np.sqrt(v0)) * z
+
+
+def sample_conditional(spec: PopulationSpec, labels, rng, pilot=None, t=None) -> np.ndarray:
+    """Features drawn from X | Y=label, one row per entry of labels, or, given
+    a pilot and each row's predictor t, from X | (Y=label, pilot'(1, X)=t).
+
+    A Gaussian population draws x0 from its class's law and, given t, moves
+    it along Cov(x, t) to x0 + Sigma_y pilot (t - pilot'(1, x0)) / Var(t):
+    the conditional law, as x - Sigma_y pilot t / Var(t) is independent of t.
+    Any other population keeps, in order, its own draws whose label
+    matches, which is exact; it takes no t.
     """
     labels = np.asarray(labels, dtype=np.float64)
     if isinstance(spec, TwoClassGaussian):
-        return _gaussian_features(spec, labels, rng)
+        z = rng.standard_normal((labels.shape[0], spec.p))
+        L0, L1 = spec._chol
+        # every row takes the class-0 factor, then the (rare) class-1 rows are
+        # redone, which copies only those rows through a mask
+        x = z @ L0.T
+        x += spec.mu0
+        ones = labels == 1.0
+        x[ones] = spec.mu1 + z[ones] @ L1.T
+        if t is not None:
+            (_, v0, c0), (_, v1, c1) = _given_class(spec, pilot)
+            var, cov = np.where(ones, v1, v0), np.where(ones[:, None], c1, c0)
+            gap = t - pilot.linear_predictor(x)
+            x += np.divide(gap, var, out=np.zeros_like(var), where=var > 0)[:, None] * cov
+        return x
+    if t is not None:
+        raise ValueError("features given the pilot predictor need a Gaussian population")
     out = np.empty((labels.shape[0], spec.p))
     prior1 = positive_rate(spec)
     for label, rate in ((0.0, 1.0 - prior1), (1.0, prior1)):
@@ -310,14 +341,18 @@ def sample_tilted(
 ) -> WeightedSubsample:
     """Rejection-sample the population through a local case-control scheme.
 
-    Proposes from the population in batches and keeps each row as
-    accept_rows does, stopping at exactly n_accept acceptances.  rows are
-    the kept positions in the proposal stream and rows_read the proposals
-    through the accepting row, so realized_size / rows_read estimates the
-    marginal acceptance probability.
+    Proposes in batches and keeps each row as accept_rows does on its pilot
+    predictor t, stopping at exactly n_accept acceptances.  A Gaussian
+    proposal is its label and t (sample_predictor), and only the kept rows
+    draw features, from X | (Y, t) (sample_conditional); any other
+    population proposes whole rows.  rows are the kept positions in the
+    proposal stream and rows_read the proposals through the accepting row,
+    so realized_size / rows_read estimates the marginal acceptance
+    probability.  Offsets are -pilot'(1, x) of the kept rows.
     """
     if n_accept < 1:
         raise ValueError("n_accept must be at least 1")
+    pilot, gaussian = scheme.pilot, isinstance(spec, TwoClassGaussian)
     parts = []
     accepted = 0
     proposals = 0
@@ -328,11 +363,19 @@ def sample_tilted(
                 f"{accepted}/{n_accept} acceptances after {proposals} proposals"
             )
         batch = int(min(batch, proposal_cap - proposals, 2**20))
-        obs = sample_population(spec, batch, rng)
-        keep, weights, offsets, _ = accept_rows(scheme, obs.features, obs.labels, rng.random(batch))
+        if gaussian:
+            labels = sample_labels(spec, batch, rng)
+            features, t = None, sample_predictor(spec, pilot, labels, rng)
+        else:
+            obs, t = sample_population(spec, batch, rng), None
+            labels, features = obs.labels, obs.features
+        keep, weights, _, _ = accept_rows(scheme, features, labels, rng.random(batch), eta=t)
         hits = np.flatnonzero(keep)[: n_accept - accepted]
-        columns = (obs.labels, obs.features, weights, offsets)
-        parts.append((hits + proposals, *(a[hits] for a in columns)))
+        if gaussian:
+            x = sample_conditional(spec, labels[hits], rng, pilot, t[hits])
+        else:
+            x = features[hits]
+        parts.append((hits + proposals, labels[hits], x, weights[hits], -pilot.linear_predictor(x)))
         accepted += hits.size
         # every batch before the last counts in full toward proposals
         proposals += int(hits[-1]) + 1 if accepted == n_accept else batch

@@ -221,14 +221,17 @@ _ROW_FIELDS = ("rows", "labels", "features", "weights", "offsets")  # one entry 
 
 
 def draw_subsample(
-    data: ObservationSet, scheme: SamplingScheme, uniforms, target_size: int | None = None
+    data: ObservationSet, scheme: SamplingScheme, uniforms, target_size: int | None = None,
+    eta=None,
 ) -> WeightedSubsample:
     """Accept-reject pass: row i enters iff uniforms[i] <= prob_i.
 
     With target_size (local case-control only) the pass also solves the c
     whose expected subsample size is exactly target_size; see accept_pass.
-    The subsample's weights and offsets combine the source's own with the
-    scheme's.  Deterministic given (data, scheme, uniforms, target_size).
+    A local case-control scheme takes the pilot's predictors from eta when
+    given, as accept_rows does.  The subsample's weights and offsets combine
+    the source's own with the scheme's.  Deterministic given (data, scheme,
+    uniforms, target_size, eta).
     """
     uniforms = np.asarray(uniforms, dtype=np.float64)
     if uniforms.shape != (data.n,):
@@ -236,7 +239,8 @@ def draw_subsample(
     # chunking changes only the calibration's sums, which must match a streamed file's
     step = data.n if target_size is None else CHUNK_ROWS
     spans = [slice(i, i + step) for i in range(0, data.n, step)]
-    chunks = ((data.features[r], data.labels[r], uniforms[r]) for r in spans)
+    columns = (data.features, data.labels, uniforms) + (() if eta is None else (eta,))
+    chunks = (tuple(a[r] for a in columns) for r in spans)
     sub = accept_pass(scheme, chunks, target_size)
     return replace(
         sub,
@@ -501,7 +505,8 @@ class ShardScan:
 def accept_scan(
     scheme: SamplingScheme, chunks, target_size: int | None = None, first: int = 0
 ) -> ShardScan:
-    """The accept-reject scan of one shard of (features, labels, uniforms) chunks.
+    """The accept-reject scan of one shard of (features, labels, uniforms) chunks,
+    each of which may carry the pilot's predictors eta last (accept_rows).
 
     first is the position of the shard's first row.  With target_size
     (local case-control only) each chunk is accepted at the shard's
@@ -516,8 +521,8 @@ def accept_scan(
         calibration = RateCalibration(scheme, target_size)
         scheme, bound = calibration.scheme, calibration.bound()
     rows_read, sums, held, pruned, parts = 0, [], 0, 0, []
-    for features, labels, uniforms in chunks:
-        keep, weights, offsets, prob = accept_rows(scheme, features, labels, uniforms)
+    for features, labels, uniforms, *eta in chunks:
+        keep, weights, offsets, prob = accept_rows(scheme, features, labels, uniforms, *eta)
         columns = (labels, features, weights, offsets)
         if calibration is None:
             sums.append((float(prob.sum()), float(np.square(prob).sum())))

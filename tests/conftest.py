@@ -10,9 +10,9 @@ from lccsub.glm import FitConfig, ModelParams, newton_logistic
 from lccsub.populations import (
     Grid,
     TwoClassGaussian,
-    _gaussian_features,
     conditional_probability,
     population_theta_star,
+    sample_conditional,
     scheme_risk,
 )
 from lccsub.sampling import CHUNK_ROWS, RateCalibration, accept_rows, acceptance_probabilities
@@ -28,7 +28,7 @@ def _mc_grid(spec: TwoClassGaussian, mc_nodes: int, rng=None) -> Grid:
     if rng is None:
         rng = np.random.default_rng(_MC_SEED)
     labels = (rng.random(mc_nodes) < spec.prior1).astype(np.float64)
-    pts = _gaussian_features(spec, labels, rng)
+    pts = sample_conditional(spec, labels, rng)
     masses = np.full(mc_nodes, 1.0 / mc_nodes)
     return Grid(pts, masses, conditional_probability(spec, pts))
 

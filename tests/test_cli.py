@@ -1162,7 +1162,7 @@ experiment:
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
         err = capsys.readouterr().err
         assert "failed replications: 2\n" in err
-        for rep in (0, 6):
+        for rep in (3, 7):
             assert f"  replication {rep}: Separation: " in err
         report = out.read_text()
         assert "failures 2" in report and "Separation" not in report
@@ -1175,7 +1175,7 @@ experiment:
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert "failed replications: 2\n" in err
-        for rep in (0, 6):
+        for rep in (3, 7):
             assert f"  replication {rep}: Separation: " in err
         assert "budget exceeded: 2/8 replications failed" in err
         assert not out.exists()

@@ -18,6 +18,7 @@ from lccsub.experiments import (
 )
 from lccsub.glm import ModelParams, Singular
 from lccsub.populations import population_theta_star
+from lccsub.sampling import CaseControl
 
 
 class TestSummarize:
@@ -386,6 +387,59 @@ class TestRunExperiment:
             run_experiment(cfg)
 
 
+class TestExplicitDraws:
+    def test_cc_keeps_population_draws(self, monkeypatch):
+        # lcc runs first and draws features on its own stream; the rows cc
+        # keeps are still draws of X | Y, whatever else the replication drew
+        config = ExperimentConfig(
+            spec=presets.simulation1(), n_full=40000, n_pilot=200, n_lcc=200,
+            replications=20, methods=("lcc", "wcc", "cc", "uniform"), master_seed=7,
+        )
+        fit, kept = experiments.fit_subsample, []
+
+        def fit_and_keep_cc(sub, cfg):
+            if type(sub.scheme) is CaseControl:
+                kept.append(sub)
+            return fit(sub, cfg)
+
+        monkeypatch.setattr(experiments, "fit_subsample", fit_and_keep_cc)
+        for rep in range(config.replications):
+            experiments._replicate_explicit(config, rep)
+        labels = np.concatenate([sub.labels for sub in kept])
+        feats = np.concatenate([sub.features for sub in kept])
+        spec = config.spec
+        for y, mu, sigma in ((0.0, spec.mu0, spec.sigma0), (1.0, spec.mu1, spec.sigma1)):
+            rows = feats[labels == y]
+            n, sq = rows.shape[0], (rows - mu) ** 2
+            assert n > 3000
+            assert np.all(np.abs(rows.mean(axis=0) - mu) < 4 * np.sqrt(np.diag(sigma) / n))
+            assert np.all(np.abs(sq.mean(axis=0) - np.diag(sigma)) < 4 * sq.std(axis=0) / np.sqrt(n))
+
+    def test_gaussian_rows_draw_only_what_a_method_keeps(self, small_config, monkeypatch):
+        # features for at most 3 x (n_pilot + n_lcc) rows without `full`, and
+        # never a whole Gaussian population draw
+        draw, drawn = experiments.sample_conditional, []
+        monkeypatch.setattr(
+            experiments, "sample_conditional",
+            lambda spec, labels, *a: drawn.append(len(labels)) or draw(spec, labels, *a),
+        )
+
+        def refuse(*args):
+            raise AssertionError("sample_population drew a Gaussian population")
+
+        monkeypatch.setattr(experiments, "sample_population", refuse)
+        for methods in (("lcc", "wcc", "cc", "uniform"), ("lcc", "full")):
+            config = replace(small_config, methods=methods)
+            for rep in range(config.replications):
+                drawn.clear()
+                out = experiments._replicate_explicit(config, rep)
+                assert not any(isinstance(r, Exception) for r in out.values())
+                if "full" in methods:
+                    assert sum(drawn) == config.n_full
+                else:
+                    assert 0 < sum(drawn) <= 3 * config.comparison_budget
+
+
 class TestDerivedStreams:
     def test_streams_differ_by_stage_and_rep(self):
         a = derived_rng(0, 1, "data").random(4)
@@ -422,10 +476,10 @@ class TestConvergenceStudy:
     def test_one_data_draw_per_seed_and_n(self, monkeypatch):
         # p + 2 = 5 is the pilot floor here, rounded up to 6: 3 rows per class
         spec = presets.correct_gaussian(p=3, mu_scale=0.8, prior1=0.3)
-        draw = experiments.sample_population
+        draw = experiments._replication_rows
         calls = []
         monkeypatch.setattr(
-            experiments, "sample_population", lambda *a: calls.append(a[1]) or draw(*a)
+            experiments, "_replication_rows", lambda *a: calls.append(a[0].n_full) or draw(*a)
         )
         rows = convergence_study(
             spec, n_grid=[400, 800], methods=("lcc", "cc", "wcc"), seeds=3,

@@ -16,7 +16,6 @@ from lccsub.populations import (
     DiscretePopulation,
     StepLogit,
     TwoClassGaussian,
-    _gaussian_features,
     conditional_probability,
     equal_class_bias,
     integration_grid,
@@ -31,6 +30,7 @@ from lccsub.populations import (
     theta_cc_limit,
     true_log_odds,
 )
+from lccsub.asymptotics import eval_abar
 from lccsub.sampling import LocalCaseControl, acceptance_probabilities
 
 
@@ -97,7 +97,7 @@ class TestSampling:
         # unequal covariances, so a row given the other class's factor shows
         spec = presets.simulation1()
         labels = (np.random.default_rng(4).random(50001) < 0.3).astype(np.float64)
-        feats = _gaussian_features(spec, labels, np.random.default_rng(5))
+        feats = sample_conditional(spec, labels, np.random.default_rng(5))
         z = np.random.default_rng(5).standard_normal((labels.size, spec.p))
         L0, L1 = spec._chol
         ones = labels == 1.0
@@ -161,6 +161,30 @@ class TestSampleTilted:
         assert np.array_equal(ts.rows, rows)
         assert np.array_equal(ts.features, obs.features[rows])
         assert ts.expected_size == 1000 and ts.size_variance == 0.0
+
+    @pytest.mark.parametrize("name", ["simulation2_20", "sim1_desk"])
+    def test_kept_rows_follow_the_tilted_law(self, name):
+        # a Gaussian proposal is its label and pilot predictor t, and a kept
+        # row draws x | (y, t): the acceptance rate and each class's kept
+        # feature means and variances are the exact tilted integrals
+        spec = presets.simulation2(p=20) if name == "simulation2_20" else presets.simulation1()
+        theta = population_theta_star(spec).params
+        scheme = LocalCaseControl(ModelParams.from_array(theta.as_array() + 0.05))
+        sub = sample_tilted(spec, scheme, 50000, np.random.default_rng(31))
+        abar = eval_abar(spec, scheme)
+        rate = sub.realized_size / sub.rows_read
+        assert abs(rate - abar) < 4 * np.sqrt(abar * (1.0 - abar) / sub.rows_read)
+        grid = integration_grid(spec, along=(scheme.pilot.as_array(),))
+        kept = grid.masses * acceptance_probabilities(scheme, grid.points, grid.prob1)[0]
+        for y in (0.0, 1.0):
+            dens = np.where(grid.prob1 == y, kept, 0.0)
+            mean = dens @ grid.points / dens.sum()
+            var = dens @ (grid.points - mean) ** 2 / dens.sum()
+            rows = sub.features[sub.labels == y]
+            sq = (rows - rows.mean(axis=0)) ** 2
+            n = rows.shape[0]
+            assert np.all(np.abs(rows.mean(axis=0) - mean) < 4 * rows.std(axis=0) / np.sqrt(n))
+            assert np.all(np.abs(sq.mean(axis=0) - var) < 4 * sq.std(axis=0) / np.sqrt(n))
 
     def test_rows_count_across_batches(self):
         spec = presets.steplogit()
