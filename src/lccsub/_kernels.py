@@ -18,12 +18,11 @@ active_backend_name = "numpy"
 
 
 def sigmoid(eta):
-    out = np.empty_like(eta)
-    pos = eta >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
-    ex = np.exp(eta[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + exp(-eta)), from e = exp(-|eta|), which never overflows:
+    1 / (1 + e) where eta >= 0 and e / (1 + e) elsewhere."""
+    e = np.exp(-np.abs(eta))
+    denom = 1.0 + e
+    return np.where(eta >= 0, 1.0 / denom, e / denom)
 
 
 def nll_sum(eta, y, w):

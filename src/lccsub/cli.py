@@ -67,7 +67,7 @@ from .sampling import (
     class_balanced_scheme,
     class_counts,
     fit_subsample,
-    pilot_rows,
+    pilot_scan,
     pilot_subsample,
 )
 
@@ -191,29 +191,21 @@ def _generator_at(rng, row: int):
 
 
 def _pilot_pass(path, per_class, rng, plan):
-    """`sample`'s pilot: sampling.pilot_rows on one key per row in file order, as
-    fit_pilot_wcc.  Each chunk and then the shards feed the positions, labels,
-    keys and raw records kept so far to pilot_rows, and only the records kept
-    at the end are converted.  rng ends where one draw per row leaves it."""
-
-    def keep(columns):
-        pick = pilot_rows(columns[1], columns[2], per_class)
-        return tuple(column[pick] for column in columns)
+    """`sample`'s pilot: sampling.pilot_scan over each shard's positions, labels,
+    keys and raw records, one key per row in file order as fit_pilot_wcc, and
+    then over the shards' kept rows; only the records kept at the end are
+    converted.  rng ends where one draw per row leaves it."""
 
     def scan(chunks, first):
-        keys_rng, seen = _generator_at(rng, first), np.zeros(2, dtype=np.int64)
-        kept = (np.empty(0, dtype=np.int64), np.empty(0), np.empty(0), np.empty(0, dtype=object))
-        for _, start, records, labels, _, _ in chunks:
-            seen += class_counts(labels)
-            chunk = (np.arange(start - 1, start - 1 + labels.shape[0]), labels,
-                     keys_rng.random(labels.shape[0]), np.fromiter(records, object, len(records)))
-            kept = keep(tuple(map(np.concatenate, zip(kept, chunk))))
-        return seen, kept
+        keys_rng = _generator_at(rng, first)
+        return pilot_scan(((np.arange(start - 1, start - 1 + labels.shape[0]), labels,
+                            keys_rng.random(labels.shape[0]), np.fromiter(records, object))
+                           for _, start, records, labels, _, _ in chunks), per_class)
 
     header, shards = map_shards(path, scan, plan, labels_only=True)
-    seen = [int(n) for n in sum(shard[0] for shard in shards)]
+    seen = tuple(map(sum, zip(*(shard[0] for shard in shards))))
     rng.bit_generator.advance(sum(seen))
-    rows, labels, _, records = keep(tuple(map(np.concatenate, zip(*(s[1] for s in shards)))))
+    _, (rows, labels, _, records) = pilot_scan([shard[1] for shard in shards], per_class)
     return pilot_subsample(seen, rows, labels, convert_records(header, records)[2])
 
 
@@ -413,16 +405,10 @@ def cmd_asymptotics(args) -> int:
     variance = lcc_variance(report)
     slope = conditional_bias_slope(report)
     rows = [{"quantity": "abar", "row": 0, "col": 0, "value": report.abar}]
-    for name, mat in (
-        ("G", report.G[:, None]),
-        ("H", report.H),
-        ("J", report.J),
-        ("C", report.C),
-        ("Sigma", report.Sigma),
-        ("SigmaFull", report.SigmaFull),
-        ("variance", variance),
-        ("bias_slope", slope),
-    ):
+    mats = {"G": report.G[:, None], "H": report.H, "J": report.J, "C": report.C,
+            "Sigma": report.Sigma, "SigmaFull": report.SigmaFull, "variance": variance,
+            "bias_slope": slope}
+    for name, mat in mats.items():
         for (i, j), value in np.ndenumerate(mat):
             rows.append({"quantity": name, "row": i, "col": j, "value": float(value)})
     extra = {
@@ -464,25 +450,12 @@ def cmd_simulate(args) -> int:
         raise
     blas = report.blas_threads
     per_worker = "not pinned" if blas is None else f"{blas[0]} (was {blas[1]})"
-    print(
-        f"runtime: {report.runtime_seconds:.3f} s, workers: {report.workers}, "
-        f"BLAS threads per worker: {per_worker}",
-        file=sys.stderr,
-    )
+    print(f"runtime: {report.runtime_seconds:.3f} s, workers: {report.workers}, "
+          f"BLAS threads per worker: {per_worker}", file=sys.stderr)
     _print_failures(report.failures)
-    rows = []
-    for method, summary in report.methods.items():
-        rows.append(
-            {
-                "method": method,
-                "bias_sq": summary.bias_sq,
-                "bias_sq_se": summary.bias_sq_se,
-                "var": summary.var,
-                "var_se": summary.var_se,
-                "mean_subsample_size": summary.mean_subsample_size,
-                "n_failures": summary.n_failures,
-            }
-        )
+    columns = ("bias_sq", "bias_sq_se", "var", "var_se", "mean_subsample_size", "n_failures")
+    rows = [{"method": method, **{name: getattr(summary, name) for name in columns}}
+            for method, summary in report.methods.items()]
     extra = {
         "seed": config.master_seed,
         "config": echo,
@@ -495,8 +468,7 @@ def cmd_simulate(args) -> int:
     comments = [
         f"seed {config.master_seed}",
         f"config {args.config}",
-        "config echo: "
-        + ", ".join(f"{k}={v}" for k, v in sorted(echo.items())),
+        "config echo: " + ", ".join(f"{k}={v}" for k, v in sorted(echo.items())),
         f"replications {config.replications}, failures {len(report.failures)}",
     ]
     _emit(rows, args, comments=comments, json_extra=extra)

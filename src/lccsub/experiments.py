@@ -1,23 +1,25 @@
 """Seeded Monte-Carlo replication harness comparing the subsampling methods.
 
 Protocol per replication: draw fresh data; for the local method fit
-`sample`'s pilot, n_pilot // 2 uniform rows per class (fit_pilot_wcc), and
-take the local sample; give the comparison estimators (cc, wcc, uniform)
-the combined pilot-plus-second-stage budget so the pilot cost is paid for.
-Every draw is one WeightedSubsample, fitted by fit_subsample.
+`sample`'s pilot, n_pilot // 2 uniform rows per class (fit_pilot_wcc's rule,
+pilot_scan), and take the local sample; give the comparison estimators (cc,
+wcc, uniform) the combined pilot-plus-second-stage budget so the pilot cost
+is paid for.  Every draw is one WeightedSubsample, fitted by fit_subsample.
 
-A Gaussian replication draws features only for the rows a method keeps
-(_replication_rows, _lcc_subsample).  The data stream draws every row's
-label, then, in row order, the features of every row that a label-only
-scheme could keep (u <= max(a_y, uniform rate), a_y the class-balanced
-rates), then, for `full`, every other row's.  The local method draws on
-its own stream: features from X | Y for pilot rows that have none, the
-pilot predictor t for every row without features (a row with features
-has t = pilot'(1, x)), acceptance on t, and features from X | (Y, t) for
-the kept rows that have none.  So every row's (y, x) is a population
-draw, cc, wcc and uniform draw the same whichever methods run, and the
-local method's draws depend on whether `full` runs.  Other populations
-draw every row in full up front.
+A replication (_Rows) holds every row's label and uniform and the features
+of the rows drawn so far; like `sample` on a file, every other full-length
+step (pilot keys, pilot predictors, accept-reject) runs in CHUNK_ROWS blocks.
+A Gaussian replication draws features only for the rows a method keeps.
+The data stream draws every row's label, then, in row order, the features
+of every row that a label-only scheme could keep (u <= max(a_y, uniform
+rate), a_y the class-balanced rates), then, for `full`, every other row's.
+The local method draws on its own stream: features from X | Y for pilot
+rows that have none, the pilot predictor t for every row without features
+(a row with features has t = pilot'(1, x)), acceptance on t, and features
+from X | (Y, t) for the kept rows that have none.  So every row's (y, x) is
+a population draw, cc, wcc and uniform draw the same whichever methods
+run, and the local method's draws depend on whether `full` runs.  Other
+populations draw every row in full up front.
 
 With implicit_full the full sample is never materialized: the pilot holds
 n_pilot // 2 rows per class, cc and wcc Bernoulli(1/2) labels, and the local
@@ -54,6 +56,7 @@ from .populations import (
     sample_tilted,
 )
 from .sampling import (
+    CHUNK_ROWS,
     CaseControl,
     EmptySubsample,
     LocalCaseControl,
@@ -62,11 +65,12 @@ from .sampling import (
     Uniform,
     WeightedCaseControl,
     WeightedSubsample,
+    accept_pass,
     class_balanced_scheme,
     class_counts,
-    draw_subsample,
-    fit_pilot_wcc,
     fit_subsample,
+    pilot_scan,
+    pilot_subsample,
 )
 
 __all__ = [
@@ -258,63 +262,98 @@ def _implicit_pilot(config: ExperimentConfig, rep: int) -> PilotFit:
     return PilotFit(fit_subsample(sub, config.fit).params, sub)
 
 
-@dataclass(frozen=True)
+_NO_ROWS = np.empty(0, dtype=np.intp)
+
+
+def _skipping(rows, skip):
+    """Each index into the rows that remain without skip (sorted), as a position among all rows."""
+    return rows + np.searchsorted(skip - np.arange(skip.size), rows, side="right")
+
+
+@dataclass
 class _Rows:
-    """One replication's rows, as fit_pilot_wcc and draw_subsample read an
-    ObservationSet: labels and uniforms for every row, and features for the
-    rows marked drawn; draw() draws more."""
+    """One replication's rows: labels and uniforms for every row, and the
+    features of the rows drawn so far, by position in row order (at,
+    features).  Every other full-length step reads CHUNK_ROWS rows at a time."""
 
     spec: PopulationSpec
     labels: np.ndarray
     uniforms: np.ndarray
+    at: np.ndarray
     features: np.ndarray
-    drawn: np.ndarray
 
-    n = property(lambda self: self.labels.shape[0])
-    p = property(lambda self: self.spec.p)
-    weights = property(lambda self: np.broadcast_to(1.0, (self.n,)))
-    offsets = property(lambda self: np.broadcast_to(0.0, (self.n,)))
+    def draw(self, rows, rng, pilot=None, t=None) -> np.ndarray:
+        """The features of rows; those that have none are drawn, in order, from
+        X | Y, or given a pilot from X | (Y, t), t each row's pilot predictor, and kept."""
+        i = np.searchsorted(self.at, rows)
+        have = i < self.at.size
+        have[have] = self.at[i[have]] == rows[have]
+        out = np.empty((rows.size, self.spec.p))
+        out[have] = self.features[i[have]]
+        if not have.all():
+            new = ~have
+            t = None if pilot is None else t[new]
+            out[new] = sample_conditional(self.spec, self.labels[rows[new]], rng, pilot, t)
+            at = np.concatenate([self.at, rows[new]])
+            order = np.argsort(at, kind="stable")
+            self.at, self.features = at[order], np.concatenate([self.features, out[new]])[order]
+        return out
 
-    def draw(self, rows, rng, pilot=None, t=None) -> None:
-        """Draw the features of those of rows that have none, in order, from
-        X | Y, or from X | (Y, t) given each row's pilot predictor t."""
-        new = ~self.drawn[rows]
-        if new.any():
-            t = None if t is None else t[new]
-            rows = rows[new]
-            self.features[rows] = sample_conditional(self.spec, self.labels[rows], rng, pilot, t)
-            self.drawn[rows] = True
+    def blocks(self, skip=_NO_ROWS):
+        """The positions of the rows but skip (sorted), CHUNK_ROWS at a time:
+        slices where skip is empty."""
+        left = self.labels.shape[0] - skip.size
+        for start in range(0, left, CHUNK_ROWS):
+            stop = min(start + CHUNK_ROWS, left)
+            yield _skipping(np.arange(start, stop), skip) if skip.size else slice(start, stop)
 
+    def predictors(self, at, pilot, rng) -> np.ndarray:
+        """The pilot predictor t of the rows at a block's positions: pilot'(1, x)
+        of a row with features, and for the others, in order, a draw of T | Y."""
+        labels = self.labels[at]
+        positions = np.arange(at.start, at.stop) if isinstance(at, slice) else at
+        lo, hi = np.searchsorted(self.at, (positions[0], positions[-1] + 1))
+        j = np.searchsorted(positions, self.at[lo:hi])
+        found = positions[j] == self.at[lo:hi]
+        missing = np.ones(labels.size, dtype=bool)
+        missing[j[found]] = False
+        t = np.empty(labels.size)
+        if missing.any():
+            t[missing] = sample_predictor(self.spec, pilot, labels[missing], rng)
+        t[j[found]] = pilot.linear_predictor(self.features[lo:hi][found])
+        return t
 
-@dataclass(frozen=True)
-class _DrawOnRead:
-    """A _Rows record's features as fit_pilot_wcc reads them: the picked
-    rows that have none are drawn from X | Y first."""
-
-    rows: _Rows
-    rng: np.random.Generator
-
-    def __getitem__(self, picked):
-        self.rows.draw(picked, self.rng)
-        return self.rows.features[picked]
+    def accept(self, scheme, rng, target=None, skip=_NO_ROWS) -> WeightedSubsample:
+        """scheme's draw on the rows but skip, in CHUNK_ROWS blocks of them as
+        draw_subsample splits rows in memory, with the kept rows' features
+        (draw, on rng); its rows count only the rows read.  Local case-control
+        accepts on each row's pilot predictor t (predictors, on rng)."""
+        pilot = getattr(scheme, "pilot", None)
+        chunks = ((np.empty((self.labels[at].size, 0)), self.labels[at], self.uniforms[at],
+                   *(() if pilot is None else (self.predictors(at, pilot, rng),)))
+                  for at in self.blocks(skip))
+        sub = accept_pass(scheme, chunks, target)
+        return replace(sub, features=self.draw(_skipping(sub.rows, skip), rng, pilot, -sub.offsets))
 
 
 def _replication_rows(config: ExperimentConfig, rep: int) -> _Rows:
-    """The replication's rows from the data stream: for a Gaussian population,
-    the labels, then the features of the rows a label-only scheme could keep."""
+    """The replication's rows from the data stream: for a Gaussian population, the
+    labels, then the features of every row that a label-only scheme could keep."""
     spec, n = config.spec, config.n_full
     rng = derived_rng(config.master_seed, rep, "data")
     uniforms = derived_rng(config.master_seed, rep, "uniforms").random(n)
     if not isinstance(spec, TwoClassGaussian):
         data = sample_population(spec, n, rng)
-        return _Rows(spec, data.labels, uniforms, data.features, np.ones(n, dtype=bool))
-    labels, rate = sample_labels(spec, n, rng), _uniform_rate(config)
-    reach, counts = (rate, rate), class_counts(labels)
-    if min(counts):  # else cc and wcc raise TooFewCases and keep no row
-        scheme = class_balanced_scheme(counts, config.comparison_budget, weighted=False)
-        reach = (max(scheme.a0, rate), max(scheme.a1, rate))
-    rows = _Rows(spec, labels, uniforms, np.empty((n, spec.p)), np.zeros(n, dtype=bool))
-    rows.draw(np.flatnonzero(uniforms <= np.where(labels == 1.0, reach[1], reach[0])), rng)
+        return _Rows(spec, data.labels, uniforms, np.arange(n), data.features)
+    rows = _Rows(spec, sample_labels(spec, n, rng), uniforms, _NO_ROWS, np.empty((0, spec.p)))
+    rate, counts = _uniform_rate(config), class_counts(rows.labels)
+    a = CaseControl(rate, rate)  # without both classes cc and wcc keep no row
+    if min(counts):
+        a = class_balanced_scheme(counts, config.comparison_budget, weighted=False)
+    a0, a1 = max(a.a0, rate), max(a.a1, rate)
+    rows.draw(np.concatenate([  # the rows cc keeps at rates max(a_y, uniform rate)
+        np.flatnonzero(uniforms[at] <= np.where(rows.labels[at] == 1.0, a1, a0)) + at.start
+        for at in rows.blocks()]), rng)
     if "full" in config.methods:
         rows.draw(np.arange(n), rng)
     return rows
@@ -326,32 +365,23 @@ def _uniform_rate(config: ExperimentConfig) -> float:
 
 def _lcc_subsample(config: ExperimentConfig, rep: int, rows: _Rows) -> WeightedSubsample:
     """lcc's draw on the replication's rows, accepting on each row's pilot
-    predictor t; every draw it adds comes from the lcc stream."""
+    predictor t, after fit_pilot_wcc's pilot, kept by pilot_scan on the pilot
+    stream; every draw it adds comes from the lcc stream."""
+    if 2 * (config.n_pilot // 2) < config.spec.p + 2:
+        raise ValueError("n_pilot too small to fit the model")
     rng = derived_rng(config.master_seed, rep, "lcc")
     pilot_rng = derived_rng(config.master_seed, rep, "pilot")
-    pilot_fit = fit_pilot_wcc(
-        replace(rows, features=_DrawOnRead(rows, rng)), config.n_pilot, pilot_rng, config.fit
-    )
-    pilot = pilot_fit.params
-    if rows.drawn.all():
-        t = pilot.linear_predictor(rows.features)
-    else:
-        t = np.empty(rows.n)
-        t[rows.drawn] = pilot.linear_predictor(rows.features[rows.drawn])
-        t[~rows.drawn] = sample_predictor(rows.spec, pilot, rows.labels[~rows.drawn], rng)
-    source, at = rows, np.arange(rows.n)
-    if not config.recycle_pilot:
-        at = np.delete(at, pilot_fit.subsample.rows)
-        source = replace(rows, labels=rows.labels[at], uniforms=rows.uniforms[at],
-                         features=rows.features[at])
+    chunks = ((np.arange(at.start, at.stop), rows.labels[at], pilot_rng.random(at.stop - at.start))
+              for at in rows.blocks())
+    seen, (picked, labels, _) = pilot_scan(chunks, config.n_pilot // 2)
+    pilot_sub = pilot_subsample(seen, picked, labels, rows.draw(picked, rng))
+    pilot = fit_subsample(pilot_sub, config.fit).params
     c = 1.0 if config.c is None else config.c
     scheme = LocalCaseControl(pilot, c=c, retain_cases=config.retain_cases)
     target = config.n_lcc if config.c is None else None
-    sub = draw_subsample(source, scheme, source.uniforms, target, t[at])
-    kept = at[sub.rows]
-    rows.draw(kept, rng, pilot, t[kept])
-    features = rows.features[kept]
-    return replace(sub, features=features, offsets=-pilot.linear_predictor(features))
+    skip = _NO_ROWS if config.recycle_pilot else np.sort(picked)
+    sub = rows.accept(scheme, rng, target, skip)
+    return replace(sub, offsets=-pilot.linear_predictor(sub.features))
 
 
 def _replicate_explicit(config: ExperimentConfig, rep: int) -> dict:
@@ -368,11 +398,10 @@ def _replicate_explicit(config: ExperimentConfig, rep: int) -> dict:
             if method == "lcc":
                 sub = _lcc_subsample(config, rep, rows)
             elif method == "uniform":
-                sub = draw_subsample(rows, Uniform(_uniform_rate(config)), rows.uniforms)
+                sub = rows.accept(Uniform(_uniform_rate(config)), None)
             else:
-                budget, weighted = config.comparison_budget, method == "wcc"
-                scheme = class_balanced_scheme(class_counts(rows.labels), budget, weighted)
-                sub = draw_subsample(rows, scheme, rows.uniforms)
+                counts, budget = class_counts(rows.labels), config.comparison_budget
+                sub = rows.accept(class_balanced_scheme(counts, budget, method == "wcc"), None)
             out[method] = (fit_subsample(sub, config.fit).params.as_array(), sub.realized_size)
         except _FAILURE_KINDS as exc:
             out[method] = exc
@@ -396,9 +425,7 @@ def _replicate_implicit(config: ExperimentConfig, rep: int) -> dict:
 
 
 def run_experiment(
-    config: ExperimentConfig,
-    threads: int = 1,
-    theta_star: OracleFit | None = None,
+    config: ExperimentConfig, threads: int = 1, theta_star: OracleFit | None = None
 ) -> ExperimentReport:
     """Run the replication study and summarize bias/variance per method.
 
@@ -438,9 +465,7 @@ def run_experiment(
     if len(successes) < 2 or len(failures) > tolerated:
         raise TooManyFailures(
             f"{len(failures)}/{config.replications} replications failed (tolerated "
-            f"fraction {config.max_failure_fraction:g}; at least 2 must succeed)",
-            failures,
-        )
+            f"fraction {config.max_failure_fraction:g}; at least 2 must succeed)", failures)
 
     boot_rng = derived_rng(config.master_seed, 0, "bootstrap")
     methods = {}
@@ -451,36 +476,21 @@ def run_experiment(
         bias_sq, var = summarize(draws, truth.params)
         bias_se, var_se = bootstrap_se(draws, truth.params, config.bootstrap_B, boot_rng)
         methods[method] = MethodSummary(
-            bias_sq=bias_sq,
-            var=var,
-            bias_sq_se=bias_se,
-            var_se=var_se,
-            mean_subsample_size=float(sizes.mean()),
-            draws=draws,
-            n_failures=len(failures),
+            bias_sq=bias_sq, var=var, bias_sq_se=bias_se, var_se=var_se,
+            mean_subsample_size=float(sizes.mean()), draws=draws, n_failures=len(failures),
         )
         if method == "lcc" and config.implicit_full:
             accept_rates = np.array([r[method][2] for r in successes])
     return ExperimentReport(
-        config=config,
-        theta_star=truth,
-        methods=methods,
-        failures=failures,
-        lcc_acceptance_rates=accept_rates,
-        runtime_seconds=time.monotonic() - t0,
-        blas_threads=blas,
-        workers=workers,
+        config=config, theta_star=truth, methods=methods, failures=failures,
+        lcc_acceptance_rates=accept_rates, runtime_seconds=time.monotonic() - t0,
+        blas_threads=blas, workers=workers,
     )
 
 
 def convergence_study(
-    spec: PopulationSpec,
-    n_grid,
-    methods=("lcc", "cc", "wcc"),
-    seeds: int = 30,
-    master_seed: int = 0,
-    pilot_fraction: float = 0.1,
-    fit: FitConfig | None = None,
+    spec: PopulationSpec, n_grid, methods=("lcc", "cc", "wcc"), seeds: int = 30,
+    master_seed: int = 0, pilot_fraction: float = 0.1, fit: FitConfig | None = None,
     theta_star: OracleFit | None = None,
 ):
     """Error quantiles of each method along an increasing sample-size grid.
@@ -513,14 +523,9 @@ def convergence_study(
     for n in n_grid:
         for method in methods:
             errs = np.array(errors[(n, method)])
-            rows.append(
-                {
-                    "n": n,
-                    "method": method,
-                    "median_error": float(np.median(errs)),
-                    "q25_error": float(np.quantile(errs, 0.25)),
-                    "q75_error": float(np.quantile(errs, 0.75)),
-                    "seeds": int(errs.size),
-                }
-            )
+            rows.append({
+                "n": n, "method": method, "median_error": float(np.median(errs)),
+                "q25_error": float(np.quantile(errs, 0.25)),
+                "q75_error": float(np.quantile(errs, 0.75)), "seeds": int(errs.size),
+            })
     return rows

@@ -30,6 +30,7 @@ import numpy as np
 from . import _kernels as K
 from .glm import FitConfig, ModelParams, ObservationSet, logistic_risk, minimize_risk
 from .sampling import (
+    CHUNK_ROWS,
     CaseControl,
     LocalCaseControl,
     SamplingScheme,
@@ -269,8 +270,11 @@ def sample_population(spec: PopulationSpec, n: int, rng) -> ObservationSet:
 
 
 def sample_labels(spec: TwoClassGaussian, n: int, rng) -> np.ndarray:
-    """The labels of n draws of a Gaussian population, drawn as sample_population draws them."""
-    return (rng.random(n) < spec.prior1).astype(np.float64)
+    """n draws of a Gaussian population's labels, CHUNK_ROWS at a time."""
+    labels = np.empty(n)
+    for start in range(0, n, CHUNK_ROWS):
+        labels[start:start + CHUNK_ROWS] = rng.random(min(CHUNK_ROWS, n - start)) < spec.prior1
+    return labels
 
 
 def _given_class(spec: TwoClassGaussian, pilot: ModelParams):
@@ -287,9 +291,13 @@ def sample_predictor(spec: TwoClassGaussian, pilot: ModelParams, labels, rng) ->
     """The pilot predictor t = pilot'(1, x) of one draw of X | Y=label per
     entry of labels, drawn from its law given the class, a normal."""
     (m0, v0, _), (m1, v1, _) = _given_class(spec, pilot)
-    ones = np.asarray(labels) == 1.0
-    z = rng.standard_normal(ones.shape[0])
-    return np.where(ones, m1, m0) + np.where(ones, np.sqrt(v1), np.sqrt(v0)) * z
+    ones = np.flatnonzero(np.asarray(labels) == 1.0)
+    t = rng.standard_normal(len(labels))
+    z1 = t[ones]
+    t *= np.sqrt(v0)
+    t += m0
+    t[ones] = m1 + np.sqrt(v1) * z1
+    return t
 
 
 def sample_conditional(spec: PopulationSpec, labels, rng, pilot=None, t=None) -> np.ndarray:

@@ -39,6 +39,7 @@ __all__ = [
     "estimate",
     "fit_pilot_wcc",
     "pilot_rows",
+    "pilot_scan",
     "pilot_subsample",
     "thin_uniform",
     "class_balanced_scheme",
@@ -221,26 +222,22 @@ _ROW_FIELDS = ("rows", "labels", "features", "weights", "offsets")  # one entry 
 
 
 def draw_subsample(
-    data: ObservationSet, scheme: SamplingScheme, uniforms, target_size: int | None = None,
-    eta=None,
+    data: ObservationSet, scheme: SamplingScheme, uniforms, target_size: int | None = None
 ) -> WeightedSubsample:
     """Accept-reject pass: row i enters iff uniforms[i] <= prob_i.
 
-    With target_size (local case-control only) the pass also solves the c
-    whose expected subsample size is exactly target_size; see accept_pass.
-    A local case-control scheme takes the pilot's predictors from eta when
-    given, as accept_rows does.  The subsample's weights and offsets combine
-    the source's own with the scheme's.  Deterministic given (data, scheme,
-    uniforms, target_size, eta).
+    It reads the rows in CHUNK_ROWS chunks, as `sample` reads a file, so the
+    sums, and with them expected_size, match `sample`'s bit for bit.  With
+    target_size (local case-control only) the pass also solves the c whose
+    expected subsample size is exactly target_size; see accept_pass.  The
+    subsample's weights and offsets combine the source's own with the
+    scheme's.  Deterministic given (data, scheme, uniforms, target_size).
     """
     uniforms = np.asarray(uniforms, dtype=np.float64)
     if uniforms.shape != (data.n,):
         raise ValueError(f"need {data.n} uniforms, got shape {uniforms.shape}")
-    # chunking changes only the calibration's sums, which must match a streamed file's
-    step = data.n if target_size is None else CHUNK_ROWS
-    spans = [slice(i, i + step) for i in range(0, data.n, step)]
-    columns = (data.features, data.labels, uniforms) + (() if eta is None else (eta,))
-    chunks = (tuple(a[r] for a in columns) for r in spans)
+    spans = [slice(i, i + CHUNK_ROWS) for i in range(0, data.n, CHUNK_ROWS)]
+    chunks = ((data.features[r], data.labels[r], uniforms[r]) for r in spans)
     sub = accept_pass(scheme, chunks, target_size)
     return replace(
         sub,
@@ -319,6 +316,25 @@ def pilot_rows(labels, keys, per_class: int) -> np.ndarray:
             rows = rows[np.argpartition(keys[rows], per_class - 1)[:per_class]]
         picked.append(rows[np.argsort(keys[rows])])
     return np.concatenate(picked)
+
+
+def pilot_scan(chunks, per_class: int) -> tuple:
+    """pilot_rows over (rows, labels, keys, *columns) chunks, each with the rows
+    kept so far: the class counts of the rows seen and the columns of the rows
+    kept.  On one uniform key per row it keeps what fit_pilot_wcc keeps, and a
+    scan over several scans' kept rows keeps what one scan over all would."""
+    seen, kept = (0, 0), None
+    for part in chunks:
+        seen = tuple(map(sum, zip(seen, class_counts(part[1]))))
+        if kept is not None:  # a key above every kept key of a full class cannot enter
+            keys, n0 = kept[2], class_counts(kept[1])[0]
+            bound0 = keys[n0 - 1] if n0 == per_class else 1.0
+            bound1 = keys[-1] if keys.size - n0 == per_class else 1.0
+            pick = np.flatnonzero(part[2] <= np.where(part[1] == 1.0, bound1, bound0))
+            part = _join([kept, tuple(column[pick] for column in part)])
+        pick = pilot_rows(part[1], part[2], per_class)
+        kept = tuple(column[pick] for column in part)
+    return seen, kept
 
 
 def pilot_subsample(seen, rows, labels, features) -> WeightedSubsample:

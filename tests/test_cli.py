@@ -27,8 +27,11 @@ from lccsub.fileio import (
 )
 from lccsub.populations import population_theta_star, sample_population, theta_cc_limit
 from lccsub.sampling import (
+    CaseControl,
     LocalCaseControl,
     TooFewCases,
+    Uniform,
+    WeightedCaseControl,
     acceptance_probabilities,
     draw_subsample,
     estimate,
@@ -289,6 +292,26 @@ class TestSample:
             obs, LocalCaseControl(spec.linear_params()), np.random.default_rng(99)
         )
         assert np.array_equal(est_cli.as_array(), est_lib.as_array())
+
+    @pytest.mark.parametrize(
+        "argv,scheme",
+        [
+            (["uniform", "--rate", "0.0137"], Uniform(0.0137)),
+            (["cc", "--a0", "0.03", "--a1", "0.7"], CaseControl(a0=0.03, a1=0.7)),
+            (["wcc", "--a0", "0.03", "--a1", "0.7"], WeightedCaseControl(a0=0.03, a1=0.7)),
+        ],
+    )
+    def test_expected_size_matches_library_bitwise(self, gauss_csv, tmp_path, argv, scheme):
+        # draw_subsample sums each CHUNK_ROWS chunk as `sample` does; one sum
+        # over all 20,000 rows differs from it in the last bits for each scheme
+        _, obs, raw, _, _ = gauss_csv
+        summary = tmp_path / "summary.json"
+        assert main(["sample", "--data", raw, "--scheme", *argv, "--seed", "3", "--out",
+                     str(tmp_path / "sub.csv"), "--summary", str(summary), "--format", "json"]) == 0
+        values = {r["key"]: r["value"] for r in json.loads(summary.read_text())["rows"]}
+        sub = draw_subsample(obs, scheme, np.random.default_rng(3).random(obs.n))
+        assert values["expected_size"] == sub.expected_size
+        assert values["realized_size"] == sub.realized_size
 
     def test_non_numeric_cell_diagnostics(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

@@ -1,5 +1,6 @@
 import os
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -16,9 +17,15 @@ from lccsub.experiments import (
     run_experiment,
     summarize,
 )
-from lccsub.glm import ModelParams, Singular
+from lccsub.glm import ModelParams, ObservationSet, Singular
 from lccsub.populations import population_theta_star
-from lccsub.sampling import CaseControl
+from lccsub.sampling import (
+    CHUNK_ROWS,
+    CaseControl,
+    LocalCaseControl,
+    draw_subsample,
+    fit_pilot_wcc,
+)
 
 
 class TestSummarize:
@@ -253,14 +260,14 @@ class TestRunExperiment:
 
     def test_study_without_lcc_fits_no_pilot(self, small_config, small_truth, monkeypatch):
         pinned = run_experiment(small_config, theta_star=small_truth)
-        fit_pilot_wcc = experiments.fit_pilot_wcc
+        pilot_scan = experiments.pilot_scan
         calls = []
 
         def counted(*args, **kwargs):
             calls.append(1)
-            return fit_pilot_wcc(*args, **kwargs)
+            return pilot_scan(*args, **kwargs)
 
-        monkeypatch.setattr(experiments, "fit_pilot_wcc", counted)
+        monkeypatch.setattr(experiments, "pilot_scan", counted)
         report = run_experiment(
             replace(small_config, methods=("wcc", "cc", "uniform")), theta_star=small_truth
         )
@@ -438,6 +445,48 @@ class TestExplicitDraws:
                     assert sum(drawn) == config.n_full
                 else:
                     assert 0 < sum(drawn) <= 3 * config.comparison_budget
+
+    def test_replication_holds_labels_uniforms_and_the_drawn_rows(self):
+        # the benchmark's study: 2 x 1.6 MB for labels and uniforms, every other
+        # full-length step in CHUNK_ROWS blocks; an n_full x p features array alone is 8 MB
+        config = ExperimentConfig(
+            spec=presets.simulation1(), n_full=200_000, n_pilot=1000, n_lcc=1000,
+            replications=2, methods=("lcc", "wcc", "cc"), master_seed=20140601,
+        )
+        experiments._replicate_explicit(config, 0)
+        tracemalloc.start()
+        try:
+            experiments._replicate_explicit(config, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6
+
+    @pytest.mark.parametrize("recycle,retain,c", [(False, True, None), (True, False, 2.0)])
+    def test_streamed_lcc_equals_the_rows_in_full(self, recycle, retain, c):
+        # three CHUNK_ROWS blocks and 17 rows; `full` draws every row's features,
+        # so fit_pilot_wcc and draw_subsample can read them all in memory
+        config = ExperimentConfig(
+            spec=presets.simulation1(), n_full=3 * CHUNK_ROWS + 17, n_pilot=200, n_lcc=600,
+            replications=2, methods=("lcc", "full"), c=c, retain_cases=retain,
+            recycle_pilot=recycle, master_seed=5,
+        )
+        rows = experiments._replication_rows(config, 1)
+        data = ObservationSet(rows.features, rows.labels)
+        sub = experiments._lcc_subsample(config, 1, rows)
+        pilot = fit_pilot_wcc(data, config.n_pilot, derived_rng(5, 1, "pilot"), config.fit)
+        at = np.arange(data.n)
+        if not recycle:
+            at = np.delete(at, pilot.subsample.rows)
+        source = ObservationSet(data.features[at], data.labels[at])
+        scheme = LocalCaseControl(pilot.params, c=1.0 if c is None else c, retain_cases=retain)
+        want = draw_subsample(source, scheme, rows.uniforms[at], None if c else config.n_lcc)
+        assert sub.scheme.pilot.as_array().tobytes() == pilot.params.as_array().tobytes()
+        assert sub.scheme.c == want.scheme.c
+        assert sub.rows_read == want.rows_read == at.size
+        assert (sub.expected_size, sub.size_variance) == (want.expected_size, want.size_variance)
+        for name in ("rows", "labels", "features", "weights", "offsets"):
+            assert np.array_equal(getattr(sub, name), getattr(want, name))
 
 
 class TestDerivedStreams:

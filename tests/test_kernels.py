@@ -60,3 +60,18 @@ class TestBackend:
         assert prob[0] == 1.0
         ptilde = 1 / (1 + np.exp(-2.0))
         assert weight[0] == pytest.approx(1 - ptilde)
+
+
+def test_sigmoid_equals_the_masked_formula_bit_for_bit():
+    # the masked form it replaces: 1 / (1 + exp(-eta)) on eta >= 0 and
+    # exp(eta) / (1 + exp(eta)) elsewhere, each on its own rows
+    eta = np.concatenate([
+        np.random.default_rng(1).standard_normal(400_000),
+        [0.0, -0.0, 800.0, -800.0, 1e-300, -1e-300, 40.0, -40.0, np.inf, -np.inf],
+    ])
+    want = np.empty_like(eta)
+    pos = eta >= 0
+    want[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
+    ex = np.exp(eta[~pos])
+    want[~pos] = ex / (1.0 + ex)
+    assert K.sigmoid(eta).tobytes() == want.tobytes()

@@ -35,6 +35,7 @@ from lccsub.sampling import (
     fit_pilot_wcc,
     fit_subsample,
     pilot_rows,
+    pilot_scan,
     pilot_subsample,
     thin_uniform,
 )
@@ -335,6 +336,34 @@ class TestPilotRows:
             kept = rows[pilot_rows(labels[rows], keys[rows], 60)]
         assert np.array_equal(kept, want)
 
+    @pytest.mark.parametrize("sizes", [[5000], [1, 999, 4000], [700] * 7 + [100]])
+    def test_scan_over_chunks_keeps_the_whole_rule(self, sizes):
+        rng = np.random.default_rng(3)
+        labels = (rng.random(5000) < 0.1).astype(float)
+        keys = rng.random(5000)
+        want = pilot_rows(labels, keys, 60)
+        bounds = np.cumsum([0, *sizes])
+        parts = [(np.arange(a, b), labels[a:b], keys[a:b]) for a, b in zip(bounds, bounds[1:])]
+        seen, (rows, kept_labels, kept_keys) = pilot_scan(parts, 60)
+        assert seen == class_counts(labels)
+        assert np.array_equal(rows, want)
+        assert np.array_equal(kept_labels, labels[want]) and np.array_equal(kept_keys, keys[want])
+        # the kept rows of two scans, scanned together, keep the same rows
+        mid = len(parts) // 2
+        halves = [pilot_scan(half, 60)[1] for half in (parts[:mid], parts[mid:]) if half]
+        assert np.array_equal(pilot_scan(halves, 60)[1][0], want)
+
+    def test_scan_lets_in_a_key_under_a_full_class_largest(self):
+        # both classes are full after the first chunk; 0.3 and 0.4 displace
+        # their class's largest kept key, 0.7 and 0.8 do not enter
+        labels = np.array([0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0])
+        keys = np.array([0.1, 0.5, 0.2, 0.6, 0.7, 0.3, 0.8, 0.4])
+        parts = [(np.arange(a, b), labels[a:b], keys[a:b]) for a, b in ((0, 4), (4, 8))]
+        seen, (rows, kept_labels, kept_keys) = pilot_scan(parts, 2)
+        assert seen == (4, 4)
+        assert rows.tolist() == [0, 5, 2, 7] == pilot_rows(labels, keys, 2).tolist()
+        assert kept_keys.tolist() == [0.1, 0.3, 0.2, 0.4]
+
     def test_record_weighs_seen_over_kept(self):
         # 1 / (2/49) rounds to 24.500000000000004: each weight is seen/kept itself
         labels = np.array([0.0, 0.0, 1.0, 1.0])
@@ -472,8 +501,14 @@ class TestCalibration:
             assert np.array_equal(sub.features, data.features[keep])
             assert np.array_equal(sub.weights, weights[keep])
             assert np.array_equal(sub.offsets, offsets[keep])
-            assert sub.expected_size == prob.sum()
-            assert sub.size_variance == prob.sum() - np.square(prob).sum()
+            # the sizes are summed per CHUNK_ROWS chunk and then in chunk order,
+            # as `sample` sums a file's chunks
+            expected = square = 0.0
+            for r in (slice(i, i + CHUNK_ROWS) for i in range(0, data.n, CHUNK_ROWS)):
+                expected += float(prob[r].sum())
+                square += float(np.square(prob[r]).sum())
+            assert sub.expected_size == expected
+            assert sub.size_variance == expected - square
 
     def test_source_weights_and_offsets_fold_into_the_draw(self, gauss_data):
         spec, data = gauss_data
