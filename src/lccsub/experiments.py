@@ -6,13 +6,15 @@ pilot_scan), and take the local sample; give the comparison estimators (cc,
 wcc, uniform) the combined pilot-plus-second-stage budget so the pilot cost
 is paid for.  Every draw is one WeightedSubsample, fitted by fit_subsample.
 
-A replication (_Rows) holds every row's label and uniform and the features
-of the rows drawn so far; like `sample` on a file, every other full-length
-step (pilot keys, pilot predictors, accept-reject) runs in CHUNK_ROWS blocks.
-A Gaussian replication draws features only for the rows a method keeps.
-The data stream draws every row's label, then, in row order, the features
-of every row that a label-only scheme could keep (u <= max(a_y, uniform
-rate), a_y the class-balanced rates), then, for `full`, every other row's.
+A replication (_Rows) holds one byte per row, its label, and the features
+of the rows drawn so far; like `sample` on a file, every full-length step
+(uniforms, pilot keys, pilot predictors, accept-reject) runs in CHUNK_ROWS
+blocks.  A Gaussian replication draws features only for the rows a method
+keeps.  The data stream draws every row's label; one scan of the uniforms
+stream then records the candidates, every row a label-only scheme could
+keep (u <= max(a_y, uniform rate), a_y the class-balanced rates), and cc,
+wcc and uniform accept among them alone.  The data stream draws the
+candidates' features, in row order, then, for `full`, every other row's.
 The local method draws on its own stream: features from X | Y for pilot
 rows that have none, the pilot predictor t for every row without features
 (a row with features has t = pilot'(1, x)), acceptance on t, and features
@@ -32,6 +34,7 @@ so reports are bit-identical for a given config regardless of worker count.
 
 from __future__ import annotations
 
+import copy
 import ctypes
 import os
 import time
@@ -49,6 +52,7 @@ from .populations import (
     TwoClassGaussian,
     population_theta_star,
     positive_rate,
+    predictor_laws,
     sample_conditional,
     sample_labels,
     sample_population,
@@ -66,6 +70,7 @@ from .sampling import (
     WeightedCaseControl,
     WeightedSubsample,
     accept_pass,
+    accept_rows,
     class_balanced_scheme,
     class_counts,
     fit_subsample,
@@ -272,15 +277,19 @@ def _skipping(rows, skip):
 
 @dataclass
 class _Rows:
-    """One replication's rows: labels and uniforms for every row, and the
-    features of the rows drawn so far, by position in row order (at,
-    features).  Every other full-length step reads CHUNK_ROWS rows at a time."""
+    """One replication's rows.  Per row it holds one byte, the label.  It also
+    holds the uniforms stream at row 0, which each pass draws again from a
+    copy, one random() per row, CHUNK_ROWS rows at a time (scan); the features
+    of the rows drawn so far, by position in row order (at, features); and the
+    candidates, every row a label-only scheme can keep, as (positions, labels,
+    uniforms)."""
 
     spec: PopulationSpec
     labels: np.ndarray
-    uniforms: np.ndarray
+    uniforms: np.random.Generator
     at: np.ndarray
     features: np.ndarray
+    candidates: tuple = ()
 
     def draw(self, rows, rng, pilot=None, t=None) -> np.ndarray:
         """The features of rows; those that have none are drawn, in order, from
@@ -307,10 +316,21 @@ class _Rows:
             stop = min(start + CHUNK_ROWS, left)
             yield _skipping(np.arange(start, stop), skip) if skip.size else slice(start, stop)
 
-    def predictors(self, at, pilot, rng) -> np.ndarray:
+    def scan(self, skip=_NO_ROWS):
+        """Each of blocks(skip) with its rows' labels, as floats, and uniforms,
+        one random() per row from a copy of the uniforms stream; the skipped
+        rows' uniforms are drawn with the block after them and dropped."""
+        rng, read = copy.deepcopy(self.uniforms), 0
+        for at in self.blocks(skip):
+            first, read = read, at.stop if isinstance(at, slice) else int(at[-1]) + 1
+            u = rng.random(read - first)
+            u = u if isinstance(at, slice) else u[at - first]
+            yield at, self.labels[at].astype(np.float64), u
+
+    def predictors(self, at, labels, pilot, laws, rng) -> np.ndarray:
         """The pilot predictor t of the rows at a block's positions: pilot'(1, x)
-        of a row with features, and for the others, in order, a draw of T | Y."""
-        labels = self.labels[at]
+        of a row with features, and for the others, in order, a draw of T | Y
+        from laws = predictor_laws(spec, pilot)."""
         positions = np.arange(at.start, at.stop) if isinstance(at, slice) else at
         lo, hi = np.searchsorted(self.at, (positions[0], positions[-1] + 1))
         j = np.searchsorted(positions, self.at[lo:hi])
@@ -319,41 +339,62 @@ class _Rows:
         missing[j[found]] = False
         t = np.empty(labels.size)
         if missing.any():
-            t[missing] = sample_predictor(self.spec, pilot, labels[missing], rng)
+            t[missing] = sample_predictor(laws, labels[missing], rng)
         t[j[found]] = pilot.linear_predictor(self.features[lo:hi][found])
         return t
 
     def accept(self, scheme, rng, target=None, skip=_NO_ROWS) -> WeightedSubsample:
-        """scheme's draw on the rows but skip, in CHUNK_ROWS blocks of them as
-        draw_subsample splits rows in memory, with the kept rows' features
-        (draw, on rng); its rows count only the rows read.  Local case-control
-        accepts on each row's pilot predictor t (predictors, on rng)."""
-        pilot = getattr(scheme, "pilot", None)
-        chunks = ((np.empty((self.labels[at].size, 0)), self.labels[at], self.uniforms[at],
-                   *(() if pilot is None else (self.predictors(at, pilot, rng),)))
-                  for at in self.blocks(skip))
+        """Local case-control's draw on the rows but skip, in CHUNK_ROWS blocks of
+        them as draw_subsample splits rows in memory, accepting on each row's
+        pilot predictor t (predictors, on rng), with the kept rows' features
+        (draw, on rng); its rows count only the rows read."""
+        pilot = scheme.pilot
+        laws = predictor_laws(self.spec, pilot) if isinstance(self.spec, TwoClassGaussian) else None
+        chunks = ((np.empty((u.size, 0)), labels, u, self.predictors(at, labels, pilot, laws, rng))
+                  for at, labels, u in self.scan(skip))
         sub = accept_pass(scheme, chunks, target)
         return replace(sub, features=self.draw(_skipping(sub.rows, skip), rng, pilot, -sub.offsets))
 
+    def keep(self, scheme) -> WeightedSubsample:
+        """A label-only scheme's draw over every row, read off the candidates,
+        among which is every row it can keep.  The size's mean and variance
+        come from the class counts: n0 a0 + n1 a1 and n0 a0 (1 - a0) + n1 a1 (1 - a1)."""
+        rows, labels, uniforms = self.candidates
+        keep, weights, offsets, _ = accept_rows(scheme, None, labels, uniforms)
+        a = accept_rows(scheme, None, np.array([0.0, 1.0]), np.ones(2))[3]
+        counts = np.array(class_counts(self.labels))
+        expected, variance = float(counts @ a), float(counts @ (a - a * a))
+        rows = rows[keep]
+        return WeightedSubsample(scheme, self.labels.size, expected, variance, rows, labels[keep],
+                                 self.draw(rows, None), weights[keep], offsets[keep])
+
 
 def _replication_rows(config: ExperimentConfig, rep: int) -> _Rows:
-    """The replication's rows from the data stream: for a Gaussian population, the
-    labels, then the features of every row that a label-only scheme could keep."""
+    """The replication's rows from the data stream: every row's label, then the
+    candidates, the rows whose uniform u <= max(a_y, uniform rate), a_y the
+    class-balanced rates, then, for a Gaussian population, the candidates'
+    features, and for `full` every other row's.  Other populations draw every
+    row in full first."""
     spec, n = config.spec, config.n_full
     rng = derived_rng(config.master_seed, rep, "data")
-    uniforms = derived_rng(config.master_seed, rep, "uniforms").random(n)
-    if not isinstance(spec, TwoClassGaussian):
+    if isinstance(spec, TwoClassGaussian):
+        labels = sample_labels(spec, n, rng, np.uint8)
+        at, features = _NO_ROWS, np.empty((0, spec.p))
+    else:
         data = sample_population(spec, n, rng)
-        return _Rows(spec, data.labels, uniforms, np.arange(n), data.features)
-    rows = _Rows(spec, sample_labels(spec, n, rng), uniforms, _NO_ROWS, np.empty((0, spec.p)))
-    rate, counts = _uniform_rate(config), class_counts(rows.labels)
+        labels, at, features = data.labels.astype(np.uint8), np.arange(n), data.features
+    rows = _Rows(spec, labels, derived_rng(config.master_seed, rep, "uniforms"), at, features)
+    rate, counts = _uniform_rate(config), class_counts(labels)
     a = CaseControl(rate, rate)  # without both classes cc and wcc keep no row
     if min(counts):
         a = class_balanced_scheme(counts, config.comparison_budget, weighted=False)
     a0, a1 = max(a.a0, rate), max(a.a1, rate)
-    rows.draw(np.concatenate([  # the rows cc keeps at rates max(a_y, uniform rate)
-        np.flatnonzero(uniforms[at] <= np.where(rows.labels[at] == 1.0, a1, a0)) + at.start
-        for at in rows.blocks()]), rng)
+    parts = []
+    for block, y, u in rows.scan():
+        pick = np.flatnonzero(u <= np.where(y == 1.0, a1, a0))
+        parts.append((pick + block.start, y[pick], u[pick]))
+    rows.candidates = tuple(map(np.concatenate, zip(*parts)))
+    rows.draw(rows.candidates[0], rng)
     if "full" in config.methods:
         rows.draw(np.arange(n), rng)
     return rows
@@ -398,10 +439,10 @@ def _replicate_explicit(config: ExperimentConfig, rep: int) -> dict:
             if method == "lcc":
                 sub = _lcc_subsample(config, rep, rows)
             elif method == "uniform":
-                sub = rows.accept(Uniform(_uniform_rate(config)), None)
+                sub = rows.keep(Uniform(_uniform_rate(config)))
             else:
                 counts, budget = class_counts(rows.labels), config.comparison_budget
-                sub = rows.accept(class_balanced_scheme(counts, budget, method == "wcc"), None)
+                sub = rows.keep(class_balanced_scheme(counts, budget, method == "wcc"))
             out[method] = (fit_subsample(sub, config.fit).params.as_array(), sub.realized_size)
         except _FAILURE_KINDS as exc:
             out[method] = exc

@@ -62,6 +62,7 @@ __all__ = [
     "marginal_odds_ratio",
     "sample_population",
     "sample_labels",
+    "predictor_laws",
     "sample_predictor",
     "sample_conditional",
     "sample_tilted",
@@ -269,15 +270,15 @@ def sample_population(spec: PopulationSpec, n: int, rng) -> ObservationSet:
     raise TypeError(f"unknown population spec {type(spec)!r}")
 
 
-def sample_labels(spec: TwoClassGaussian, n: int, rng) -> np.ndarray:
-    """n draws of a Gaussian population's labels, CHUNK_ROWS at a time."""
-    labels = np.empty(n)
+def sample_labels(spec: TwoClassGaussian, n: int, rng, dtype=np.float64) -> np.ndarray:
+    """n draws of a Gaussian population's labels, of the given dtype, CHUNK_ROWS at a time."""
+    labels = np.empty(n, dtype)
     for start in range(0, n, CHUNK_ROWS):
         labels[start:start + CHUNK_ROWS] = rng.random(min(CHUNK_ROWS, n - start)) < spec.prior1
     return labels
 
 
-def _given_class(spec: TwoClassGaussian, pilot: ModelParams):
+def predictor_laws(spec: TwoClassGaussian, pilot: ModelParams):
     """For y = 0, 1: the mean and variance of the pilot predictor
     t = pilot'(1, x) given Y=y, and Cov(x, t) = Sigma_y pilot."""
     lam = pilot.slopes
@@ -287,10 +288,11 @@ def _given_class(spec: TwoClassGaussian, pilot: ModelParams):
     ]
 
 
-def sample_predictor(spec: TwoClassGaussian, pilot: ModelParams, labels, rng) -> np.ndarray:
+def sample_predictor(laws, labels, rng) -> np.ndarray:
     """The pilot predictor t = pilot'(1, x) of one draw of X | Y=label per
-    entry of labels, drawn from its law given the class, a normal."""
-    (m0, v0, _), (m1, v1, _) = _given_class(spec, pilot)
+    entry of labels, drawn from its law given the class, a normal: laws is
+    predictor_laws(spec, pilot), computed once for any number of draws."""
+    (m0, v0, _), (m1, v1, _) = laws
     ones = np.flatnonzero(np.asarray(labels) == 1.0)
     t = rng.standard_normal(len(labels))
     z1 = t[ones]
@@ -321,7 +323,7 @@ def sample_conditional(spec: PopulationSpec, labels, rng, pilot=None, t=None) ->
         ones = labels == 1.0
         x[ones] = spec.mu1 + z[ones] @ L1.T
         if t is not None:
-            (_, v0, c0), (_, v1, c1) = _given_class(spec, pilot)
+            (_, v0, c0), (_, v1, c1) = predictor_laws(spec, pilot)
             var, cov = np.where(ones, v1, v0), np.where(ones[:, None], c1, c0)
             gap = t - pilot.linear_predictor(x)
             x += np.divide(gap, var, out=np.zeros_like(var), where=var > 0)[:, None] * cov
@@ -361,6 +363,7 @@ def sample_tilted(
     if n_accept < 1:
         raise ValueError("n_accept must be at least 1")
     pilot, gaussian = scheme.pilot, isinstance(spec, TwoClassGaussian)
+    laws = predictor_laws(spec, pilot) if gaussian else None
     parts = []
     accepted = 0
     proposals = 0
@@ -373,7 +376,7 @@ def sample_tilted(
         batch = int(min(batch, proposal_cap - proposals, 2**20))
         if gaussian:
             labels = sample_labels(spec, batch, rng)
-            features, t = None, sample_predictor(spec, pilot, labels, rng)
+            features, t = None, sample_predictor(laws, labels, rng)
         else:
             obs, t = sample_population(spec, batch, rng), None
             labels, features = obs.labels, obs.features

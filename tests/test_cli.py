@@ -899,6 +899,35 @@ def test_cli_import_starts_no_process_pool():
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
 
+
+def test_fit_and_asymptotics_never_import_numpy_random(gauss_csv):
+    """Neither command draws, and importing numpy.random costs a process
+    several MB and about 10 ms: `fit`, and `asymptotics` at theta* and at
+    given coefficients, leave it unloaded."""
+    import lccsub
+
+    _, _, data, _, tmp = gauss_csv
+    env = dict(os.environ)
+    src = str(Path(lccsub.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    spec, coef = str(Path(CONFIGS, "example2.cfg").resolve()), tmp / "example2.coef"
+    coef.write_text("intercept -6.45663\nx1 1.59292\nx2 1.01273\n")
+    runs = [
+        ["fit", "--data", data, "--out", str(tmp / "guard.coef"), "--seed", "1"],
+        ["asymptotics", "--spec", spec, "--c", "2", "--seed", "1", "--out", os.devnull],
+        ["asymptotics", "--spec", spec, "--theta", str(coef), "--pilot", str(coef), "--c", "2",
+         "--mc-nodes", "500", "--format", "json", "--out", os.devnull],
+    ]
+    code = (
+        "import json, sys\nfrom lccsub.cli import main\n"
+        f"assert [main(argv) for argv in json.loads(sys.argv[1])] == [0] * {len(runs)}\n"
+        "print('numpy.random' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(runs)],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "False"  # after fit's report
+
 class TestFit:
     def test_intercept_only_file(self, tmp_path, capsys):
         data = tmp_path / "tiny.csv"

@@ -23,6 +23,9 @@ from lccsub.sampling import (
     CHUNK_ROWS,
     CaseControl,
     LocalCaseControl,
+    Uniform,
+    class_balanced_scheme,
+    class_counts,
     draw_subsample,
     fit_pilot_wcc,
 )
@@ -446,21 +449,82 @@ class TestExplicitDraws:
                 else:
                     assert 0 < sum(drawn) <= 3 * config.comparison_budget
 
-    def test_replication_holds_labels_uniforms_and_the_drawn_rows(self):
-        # the benchmark's study: 2 x 1.6 MB for labels and uniforms, every other
-        # full-length step in CHUNK_ROWS blocks; an n_full x p features array alone is 8 MB
+    def test_replication_holds_one_byte_per_row(self):
+        # the benchmark's study: a 1-byte label per row, the uniforms redrawn
+        # CHUNK_ROWS at a time, and about 3,000 candidates; the peak was 1.80 MB
+        # at 200,000 rows and 2.43 MB at 800,000
+        peaks, candidates = [], 0
+        for n_full in (200_000, 800_000):
+            config = ExperimentConfig(
+                spec=presets.simulation1(), n_full=n_full, n_pilot=1000, n_lcc=1000,
+                replications=2, methods=("lcc", "wcc", "cc"), master_seed=20140601,
+            )
+            experiments._replicate_explicit(config, 0)
+            tracemalloc.start()
+            try:
+                experiments._replicate_explicit(config, 1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            candidates = experiments._replication_rows(config, 1).candidates[0].size
+        assert peaks[0] < 2.4e6  # 1.80 MB plus a third
+        # a byte per extra row, plus under 100 bytes per candidate (its position,
+        # label, uniform and stored position and 5 features take 72)
+        assert peaks[1] - peaks[0] < 600_000 + 100 * candidates
+
+    def test_scan_draws_one_uniform_per_row_around_skipped_rows(self):
+        # skipped rows inside a block, between two blocks and last
+        n_full = 3 * CHUNK_ROWS + 17
         config = ExperimentConfig(
-            spec=presets.simulation1(), n_full=200_000, n_pilot=1000, n_lcc=1000,
-            replications=2, methods=("lcc", "wcc", "cc"), master_seed=20140601,
+            spec=presets.simulation1(), n_full=n_full, n_pilot=200, n_lcc=600, replications=2,
+            master_seed=5,
         )
-        experiments._replicate_explicit(config, 0)
-        tracemalloc.start()
-        try:
-            experiments._replicate_explicit(config, 1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 6e6
+        rows = experiments._replication_rows(config, 1)
+        every = derived_rng(5, 1, "uniforms").random(n_full)
+        skip = np.array([0, 5, CHUNK_ROWS + 2, CHUNK_ROWS + 3, 2 * CHUNK_ROWS + 100, n_full - 1])
+        for skip in (experiments._NO_ROWS, skip):
+            kept = np.delete(np.arange(n_full), skip)
+            at, labels, uniforms = zip(*rows.scan(skip))
+            assert [u.size for u in uniforms] == [CHUNK_ROWS] * 3 + [17 - skip.size]
+            assert np.concatenate(uniforms).tobytes() == every[kept].tobytes()
+            assert np.concatenate(labels).tobytes() == rows.labels[kept].astype(float).tobytes()
+        assert at[1][0] == CHUNK_ROWS + 4  # the rows before it were skipped
+
+    @pytest.mark.parametrize("spec,methods,recycle", [
+        ("simulation1", ("wcc", "cc", "uniform"), True),
+        ("simulation1", ("lcc", "full"), True),
+        ("simulation1", ("lcc", "wcc"), False),
+        ("simulation1", ("lcc", "full"), False),
+        ("oatmeal", ("lcc", "cc"), True),
+    ])
+    def test_label_only_schemes_keep_from_the_candidates(self, spec, methods, recycle):
+        # cc, wcc and uniform read only the candidates, and keep what
+        # draw_subsample keeps over every row; lcc, when listed, runs first and
+        # adds its own rows' features to the store
+        config = ExperimentConfig(
+            spec=getattr(presets, spec)(), n_full=3 * CHUNK_ROWS + 17, n_pilot=200, n_lcc=600,
+            replications=2, methods=methods, recycle_pilot=recycle, master_seed=5,
+        )
+        rows = experiments._replication_rows(config, 1)
+        if "lcc" in methods:
+            experiments._lcc_subsample(config, 1, rows)
+        assert rows.candidates[0].size < 0.15 * config.n_full
+        # the rows without features, never kept by these schemes, read zeros
+        features = np.zeros((config.n_full, config.spec.p))
+        features[rows.at] = rows.features
+        data = ObservationSet(features, rows.labels)
+        uniforms = derived_rng(5, 1, "uniforms").random(config.n_full)
+        counts, budget = class_counts(rows.labels), config.comparison_budget
+        for scheme in (class_balanced_scheme(counts, budget, weighted=False),
+                       class_balanced_scheme(counts, budget, weighted=True),
+                       Uniform(budget / config.n_full)):
+            sub, want = rows.keep(scheme), draw_subsample(data, scheme, uniforms)
+            assert sub.rows_read == want.rows_read == config.n_full
+            assert sub.realized_size > 0
+            for name in ("rows", "labels", "features", "weights", "offsets"):
+                assert getattr(sub, name).tobytes() == getattr(want, name).tobytes(), name
+            assert sub.expected_size == pytest.approx(want.expected_size, rel=1e-12, abs=0)
+            assert sub.size_variance == pytest.approx(want.size_variance, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("recycle,retain,c", [(False, True, None), (True, False, 2.0)])
     def test_streamed_lcc_equals_the_rows_in_full(self, recycle, retain, c):
@@ -480,7 +544,8 @@ class TestExplicitDraws:
             at = np.delete(at, pilot.subsample.rows)
         source = ObservationSet(data.features[at], data.labels[at])
         scheme = LocalCaseControl(pilot.params, c=1.0 if c is None else c, retain_cases=retain)
-        want = draw_subsample(source, scheme, rows.uniforms[at], None if c else config.n_lcc)
+        uniforms = derived_rng(5, 1, "uniforms").random(data.n)[at]
+        want = draw_subsample(source, scheme, uniforms, None if c else config.n_lcc)
         assert sub.scheme.pilot.as_array().tobytes() == pilot.params.as_array().tobytes()
         assert sub.scheme.c == want.scheme.c
         assert sub.rows_read == want.rows_read == at.size
