@@ -45,7 +45,6 @@ from .fileio import (
 )
 from .glm import FitConfig, GlmError, ModelParams, ObservationSet, fit_logistic
 from .populations import (
-    AcceptanceTooLow,
     DiscretePopulation,
     StepLogit,
     equal_class_bias,
@@ -463,8 +462,9 @@ def cmd_simulate(args) -> int:
         "theta_star_mc_se": report.theta_star.mc_se,
         "n_failures": len(report.failures),
     }
-    if report.lcc_acceptance_rates is not None:
-        extra["lcc_acceptance_rate_mean"] = float(report.lcc_acceptance_rates.mean())
+    if report.lcc_draws:
+        rates = [draw.acceptance_rate for draw in report.lcc_draws]
+        extra["lcc_acceptance_rate_mean"] = float(np.mean(rates))
     comments = [
         f"seed {config.master_seed}",
         f"config {args.config}",
@@ -558,7 +558,7 @@ def main(argv=None) -> int:
     except GlmError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (AcceptanceTooLow, TooManyFailures, EmptySubsample, TooFewCases) as exc:
+    except (TooManyFailures, EmptySubsample, TooFewCases) as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
 

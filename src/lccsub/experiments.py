@@ -21,11 +21,8 @@ rows that have none, the pilot predictor t for every row without features
 from X | (Y, t) for the kept rows that have none.  So every row's (y, x) is
 a population draw, cc, wcc and uniform draw the same whichever methods
 run, and the local method's draws depend on whether `full` runs.  Other
-populations draw every row in full up front.
-
-With implicit_full the full sample is never materialized: the pilot holds
-n_pilot // 2 rows per class, cc and wcc Bernoulli(1/2) labels, and the local
-sample comes from sample_tilted.  convergence_study runs the explicit one.
+populations draw every row in full up front.  run_experiment and
+convergence_study run this one protocol.
 
 Determinism: every stage of every replication derives its generator from
 (master_seed, replication, stage), and reduction is in replication order,
@@ -51,23 +48,19 @@ from .populations import (
     PopulationSpec,
     TwoClassGaussian,
     population_theta_star,
-    positive_rate,
     predictor_laws,
     sample_conditional,
     sample_labels,
     sample_population,
     sample_predictor,
-    sample_tilted,
 )
 from .sampling import (
     CHUNK_ROWS,
     CaseControl,
     EmptySubsample,
     LocalCaseControl,
-    PilotFit,
     TooFewCases,
     Uniform,
-    WeightedCaseControl,
     WeightedSubsample,
     accept_pass,
     accept_rows,
@@ -82,6 +75,7 @@ __all__ = [
     "ExperimentConfig",
     "MethodSummary",
     "ExperimentReport",
+    "LccDraw",
     "TooManyFailures",
     "run_experiment",
     "summarize",
@@ -90,7 +84,8 @@ __all__ = [
 ]
 
 _METHODS = ("lcc", "wcc", "cc", "uniform", "full")
-_STAGES = ("data", "pilot", "uniforms", "lcc", "cc", "wcc", "bootstrap")  # position = spawn key
+# position = spawn key: "cc" and "wcc" draw nothing, but dropping them would move "bootstrap"
+_STAGES = ("data", "pilot", "uniforms", "lcc", "cc", "wcc", "bootstrap")
 _FAILURE_KINDS = (GlmError, EmptySubsample, TooFewCases)
 
 
@@ -124,7 +119,6 @@ class ExperimentConfig:
     bootstrap_B: int = 400
     master_seed: int = 0
     recycle_pilot: bool = True
-    implicit_full: bool = False
     max_failure_fraction: float = 0.2
     fit: FitConfig = field(default_factory=FitConfig)
 
@@ -138,12 +132,6 @@ class ExperimentConfig:
         unknown = set(self.methods) - set(_METHODS)
         if unknown:
             raise ValueError(f"unknown methods {sorted(unknown)}")
-        if self.implicit_full:
-            if self.c is not None and self.c != 1.0:
-                raise ValueError("implicit_full supports only c=1")
-            bad = {"full", "uniform"} & set(self.methods)
-            if bad:
-                raise ValueError(f"{sorted(bad)} need materialized data")
         object.__setattr__(self, "methods", tuple(self.methods))
 
     @property
@@ -163,12 +151,24 @@ class MethodSummary:
 
 
 @dataclass(frozen=True)
+class LccDraw:
+    """One replication's local case-control draw: its scheme (pilot and c) and
+    its acceptance rate per unit c, expected_size / (c * rows read), whose
+    population value is eval_abar(spec, scheme) / c.  While no row is capped
+    (c a_i <= 1, as at c <= 1) and no case is retained, it is sum_i a_i / n,
+    the acceptance rate at c = 1 with a_i = |y_i - ptilde(x_i)|."""
+
+    scheme: LocalCaseControl
+    acceptance_rate: float
+
+
+@dataclass(frozen=True)
 class ExperimentReport:
     config: ExperimentConfig
     theta_star: OracleFit
     methods: dict
     failures: tuple
-    lcc_acceptance_rates: np.ndarray | None
+    lcc_draws: tuple  # one LccDraw per successful replication when lcc runs
     runtime_seconds: float
     blas_threads: tuple[int, int] | None = None  # (while replicating, before)
     workers: int = 1  # processes the replications ran on
@@ -241,30 +241,6 @@ def one_blas_thread():
         yield 1, _PINNED[0]
     finally:
         set_(_PINNED.pop())
-
-
-def _balanced_draw(spec: PopulationSpec, labels, rng, weighted: bool) -> WeightedSubsample:
-    """Rows of the given labels with features from X | Y; on Bernoulli(1/2) labels, the
-    case-control draw at rates a0 = P(Y=1), a1 = P(Y=0) of an unbounded sample.
-
-    Unweighted, it carries that scheme's offset; weighted, the
-    Horvitz-Thompson weights 1/a(y) up to a common scale, P(Y=y) for class y.
-    """
-    prior1, n = positive_rate(spec), labels.shape[0]
-    features = sample_conditional(spec, labels, rng)
-    scheme = (WeightedCaseControl if weighted else CaseControl)(a0=prior1, a1=1.0 - prior1)
-    weights = np.where(labels == 1.0, prior1, 1.0 - prior1) if weighted else np.ones(n)
-    offsets = np.full(n, 0.0 if weighted else scheme.bias)
-    rows = np.arange(n)
-    return WeightedSubsample(scheme, n, float(n), 0.0, rows, labels, features, weights, offsets)
-
-
-def _implicit_pilot(config: ExperimentConfig, rep: int) -> PilotFit:
-    """What pilot_rows keeps of an unbounded sample: n_pilot // 2 rows per class."""
-    labels = np.repeat([0.0, 1.0], config.n_pilot // 2)
-    rng = derived_rng(config.master_seed, rep, "pilot")
-    sub = _balanced_draw(config.spec, labels, rng, weighted=True)
-    return PilotFit(fit_subsample(sub, config.fit).params, sub)
 
 
 _NO_ROWS = np.empty(0, dtype=np.intp)
@@ -426,8 +402,8 @@ def _lcc_subsample(config: ExperimentConfig, rep: int, rows: _Rows) -> WeightedS
 
 
 def _replicate_explicit(config: ExperimentConfig, rep: int) -> dict:
-    """Each method's (estimate, subsample size) on one draw of rows, or the
-    failure it raised in its place."""
+    """Each method's (estimate, subsample size), and for lcc its LccDraw, on
+    one draw of rows, or the failure it raised in its place."""
     rows = _replication_rows(config, rep)
     out = {}
     for method in config.methods:
@@ -444,24 +420,11 @@ def _replicate_explicit(config: ExperimentConfig, rep: int) -> dict:
                 counts, budget = class_counts(rows.labels), config.comparison_budget
                 sub = rows.keep(class_balanced_scheme(counts, budget, method == "wcc"))
             out[method] = (fit_subsample(sub, config.fit).params.as_array(), sub.realized_size)
+            if method == "lcc":
+                rate = sub.expected_size / (sub.scheme.c * sub.rows_read)
+                out[method] += (LccDraw(sub.scheme, rate),)
         except _FAILURE_KINDS as exc:
             out[method] = exc
-    return out
-
-
-def _replicate_implicit(config: ExperimentConfig, rep: int) -> dict:
-    out = {}
-    for method in config.methods:
-        rng = derived_rng(config.master_seed, rep, method)
-        if method == "lcc":
-            pilot = _implicit_pilot(config, rep).params
-            scheme = LocalCaseControl(pilot, retain_cases=config.retain_cases)
-            sub = sample_tilted(config.spec, scheme, config.n_lcc, rng)
-        else:
-            labels = (rng.random(config.comparison_budget) < 0.5).astype(np.float64)
-            sub = _balanced_draw(config.spec, labels, rng, weighted=(method == "wcc"))
-        fitted = fit_subsample(sub, config.fit).params.as_array()
-        out[method] = (fitted, sub.realized_size, sub.realized_size / sub.rows_read)
     return out
 
 
@@ -480,11 +443,10 @@ def run_experiment(
         raise ValueError("threads must be at least 1")
     t0 = time.monotonic()
     truth = theta_star or population_theta_star(config.spec)
-    replicate = _replicate_implicit if config.implicit_full else _replicate_explicit
 
     def one(rep: int):
         try:
-            out = replicate(config, rep)
+            out = _replicate_explicit(config, rep)
             for result in out.values():  # the first failed method drops the replication
                 if isinstance(result, Exception):
                     raise result
@@ -510,7 +472,6 @@ def run_experiment(
 
     boot_rng = derived_rng(config.master_seed, 0, "bootstrap")
     methods = {}
-    accept_rates = None
     for method in config.methods:
         draws = np.array([r[method][0] for r in successes])
         sizes = np.array([r[method][1] for r in successes], dtype=np.float64)
@@ -520,11 +481,10 @@ def run_experiment(
             bias_sq=bias_sq, var=var, bias_sq_se=bias_se, var_se=var_se,
             mean_subsample_size=float(sizes.mean()), draws=draws, n_failures=len(failures),
         )
-        if method == "lcc" and config.implicit_full:
-            accept_rates = np.array([r[method][2] for r in successes])
     return ExperimentReport(
         config=config, theta_star=truth, methods=methods, failures=failures,
-        lcc_acceptance_rates=accept_rates, runtime_seconds=time.monotonic() - t0,
+        lcc_draws=tuple(r["lcc"][2] for r in successes if "lcc" in r),
+        runtime_seconds=time.monotonic() - t0,
         blas_threads=blas, workers=workers,
     )
 
@@ -541,7 +501,7 @@ def convergence_study(
     pilot_fraction*n rows (at least p + 2, rounded up to even), cc/wcc at
     budget n.  Errors are ||estimate - theta*|| over the full
     coefficient vector.  Returns one row per (n, method) with median and
-    quartiles.
+    quartiles, NaN where every seed failed, and the seeds that succeeded.
     """
     if seeds < 2:
         raise ValueError("need at least 2 seeds")
@@ -564,9 +524,12 @@ def convergence_study(
     for n in n_grid:
         for method in methods:
             errs = np.array(errors[(n, method)])
+            stats = (np.nan,) * 3  # where every seed failed
+            if errs.size:
+                stats = (np.median(errs), np.quantile(errs, 0.25), np.quantile(errs, 0.75))
             rows.append({
-                "n": n, "method": method, "median_error": float(np.median(errs)),
-                "q25_error": float(np.quantile(errs, 0.25)),
-                "q75_error": float(np.quantile(errs, 0.75)), "seeds": int(errs.size),
+                "n": n, "method": method, "median_error": float(stats[0]),
+                "q25_error": float(stats[1]), "q75_error": float(stats[2]),
+                "seeds": int(errs.size),
             })
     return rows

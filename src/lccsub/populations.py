@@ -6,8 +6,8 @@ Three population kinds:
   StepLogit           scalar X ~ U(0,1) with a jump in the log-odds
 
 sample_population draws from a population and sample_conditional from
-X | Y; sample_tilted draws through a local case-control scheme into the
-WeightedSubsample that every accept-reject pass returns.
+X | Y; for a Gaussian population, sample_predictor draws the pilot
+predictor t given Y, and sample_conditional X | (Y, t).
 
 Each scheme's large-sample limit minimizes one risk, scheme_risk, built
 from what sampling.accept_rows returns at each node for each label, the
@@ -32,10 +32,8 @@ from .glm import FitConfig, ModelParams, ObservationSet, logistic_risk, minimize
 from .sampling import (
     CHUNK_ROWS,
     CaseControl,
-    LocalCaseControl,
     SamplingScheme,
     Uniform,
-    WeightedSubsample,
     accept_rows,
     scheme_adjustment,
 )
@@ -45,7 +43,6 @@ __all__ = [
     "TwoClassGaussian",
     "StepLogit",
     "PopulationSpec",
-    "AcceptanceTooLow",
     "Grid",
     "OracleFit",
     "PrecisionRecallCurve",
@@ -65,13 +62,8 @@ __all__ = [
     "predictor_laws",
     "sample_predictor",
     "sample_conditional",
-    "sample_tilted",
     "precision_recall",
 ]
-
-
-class AcceptanceTooLow(Exception):
-    """Tilted rejection sampling exceeded its proposal cap."""
 
 
 @dataclass(frozen=True)
@@ -340,61 +332,6 @@ def sample_conditional(spec: PopulationSpec, labels, rng, pilot=None, t=None) ->
             out[rows[: len(match)]] = match
             rows = rows[len(match):]
     return out
-
-
-def sample_tilted(
-    spec: PopulationSpec,
-    scheme: LocalCaseControl,
-    n_accept: int,
-    rng,
-    proposal_cap: int = 10**9,
-) -> WeightedSubsample:
-    """Rejection-sample the population through a local case-control scheme.
-
-    Proposes in batches and keeps each row as accept_rows does on its pilot
-    predictor t, stopping at exactly n_accept acceptances.  A Gaussian
-    proposal is its label and t (sample_predictor), and only the kept rows
-    draw features, from X | (Y, t) (sample_conditional); any other
-    population proposes whole rows.  rows are the kept positions in the
-    proposal stream and rows_read the proposals through the accepting row,
-    so realized_size / rows_read estimates the marginal acceptance
-    probability.  Offsets are -pilot'(1, x) of the kept rows.
-    """
-    if n_accept < 1:
-        raise ValueError("n_accept must be at least 1")
-    pilot, gaussian = scheme.pilot, isinstance(spec, TwoClassGaussian)
-    laws = predictor_laws(spec, pilot) if gaussian else None
-    parts = []
-    accepted = 0
-    proposals = 0
-    batch = max(4096, 2 * n_accept)
-    while accepted < n_accept:
-        if proposals >= proposal_cap:
-            raise AcceptanceTooLow(
-                f"{accepted}/{n_accept} acceptances after {proposals} proposals"
-            )
-        batch = int(min(batch, proposal_cap - proposals, 2**20))
-        if gaussian:
-            labels = sample_labels(spec, batch, rng)
-            features, t = None, sample_predictor(laws, labels, rng)
-        else:
-            obs, t = sample_population(spec, batch, rng), None
-            labels, features = obs.labels, obs.features
-        keep, weights, _, _ = accept_rows(scheme, features, labels, rng.random(batch), eta=t)
-        hits = np.flatnonzero(keep)[: n_accept - accepted]
-        if gaussian:
-            x = sample_conditional(spec, labels[hits], rng, pilot, t[hits])
-        else:
-            x = features[hits]
-        parts.append((hits + proposals, labels[hits], x, weights[hits], -pilot.linear_predictor(x)))
-        accepted += hits.size
-        # every batch before the last counts in full toward proposals
-        proposals += int(hits[-1]) + 1 if accepted == n_accept else batch
-        rate = max(accepted / proposals, 1e-6)
-        batch = int(min(max(4096, 1.2 * (n_accept - accepted) / rate), 2**20))
-    return WeightedSubsample(
-        scheme, proposals, float(n_accept), 0.0, *map(np.concatenate, zip(*parts))
-    )
 
 
 # ---------------------------------------------------------------------------

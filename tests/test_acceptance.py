@@ -16,12 +16,7 @@ import pytest
 
 from lccsub import presets
 from lccsub.asymptotics import eval_abar, eval_matrices, lcc_variance
-from lccsub.experiments import (
-    ExperimentConfig,
-    _implicit_pilot,
-    convergence_study,
-    run_experiment,
-)
+from lccsub.experiments import ExperimentConfig, convergence_study, run_experiment
 from lccsub.fileio import (
     load_config_file,
     parse_experiment,
@@ -285,7 +280,7 @@ def test_c06_study_predicts_cc_and_wcc(sim1_desk_report):
 
 
 # ---------------------------------------------------------------------------
-# 7. desk-scale study, implicit full data
+# 7. desk-scale study, 20 features
 
 
 def test_c07_desk_simulation2(sim2_desk_report):
@@ -293,18 +288,16 @@ def test_c07_desk_simulation2(sim2_desk_report):
     m = rep.methods
     bias_ratio = m["cc"].bias_sq / m["lcc"].bias_sq
     # a replication's rate estimates abar at its own pilot, not at theta*: pair
-    # it with the exact rate at that pilot, refitted from the replication's stream
-    failed = {failure[0] for failure in rep.failures}
-    kept = [r for r in range(rep.config.replications) if r not in failed]
-    pilots = [_implicit_pilot(rep.config, r).params for r in kept]
-    predicted = np.array([eval_abar(spec, LocalCaseControl(pilot)) for pilot in pilots])
-    gaps = rep.lcc_acceptance_rates - predicted
+    # it with the exact rate at that pilot and c, per unit c as the rate is
+    measured = np.array([draw.acceptance_rate for draw in rep.lcc_draws])
+    predicted = np.array([eval_abar(spec, d.scheme) / d.scheme.c for d in rep.lcc_draws])
+    gaps = measured - predicted
     gap_se = abs(float(gaps.mean())) / float(gaps.std(ddof=1) / np.sqrt(gaps.size))
     report(
         7,
         bias_ratio >= 5 and gap_se <= 2,
         f"bias_cc/bias_lcc = {bias_ratio:.1f} >= 5; acceptance rate measured "
-        f"{rep.lcc_acceptance_rates.mean():.5f} vs {predicted.mean():.5f} at the same "
+        f"{measured.mean():.5f} vs {predicted.mean():.5f} at the same "
         f"pilots (paired gap {gap_se:.2f} SEs <= 2)",
     )
 

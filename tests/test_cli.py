@@ -1262,9 +1262,11 @@ experiment:
         assert not out.exists()
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text(
-            """
+        # a misspelt key, and a key the study no longer has
+        for key in ("replicationz: 5", "implicit_full: true"):
+            cfg = tmp_path / "bad.cfg"
+            cfg.write_text(
+                f"""
 population:
   kind: steplogit
 experiment:
@@ -1272,12 +1274,14 @@ experiment:
   n_pilot: 10
   n_lcc: 10
   replications: 2
-  replicationz: 5
+  {key}
 """
-        )
-        rc = main(["simulate", "--config", str(cfg), "--out", "-"])
-        assert rc == 1
-        assert "replicationz" in capsys.readouterr().err
+            )
+            out = tmp_path / "study.csv"
+            assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+            name = key.split(":")[0]
+            assert capsys.readouterr().err == f"error: experiment: unknown key '{name}'\n"
+            assert not out.exists()
 
 
 class TestAsymptotics:

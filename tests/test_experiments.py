@@ -296,16 +296,7 @@ class TestRunExperiment:
         assert report.failures == ((4, "Singular", "wcc at 4"),)
         for m in small_config.methods:
             assert report.methods[m].draws.shape[0] == small_config.replications - 1
-
-    def test_implicit_pilot_keeps_half_per_class(self):
-        cfg = ExperimentConfig(
-            spec=presets.simulation2(p=4), n_full=10**6, n_pilot=301, n_lcc=300,
-            replications=2, implicit_full=True, master_seed=6,
-        )
-        sub = experiments._implicit_pilot(cfg, 1).subsample
-        assert sub.labels.tolist() == [0.0] * 150 + [1.0] * 150
-        prior1 = cfg.spec.prior1
-        assert sub.weights.tolist() == [1.0 - prior1] * 150 + [prior1] * 150
+        assert len(report.lcc_draws) == small_config.replications - 1
 
     def test_threads_below_one_rejected(self, small_config, small_truth):
         with pytest.raises(ValueError, match="threads must be at least 1"):
@@ -328,57 +319,12 @@ class TestRunExperiment:
             se = draws.std(axis=0, ddof=1) / np.sqrt(draws.shape[0])
             assert np.all(np.abs(draws.mean(axis=0) - truth) < 4 * se + 0.05)
 
-    def test_implicit_full_mode(self):
-        cfg = ExperimentConfig(
-            spec=presets.simulation2(p=6),
-            n_full=10**6,
-            n_pilot=500,
-            n_lcc=500,
-            replications=8,
-            methods=("lcc", "cc", "wcc"),
-            implicit_full=True,
-            bootstrap_B=150,
-            master_seed=5,
-        )
-        rep = run_experiment(cfg)
-        assert rep.lcc_acceptance_rates.shape == (8,)
-        assert np.all(rep.lcc_acceptance_rates > 0)
-        truth = rep.theta_star.params.slopes
-        draws = rep.methods["lcc"].draws[:, 1:]
-        assert np.linalg.norm(draws.mean(axis=0) - truth) < 1.0
-
-    def test_implicit_lcc_honours_retain_cases(self):
-        cfg = ExperimentConfig(
-            spec=presets.simulation2(p=4),
-            n_full=10**6,
-            n_pilot=300,
-            n_lcc=300,
-            replications=3,
-            methods=("lcc", "cc", "wcc"),
-            implicit_full=True,
-            bootstrap_B=100,
-            master_seed=6,
-        )
-        star = population_theta_star(cfg.spec)
-        kept, dropped = (
-            run_experiment(replace(cfg, retain_cases=retain), theta_star=star)
-            for retain in (True, False)
-        )
-        assert not np.array_equal(kept.methods["lcc"].draws, dropped.methods["lcc"].draws)
-        assert np.all(kept.lcc_acceptance_rates > dropped.lcc_acceptance_rates)
-        for m in ("cc", "wcc"):
-            assert np.array_equal(kept.methods[m].draws, dropped.methods[m].draws)
-
     def test_config_validation(self):
         spec = presets.correct_gaussian(p=2)
         with pytest.raises(ValueError):
             ExperimentConfig(spec, 100, 10, 10, replications=1)
         with pytest.raises(ValueError):
             ExperimentConfig(spec, 100, 10, 10, replications=2, methods=("nope",))
-        with pytest.raises(ValueError):
-            ExperimentConfig(
-                spec, 100, 10, 10, replications=2, methods=("full",), implicit_full=True
-            )
 
     def test_too_many_failures(self):
         # tiny subsamples on few rows separate almost surely
@@ -603,6 +549,20 @@ class TestConvergenceStudy:
         assert {(r["n"], r["method"]) for r in rows} == {
             (n, m) for n in (400, 800) for m in ("lcc", "cc", "wcc")
         }
+
+    def test_every_seed_failed_reads_nan(self):
+        # every 6-row lcc pilot at n = 400 separates: that row reports no seed
+        spec = presets.correct_gaussian(p=3, mu_scale=0.8, prior1=0.3)
+        rows = convergence_study(
+            spec, n_grid=[400, 800, 3000], methods=("lcc", "cc", "wcc"), seeds=3,
+            pilot_fraction=0.01, theta_star=population_theta_star(spec),
+        )
+        assert len(rows) == 9
+        failed = [r for r in rows if r["seeds"] == 0]
+        assert [(r["n"], r["method"]) for r in failed] == [(400, "lcc")]
+        for name in ("median_error", "q25_error", "q75_error"):
+            assert np.isnan(failed[0][name])
+        assert all(np.isfinite(r["median_error"]) for r in rows if r["seeds"])
 
     def test_one_seed_refused(self):
         # a quantile over fewer than two seeds is no study, as in run_experiment

@@ -158,7 +158,6 @@ def test_experiment_config_accepts_every_key():
         "bootstrap_B": 50,
         "master_seed": 11,
         "recycle_pilot": False,
-        "implicit_full": False,
         "max_failure_fraction": 0.5,
         "grad_tol": 1e-9,
         "max_iter": 40,

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from lccsub import presets
+from lccsub import experiments, presets
 from lccsub import populations
+from lccsub.asymptotics import eval_abar
+from lccsub.experiments import ExperimentConfig
 from lccsub.glm import (
     FitConfig,
     ModelParams,
@@ -12,7 +14,6 @@ from lccsub.glm import (
     newton_logistic,
 )
 from lccsub.populations import (
-    AcceptanceTooLow,
     DiscretePopulation,
     StepLogit,
     TwoClassGaussian,
@@ -26,11 +27,9 @@ from lccsub.populations import (
     precision_recall,
     sample_conditional,
     sample_population,
-    sample_tilted,
     theta_cc_limit,
     true_log_odds,
 )
-from lccsub.asymptotics import eval_abar
 from lccsub.sampling import LocalCaseControl, acceptance_probabilities
 
 
@@ -111,13 +110,27 @@ class TestSampling:
             sample_population(oatmeal, 0, np.random.default_rng(0))
 
 
+def _lcc_draw(spec, scheme, kept: int, seed: int):
+    """_Rows.accept's draw at the scheme, without `full`, on a replication's
+    rows sized to keep about `kept` rows."""
+    config = ExperimentConfig(
+        spec, n_full=int(kept / eval_abar(spec, scheme)), n_pilot=100, n_lcc=100,
+        replications=2, methods=("lcc",), master_seed=seed,
+    )
+    return experiments._replication_rows(config, 1).accept(scheme, np.random.default_rng(seed))
+
+
 class TestSampleTilted:
+    """Draws from the pilot-tilted law: a replication's local case-control
+    pass (_lcc_draw).  It accepts a Gaussian row on its label and pilot
+    predictor t (sample_predictor), and draws a kept row's features from
+    x | (y, t) (sample_conditional)."""
+
     def test_balanced_pilot_accepts_half(self):
         spec = presets.steplogit()
         pilot = ModelParams(0.0, [0.0])  # ptilde = 1/2 everywhere
-        ts = sample_tilted(spec, LocalCaseControl(pilot), 20000, np.random.default_rng(3))
-        assert ts.realized_size == 20000
-        assert ts.realized_size / ts.rows_read == pytest.approx(0.5, abs=0.02)
+        sub = _lcc_draw(spec, LocalCaseControl(pilot), 20000, 3)
+        assert sub.realized_size / sub.rows_read == pytest.approx(0.5, abs=0.02)
 
     def test_tilted_logit_slopes_vanish_with_offset(self):
         # under the tilted measure, logit P(Y=1|x) = f(x) - pilot'(1,x); with
@@ -125,9 +138,10 @@ class TestSampleTilted:
         # pilot offsets recovers theta0, i.e. zero coefficients pre-shift
         spec = presets.correct_gaussian(p=3, mu_scale=0.8)
         theta0 = spec.linear_params()
-        ts = sample_tilted(spec, LocalCaseControl(theta0), 40000, np.random.default_rng(4))
-        tilted = ts.to_observation_set()
-        assert np.array_equal(tilted.offsets, -theta0.linear_predictor(tilted.features))
+        tilted = _lcc_draw(spec, LocalCaseControl(theta0), 40000, 4).to_observation_set()
+        # each kept row's x | (y, t) has the predictor t it was accepted on
+        assert np.allclose(tilted.offsets, -theta0.linear_predictor(tilted.features), rtol=0,
+                           atol=1e-9)
         res = fit_logistic(tilted)
         delta = res.params.as_array() - theta0.as_array()
         # crude SE: 2/sqrt(n per coordinate curvature ~ n/4)
@@ -135,42 +149,17 @@ class TestSampleTilted:
 
     def test_simulation2_acceptance_rate(self):
         spec = presets.simulation2(p=50)
-        theta0 = spec.linear_params()
-        ts = sample_tilted(spec, LocalCaseControl(theta0), 5000, np.random.default_rng(5))
-        assert ts.realized_size / ts.rows_read == pytest.approx(0.005, abs=0.001)
-
-    def test_proposal_cap(self):
-        spec = presets.simulation2(p=10)
-        theta0 = spec.linear_params()
-        with pytest.raises(AcceptanceTooLow):
-            sample_tilted(
-                spec, LocalCaseControl(theta0), 10**6, np.random.default_rng(6), proposal_cap=10**4
-            )
-
-    def test_rows_are_proposal_positions(self):
-        # one batch of 4096 proposals: the kept rows replay from the
-        # population's draws, then the batch's uniforms
-        spec = presets.steplogit()
-        scheme = LocalCaseControl(ModelParams(0.0, [0.0]))
-        ts = sample_tilted(spec, scheme, 1000, np.random.default_rng(8))
-        rng = np.random.default_rng(8)
-        obs = sample_population(spec, 4096, rng)
-        keep = rng.random(4096) <= acceptance_probabilities(scheme, obs.features, obs.labels)[0]
-        rows = np.flatnonzero(keep)[:1000]
-        assert ts.rows_read == rows[-1] + 1
-        assert np.array_equal(ts.rows, rows)
-        assert np.array_equal(ts.features, obs.features[rows])
-        assert ts.expected_size == 1000 and ts.size_variance == 0.0
+        sub = _lcc_draw(spec, LocalCaseControl(spec.linear_params()), 5000, 5)
+        assert sub.realized_size / sub.rows_read == pytest.approx(0.005, abs=0.001)
 
     @pytest.mark.parametrize("name", ["simulation2_20", "sim1_desk"])
     def test_kept_rows_follow_the_tilted_law(self, name):
-        # a Gaussian proposal is its label and pilot predictor t, and a kept
-        # row draws x | (y, t): the acceptance rate and each class's kept
-        # feature means and variances are the exact tilted integrals
+        # the acceptance rate and each class's kept feature means and
+        # variances are the exact tilted integrals
         spec = presets.simulation2(p=20) if name == "simulation2_20" else presets.simulation1()
         theta = population_theta_star(spec).params
         scheme = LocalCaseControl(ModelParams.from_array(theta.as_array() + 0.05))
-        sub = sample_tilted(spec, scheme, 50000, np.random.default_rng(31))
+        sub = _lcc_draw(spec, scheme, 50000, 31)
         abar = eval_abar(spec, scheme)
         rate = sub.realized_size / sub.rows_read
         assert abs(rate - abar) < 4 * np.sqrt(abar * (1.0 - abar) / sub.rows_read)
@@ -185,15 +174,6 @@ class TestSampleTilted:
             n = rows.shape[0]
             assert np.all(np.abs(rows.mean(axis=0) - mean) < 4 * rows.std(axis=0) / np.sqrt(n))
             assert np.all(np.abs(sq.mean(axis=0) - var) < 4 * sq.std(axis=0) / np.sqrt(n))
-
-    def test_rows_count_across_batches(self):
-        spec = presets.steplogit()
-        ts = sample_tilted(
-            spec, LocalCaseControl(ModelParams(-4.0, [3.0])), 3000, np.random.default_rng(8)
-        )
-        assert ts.rows_read > 2 * 4096  # several batches
-        assert np.all(np.diff(ts.rows) > 0)
-        assert ts.rows[-1] + 1 == ts.rows_read
 
 
 class TestSampleConditional:
