@@ -6,22 +6,21 @@ pilot_scan), and take the local sample; give the comparison estimators (cc,
 wcc, uniform) the combined pilot-plus-second-stage budget so the pilot cost
 is paid for.  Every draw is one WeightedSubsample, fitted by fit_subsample.
 
-A replication (_Rows) holds one byte per row, its label, and the features
-of the rows drawn so far; like `sample` on a file, every full-length step
+A replication (_Rows) holds one byte per row, its label, and features only
+for the rows a method keeps; like `sample` on a file, every full-length step
 (uniforms, pilot keys, pilot predictors, accept-reject) runs in CHUNK_ROWS
-blocks.  A Gaussian replication draws features only for the rows a method
-keeps.  The data stream draws every row's label; one scan of the uniforms
+blocks.  The data stream draws every row's label; one scan of the uniforms
 stream then records the candidates, every row a label-only scheme could
 keep (u <= max(a_y, uniform rate), a_y the class-balanced rates), and cc,
 wcc and uniform accept among them alone.  The data stream draws the
 candidates' features, in row order, then, for `full`, every other row's.
 The local method draws on its own stream: features from X | Y for pilot
-rows that have none, the pilot predictor t for every row without features
-(a row with features has t = pilot'(1, x)), acceptance on t, and features
-from X | (Y, t) for the kept rows that have none.  So every row's (y, x) is
-a population draw, cc, wcc and uniform draw the same whichever methods
-run, and the local method's draws depend on whether `full` runs.  Other
-populations draw every row in full up front.  run_experiment and
+rows that have none, and the pilot predictor t of every row (pilot'(1, x)
+where x is drawn), on which it accepts.  A Gaussian population draws t from
+T | Y, then X | (Y, t) for the kept rows; any other draws x from X | Y,
+and a kept row keeps it.  So every row's (y, x) is a population draw, cc,
+wcc and uniform draw the same whichever methods run, and the local
+method's draws depend on whether `full` runs.  run_experiment and
 convergence_study run this one protocol.
 
 Determinism: every stage of every replication derives its generator from
@@ -51,7 +50,6 @@ from .populations import (
     predictor_laws,
     sample_conditional,
     sample_labels,
-    sample_population,
     sample_predictor,
 )
 from .sampling import (
@@ -253,12 +251,12 @@ def _skipping(rows, skip):
 
 @dataclass
 class _Rows:
-    """One replication's rows.  Per row it holds one byte, the label.  It also
-    holds the uniforms stream at row 0, which each pass draws again from a
-    copy, one random() per row, CHUNK_ROWS rows at a time (scan); the features
-    of the rows drawn so far, by position in row order (at, features); and the
-    candidates, every row a label-only scheme can keep, as (positions, labels,
-    uniforms)."""
+    """One replication's rows, of any population.  Per row it holds one byte,
+    the label.  It also holds the uniforms stream at row 0, which each pass
+    draws again from a copy, one random() per row, CHUNK_ROWS rows at a time
+    (scan); the features drawn and kept so far, by position in row order (at,
+    features); and the candidates, every row a label-only scheme can keep,
+    as (positions, labels, uniforms)."""
 
     spec: PopulationSpec
     labels: np.ndarray
@@ -269,7 +267,8 @@ class _Rows:
 
     def draw(self, rows, rng, pilot=None, t=None) -> np.ndarray:
         """The features of rows; those that have none are drawn, in order, from
-        X | Y, or given a pilot from X | (Y, t), t each row's pilot predictor, and kept."""
+        X | Y, or given a pilot from X | (Y, t), t each row's pilot predictor, and
+        kept: increasing rows that include every stored row become the store."""
         i = np.searchsorted(self.at, rows)
         have = i < self.at.size
         have[have] = self.at[i[have]] == rows[have]
@@ -279,6 +278,9 @@ class _Rows:
             new = ~have
             t = None if pilot is None else t[new]
             out[new] = sample_conditional(self.spec, self.labels[rows[new]], rng, pilot, t)
+            if np.count_nonzero(have) == self.at.size and np.all(rows[1:] > rows[:-1]):
+                self.at, self.features = rows, out
+                return out
             at = np.concatenate([self.at, rows[new]])
             order = np.argsort(at, kind="stable")
             self.at, self.features = at[order], np.concatenate([self.features, out[new]])[order]
@@ -303,32 +305,38 @@ class _Rows:
             u = u if isinstance(at, slice) else u[at - first]
             yield at, self.labels[at].astype(np.float64), u
 
-    def predictors(self, at, labels, pilot, laws, rng) -> np.ndarray:
-        """The pilot predictor t of the rows at a block's positions: pilot'(1, x)
-        of a row with features, and for the others, in order, a draw of T | Y
-        from laws = predictor_laws(spec, pilot)."""
+    def chunk(self, at, labels, u, pilot, laws, rng):
+        """One of scan's blocks as an accept-reject chunk (features, labels, u, t),
+        t = pilot'(1, x) of a row with features.  For the others, in order, t is a
+        draw of T | Y from laws = predictor_laws(spec, pilot), with no features;
+        or, without laws, x is a draw of X | Y and t = pilot'(1, x)."""
         positions = np.arange(at.start, at.stop) if isinstance(at, slice) else at
         lo, hi = np.searchsorted(self.at, (positions[0], positions[-1] + 1))
         j = np.searchsorted(positions, self.at[lo:hi])
         found = positions[j] == self.at[lo:hi]
         missing = np.ones(labels.size, dtype=bool)
         missing[j[found]] = False
+        if laws is None:
+            x = np.empty((labels.size, self.spec.p))
+            x[missing] = sample_conditional(self.spec, labels[missing], rng)
+            x[j[found]] = self.features[lo:hi][found]
+            return x, labels, u, pilot.linear_predictor(x)
         t = np.empty(labels.size)
-        if missing.any():
-            t[missing] = sample_predictor(laws, labels[missing], rng)
+        t[missing] = sample_predictor(laws, labels[missing], rng)
         t[j[found]] = pilot.linear_predictor(self.features[lo:hi][found])
-        return t
+        return np.empty((labels.size, 0)), labels, u, t
 
     def accept(self, scheme, rng, target=None, skip=_NO_ROWS) -> WeightedSubsample:
         """Local case-control's draw on the rows but skip, in CHUNK_ROWS blocks of
         them as draw_subsample splits rows in memory, accepting on each row's
-        pilot predictor t (predictors, on rng), with the kept rows' features
-        (draw, on rng); its rows count only the rows read."""
+        pilot predictor t (chunk, on rng); its rows count only the rows read.  A
+        Gaussian population's kept rows then draw features (draw, on rng)."""
         pilot = scheme.pilot
         laws = predictor_laws(self.spec, pilot) if isinstance(self.spec, TwoClassGaussian) else None
-        chunks = ((np.empty((u.size, 0)), labels, u, self.predictors(at, labels, pilot, laws, rng))
-                  for at, labels, u in self.scan(skip))
+        chunks = (self.chunk(*block, pilot, laws, rng) for block in self.scan(skip))
         sub = accept_pass(scheme, chunks, target)
+        if laws is None:
+            return sub
         return replace(sub, features=self.draw(_skipping(sub.rows, skip), rng, pilot, -sub.offsets))
 
     def keep(self, scheme) -> WeightedSubsample:
@@ -348,18 +356,13 @@ class _Rows:
 def _replication_rows(config: ExperimentConfig, rep: int) -> _Rows:
     """The replication's rows from the data stream: every row's label, then the
     candidates, the rows whose uniform u <= max(a_y, uniform rate), a_y the
-    class-balanced rates, then, for a Gaussian population, the candidates'
-    features, and for `full` every other row's.  Other populations draw every
-    row in full first."""
+    class-balanced rates, then the candidates' features, and for `full` every
+    other row's."""
     spec, n = config.spec, config.n_full
     rng = derived_rng(config.master_seed, rep, "data")
-    if isinstance(spec, TwoClassGaussian):
-        labels = sample_labels(spec, n, rng, np.uint8)
-        at, features = _NO_ROWS, np.empty((0, spec.p))
-    else:
-        data = sample_population(spec, n, rng)
-        labels, at, features = data.labels.astype(np.uint8), np.arange(n), data.features
-    rows = _Rows(spec, labels, derived_rng(config.master_seed, rep, "uniforms"), at, features)
+    labels = sample_labels(spec, n, rng, np.uint8)
+    uniforms = derived_rng(config.master_seed, rep, "uniforms")
+    rows = _Rows(spec, labels, uniforms, _NO_ROWS, np.empty((0, spec.p)))
     rate, counts = _uniform_rate(config), class_counts(labels)
     a = CaseControl(rate, rate)  # without both classes cc and wcc keep no row
     if min(counts):

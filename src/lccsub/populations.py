@@ -5,9 +5,9 @@ Three population kinds:
   TwoClassGaussian    class prior + per-class Gaussian features
   StepLogit           scalar X ~ U(0,1) with a jump in the log-odds
 
-sample_population draws from a population and sample_conditional from
-X | Y; for a Gaussian population, sample_predictor draws the pilot
-predictor t given Y, and sample_conditional X | (Y, t).
+sample_population draws the labels, then X | Y (sample_labels, then
+sample_conditional); for a Gaussian population, sample_predictor draws
+the pilot predictor t given Y, and sample_conditional X | (Y, t).
 
 Each scheme's large-sample limit minimizes one risk, scheme_risk, built
 from what sampling.accept_rows returns at each node for each label, the
@@ -202,14 +202,11 @@ def true_log_odds(spec: PopulationSpec, x) -> np.ndarray:
     """Exact conditional log-odds f(x) at rows of x."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if isinstance(spec, DiscretePopulation):
-        out = np.empty(x.shape[0])
-        for i, row in enumerate(x):
-            match = np.all(spec.points == row, axis=1)
-            idx = np.flatnonzero(match)
-            if idx.size == 0:
-                raise ValueError(f"x={row} is not in the discrete support")
-            out[i] = spec.logodds[idx[0]]
-        return out
+        match = np.all(x[:, None, :] == spec.points, axis=2)
+        outside = ~match.any(axis=1)
+        if outside.any():
+            raise ValueError(f"x={x[outside][0]} is not in the discrete support")
+        return spec.logodds[match.argmax(axis=1)]
     if isinstance(spec, TwoClassGaussian):
         inv0, inv1 = spec._inv
         ld0, ld1 = spec._logdet
@@ -244,29 +241,16 @@ def equal_class_bias(spec: PopulationSpec) -> float:
 
 
 def sample_population(spec: PopulationSpec, n: int, rng) -> ObservationSet:
-    """n i.i.d. draws (features, labels) from the population."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if isinstance(spec, TwoClassGaussian):
-        labels = sample_labels(spec, n, rng)
-        return ObservationSet(sample_conditional(spec, labels, rng), labels)
-    if isinstance(spec, DiscretePopulation):
-        idx = rng.choice(spec.points.shape[0], size=n, p=spec.masses)
-        feats = spec.points[idx]
-        labels = (rng.random(n) < K.sigmoid(spec.logodds[idx])).astype(np.float64)
-        return ObservationSet(feats, labels)
-    if isinstance(spec, StepLogit):
-        x = rng.random(n).reshape(-1, 1)
-        labels = (rng.random(n) < conditional_probability(spec, x)).astype(np.float64)
-        return ObservationSet(x, labels)
-    raise TypeError(f"unknown population spec {type(spec)!r}")
+    """n i.i.d. draws (features, labels) from the population: the labels, then X | Y."""
+    labels = sample_labels(spec, n, rng)
+    return ObservationSet(sample_conditional(spec, labels, rng), labels)
 
 
-def sample_labels(spec: TwoClassGaussian, n: int, rng, dtype=np.float64) -> np.ndarray:
-    """n draws of a Gaussian population's labels, of the given dtype, CHUNK_ROWS at a time."""
-    labels = np.empty(n, dtype)
+def sample_labels(spec: PopulationSpec, n: int, rng, dtype=np.float64) -> np.ndarray:
+    """n labels drawn at positive_rate(spec), of the given dtype, CHUNK_ROWS at a time."""
+    rate, labels = positive_rate(spec), np.empty(n, dtype)
     for start in range(0, n, CHUNK_ROWS):
-        labels[start:start + CHUNK_ROWS] = rng.random(min(CHUNK_ROWS, n - start)) < spec.prior1
+        labels[start:start + CHUNK_ROWS] = rng.random(min(CHUNK_ROWS, n - start)) < rate
     return labels
 
 
@@ -301,10 +285,13 @@ def sample_conditional(spec: PopulationSpec, labels, rng, pilot=None, t=None) ->
     A Gaussian population draws x0 from its class's law and, given t, moves
     it along Cov(x, t) to x0 + Sigma_y pilot (t - pilot'(1, x0)) / Var(t):
     the conditional law, as x - Sigma_y pilot t / Var(t) is independent of t.
-    Any other population keeps, in order, its own draws whose label
-    matches, which is exact; it takes no t.
+    A discrete population draws each row's cell with weights masses * P(y | cell),
+    the step population x by rejection from U(0, 1) at P(y | x) / max_x P(y | x);
+    only a Gaussian population takes t.
     """
     labels = np.asarray(labels, dtype=np.float64)
+    if t is not None and not isinstance(spec, TwoClassGaussian):
+        raise ValueError("features given the pilot predictor need a Gaussian population")
     if isinstance(spec, TwoClassGaussian):
         z = rng.standard_normal((labels.shape[0], spec.p))
         L0, L1 = spec._chol
@@ -320,18 +307,27 @@ def sample_conditional(spec: PopulationSpec, labels, rng, pilot=None, t=None) ->
             gap = t - pilot.linear_predictor(x)
             x += np.divide(gap, var, out=np.zeros_like(var), where=var > 0)[:, None] * cov
         return x
-    if t is not None:
-        raise ValueError("features given the pilot predictor need a Gaussian population")
-    out = np.empty((labels.shape[0], spec.p))
-    prior1 = positive_rate(spec)
-    for label, rate in ((0.0, 1.0 - prior1), (1.0, prior1)):
-        rows = np.flatnonzero(labels == label)
-        while rows.size:
-            draw = sample_population(spec, int(min(max(1024, 1.2 * rows.size / rate), 2**20)), rng)
-            match = draw.features[draw.labels == label][: rows.size]
-            out[rows[: len(match)]] = match
-            rows = rows[len(match):]
-    return out
+    if isinstance(spec, DiscretePopulation):
+        x, u = np.empty((labels.shape[0], spec.p)), rng.random(labels.shape[0])
+        for y, prob in ((0.0, K.sigmoid(-spec.logodds)), (1.0, K.sigmoid(spec.logodds))):
+            rows = labels == y
+            cum = np.cumsum(spec.masses * prob)
+            x[rows] = spec.points[np.searchsorted(cum[:-1], u[rows] * cum[-1], side="right")]
+        return x
+    if isinstance(spec, StepLogit):
+        x, rate = np.empty((labels.shape[0], 1)), positive_rate(spec)
+        f = true_log_odds(spec, [[0.0], [spec.threshold], [1.0]])
+        ends = np.append(f, f[1] + spec.jump)  # P(y | x) peaks at 0, at 1 or beside the jump
+        for y, sign, mass in ((0.0, -1.0, 1.0 - rate), (1.0, 1.0, rate)):
+            rows = np.flatnonzero(labels == y)
+            top = K.sigmoid(sign * ends).max()  # a proposal is kept with probability mass / top
+            while rows.size:
+                x0, u = rng.random((2, int(rows.size * top / mass) + 1))
+                ok = x0[u * top <= K.sigmoid(sign * true_log_odds(spec, x0[:, None]))]
+                x[rows[:ok.size], 0] = ok[:rows.size]
+                rows = rows[ok.size:]
+        return x
+    raise TypeError(f"unknown population spec {type(spec)!r}")
 
 
 # ---------------------------------------------------------------------------

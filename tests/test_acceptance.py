@@ -312,7 +312,9 @@ def test_c08_inconsistency_plateau(oatmeal, oatmeal_star):
         oatmeal,
         n_grid=n_grid,
         methods=("lcc", "cc"),
-        seeds=30,
+        # at 30 seeds a median-error ratio ranged over 0.27-0.87 between master
+        # seeds with the same program; at 120 it stays within 0.36-0.65
+        seeds=120,
         master_seed=20140608,
         theta_star=oatmeal_star,
     )

@@ -371,38 +371,45 @@ class TestExplicitDraws:
             assert np.all(np.abs(rows.mean(axis=0) - mu) < 4 * np.sqrt(np.diag(sigma) / n))
             assert np.all(np.abs(sq.mean(axis=0) - np.diag(sigma)) < 4 * sq.std(axis=0) / np.sqrt(n))
 
-    def test_gaussian_rows_draw_only_what_a_method_keeps(self, small_config, monkeypatch):
-        # features for at most 3 x (n_pilot + n_lcc) rows without `full`, and
-        # never a whole Gaussian population draw
-        draw, drawn = experiments.sample_conditional, []
+    @pytest.mark.parametrize("name", ["correct_gaussian", "oatmeal", "steplogit"])
+    def test_rows_store_only_what_a_method_keeps(self, small_config, name, monkeypatch):
+        # features stored for at most 3 x (n_pilot + n_lcc) rows without `full`;
+        # a Gaussian population draws features for no other row, and any other
+        # population draws x | y once for each row the lcc pass reads without them
+        draw, drawn, made = experiments.sample_conditional, [], []
         monkeypatch.setattr(
             experiments, "sample_conditional",
             lambda spec, labels, *a: drawn.append(len(labels)) or draw(spec, labels, *a),
         )
-
-        def refuse(*args):
-            raise AssertionError("sample_population drew a Gaussian population")
-
-        monkeypatch.setattr(experiments, "sample_population", refuse)
+        rows_of = experiments._replication_rows
+        monkeypatch.setattr(
+            experiments, "_replication_rows", lambda *a: made.append(rows_of(*a)) or made[-1]
+        )
+        spec = small_config.spec if name == "correct_gaussian" else getattr(presets, name)()
         for methods in (("lcc", "wcc", "cc", "uniform"), ("lcc", "full")):
-            config = replace(small_config, methods=methods)
+            config = replace(small_config, spec=spec, methods=methods)
             for rep in range(config.replications):
                 drawn.clear()
                 out = experiments._replicate_explicit(config, rep)
                 assert not any(isinstance(r, Exception) for r in out.values())
+                stored = made[-1].at.size
                 if "full" in methods:
-                    assert sum(drawn) == config.n_full
+                    assert stored == sum(drawn) == config.n_full
                 else:
-                    assert 0 < sum(drawn) <= 3 * config.comparison_budget
+                    assert 0 < stored <= 3 * config.comparison_budget
+                    gaussian = name == "correct_gaussian"
+                    assert sum(drawn) == (stored if gaussian else config.n_full)
 
-    def test_replication_holds_one_byte_per_row(self):
+    @pytest.mark.parametrize("name", ["simulation1", "oatmeal", "steplogit"])
+    def test_replication_holds_one_byte_per_row(self, name):
         # the benchmark's study: a 1-byte label per row, the uniforms redrawn
         # CHUNK_ROWS at a time, and about 3,000 candidates; the peak was 1.80 MB
-        # at 200,000 rows and 2.43 MB at 800,000
+        # at 200,000 rows and 2.43 MB at 800,000 for simulation1, 1.96 and 2.58 MB
+        # for oatmeal and 2.08 and 2.72 MB for steplogit
         peaks, candidates = [], 0
         for n_full in (200_000, 800_000):
             config = ExperimentConfig(
-                spec=presets.simulation1(), n_full=n_full, n_pilot=1000, n_lcc=1000,
+                spec=getattr(presets, name)(), n_full=n_full, n_pilot=1000, n_lcc=1000,
                 replications=2, methods=("lcc", "wcc", "cc"), master_seed=20140601,
             )
             experiments._replicate_explicit(config, 0)
@@ -413,7 +420,7 @@ class TestExplicitDraws:
             finally:
                 tracemalloc.stop()
             candidates = experiments._replication_rows(config, 1).candidates[0].size
-        assert peaks[0] < 2.4e6  # 1.80 MB plus a third
+        assert peaks[0] < 2.4e6  # simulation1's 1.80 MB plus a third
         # a byte per extra row, plus under 100 bytes per candidate (its position,
         # label, uniform and stored position and 5 features take 72)
         assert peaks[1] - peaks[0] < 600_000 + 100 * candidates

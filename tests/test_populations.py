@@ -124,7 +124,8 @@ class TestSampleTilted:
     """Draws from the pilot-tilted law: a replication's local case-control
     pass (_lcc_draw).  It accepts a Gaussian row on its label and pilot
     predictor t (sample_predictor), and draws a kept row's features from
-    x | (y, t) (sample_conditional)."""
+    x | (y, t) (sample_conditional); any other row on t = pilot'(1, x) of
+    its draw of x | y, which a kept row keeps."""
 
     def test_balanced_pilot_accepts_half(self):
         spec = presets.steplogit()
@@ -152,11 +153,12 @@ class TestSampleTilted:
         sub = _lcc_draw(spec, LocalCaseControl(spec.linear_params()), 5000, 5)
         assert sub.realized_size / sub.rows_read == pytest.approx(0.005, abs=0.001)
 
-    @pytest.mark.parametrize("name", ["simulation2_20", "sim1_desk"])
+    @pytest.mark.parametrize("name", ["simulation2_20", "sim1_desk", "oatmeal", "steplogit"])
     def test_kept_rows_follow_the_tilted_law(self, name):
         # the acceptance rate and each class's kept feature means and
         # variances are the exact tilted integrals
-        spec = presets.simulation2(p=20) if name == "simulation2_20" else presets.simulation1()
+        spec = (presets.simulation2(p=20) if name == "simulation2_20"
+                else presets.simulation1() if name == "sim1_desk" else getattr(presets, name)())
         theta = population_theta_star(spec).params
         scheme = LocalCaseControl(ModelParams.from_array(theta.as_array() + 0.05))
         sub = _lcc_draw(spec, scheme, 50000, 31)
@@ -164,9 +166,11 @@ class TestSampleTilted:
         rate = sub.realized_size / sub.rows_read
         assert abs(rate - abar) < 4 * np.sqrt(abar * (1.0 - abar) / sub.rows_read)
         grid = integration_grid(spec, along=(scheme.pilot.as_array(),))
-        kept = grid.masses * acceptance_probabilities(scheme, grid.points, grid.prob1)[0]
         for y in (0.0, 1.0):
-            dens = np.where(grid.prob1 == y, kept, 0.0)
+            # a Gaussian grid's nodes carry their class as prob1, 0 or 1
+            prob_y = grid.prob1 if y else 1.0 - grid.prob1
+            accept = acceptance_probabilities(scheme, grid.points, np.full(grid.masses.size, y))[0]
+            dens = grid.masses * prob_y * accept
             mean = dens @ grid.points / dens.sum()
             var = dens @ (grid.points - mean) ** 2 / dens.sum()
             rows = sub.features[sub.labels == y]
@@ -202,6 +206,10 @@ class TestSampleConditional:
             sd = np.sqrt(np.sum(dens * (grid.points[:, 0] - mean) ** 2))
             rows = x[labels == label]
             assert abs(rows.mean() - mean) < 4 * sd / np.sqrt(rows.size)
+            # the grid's panels split at the jump, so its left share is exact
+            left = float(np.sum(dens[grid.points[:, 0] <= spec.threshold]))
+            share = np.mean(rows <= spec.threshold)
+            assert abs(share - left) < 4 * np.sqrt(left * (1 - left) / rows.size)
 
     def test_gaussian_class_means(self):
         spec = presets.example2()
